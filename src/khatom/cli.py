@@ -158,7 +158,6 @@ CONFIG_SPEC = {
     "run.cadence": (_parse_int, 20),
     "run.snapshots": (_parse_times, ()),
     "run.absorber": (_parse_choice(TRISTATE), "auto"),
-    "run.seed": (_parse_int, 0),  # reserved; the physics is deterministic
     "restart.at": (_parse_optfloat, None),
     "restart.mode": (_parse_choice(MODES), MODE_KH),
     "restart.t_final": (_parse_optfloat, None),
@@ -394,12 +393,9 @@ class Pipeline:
     @property
     def pairs(self):
         if self._pairs is None:
-            self._pairs = kh_bound_states(
-                self.grid,
-                self.cfg["kh.alpha0"],
-                quadrature_n=self.cfg["kh.quadrature_n"],
-                averaged=self.avg,
-            )
+            self._pairs = kh_bound_states(self.avg)
+            for k, pair in enumerate(self._pairs):
+                self.manifest["residuals"][f"eigen_residual_kh_{k}"] = pair.residual
             e0, e1 = (p.energy for p in self._pairs[:2])
             der = self.manifest["derived"]
             der["e_kh_0"] = float(e0)
@@ -413,6 +409,7 @@ class Pipeline:
         if self._ground is None:
             self._ground = imaginary_time_ground_state(atomic_potential(self.grid.x), self.grid)
             self.manifest["derived"]["e_atomic"] = float(self._ground.energy)
+            self.manifest["residuals"]["eigen_residual_atomic"] = self._ground.residual
         return self._ground
 
     # ---- file plumbing ---------------------------------------------------

@@ -253,8 +253,3 @@ def parity_project(grid: SpatialGrid, arr: np.ndarray, parity: str) -> np.ndarra
     if parity == "odd":
         return 0.5 * (arr - rev)
     raise GridError(f"parity must be 'even' or 'odd', got {parity!r}")
-
-
-def grid_contains_origin(grid: SpatialGrid) -> bool:
-    j = round(-grid.x_min / grid.dx)
-    return 0 <= j < grid.n_points and abs(grid.x_min + j * grid.dx) < 1e-9 * grid.dx

@@ -1,31 +1,33 @@
-"""Bound states: imaginary-time relaxation and a finite-difference solver.
+"""Bound states of H = p^2/2 + V on a spatial grid.
 
-The atomic ground state comes from split-operator imaginary time on the
-propagation grid.  The dressed-potential eigenpairs come from a
-three-point finite-difference Hamiltonian with Dirichlet edges on a
-dedicated fine grid, then get resampled onto the propagation grid and
-polished by a short parity-projected imaginary-time relaxation so they
-are eigenstates of the spectral Hamiltonian actually used to propagate.
+`bound_states` is the solver for the dressed-potential eigenpairs: a
+three-point finite-difference solve on the same grid counts the bound
+states and seeds them, then one preconditioned block solve (LOBPCG;
+Knyazev, SIAM J. Sci. Comput. 23, 517 (2001)) refines the seeds into
+eigenstates of the spectral Hamiltonian used to propagate.  The
+finite-difference solver also stands alone as an independent oracle.
+The atomic ground state comes from split-operator imaginary time.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.fft import fft, ifft
 from scipy.linalg import eigh_tridiagonal
+from scipy.sparse.linalg import lobpcg
 
-from .core import FRAME_KH, SpatialGrid, WaveFunction, KhatomError, inner_product
-from .potential import AveragedPotential, kh_averaged_potential
+from .core import FRAME_KH, SpatialGrid, WaveFunction, KhatomError, inner_product, parity_project
+from .potential import AveragedPotential
 
 __all__ = [
     "EigenPair",
     "EigenError",
     "imaginary_time_ground_state",
     "bound_states_fd",
-    "resample_to_grid",
+    "bound_states",
     "kh_bound_states",
     "coherent_superposition",
     "rayleigh_energy",
@@ -39,6 +41,9 @@ PARITY_TOL = 1e-6
 ANTINODE_FLOOR = 1e-3
 EDGE_AMP_TOL = 1e-6
 NEAR_ZERO_DISCARD = -1e-6
+PRECOND_SHIFT = 0.02  # sigma in the preconditioner (p^2/2 + sigma)^-1
+LOBPCG_TOL = 1e-9  # on ||H psi - E psi|| of each normalized state
+LOBPCG_MAXITER = 200
 
 
 class EigenError(KhatomError):
@@ -51,25 +56,33 @@ class EigenPair:
     state: WaveFunction
     index: int
     parity: str  # "even", "odd" or "none"
+    residual: float = float("nan")  # ||H psi - E psi||; nan where not measured
+
+
+def _apply_h(v: np.ndarray, grid: SpatialGrid, psi: np.ndarray) -> np.ndarray:
+    """Spectral H applied along axis 0, to one state or to a block of columns."""
+    shape = (-1,) + (1,) * (psi.ndim - 1)
+    kin = (0.5 * grid.p**2).reshape(shape)
+    return ifft(kin * fft(psi, axis=0), axis=0) + v.reshape(shape) * psi
 
 
 def rayleigh_energy(v: np.ndarray, wf: WaveFunction) -> float:
     """<psi|H|psi> with spectral kinetic energy and diagonal potential."""
-    g = wf.grid
-    hpsi = ifft(0.5 * g.p**2 * fft(wf.psi)) + v * wf.psi
-    return float(np.real(inner_product(wf, WaveFunction(g, hpsi, wf.t, wf.frame))))
+    hpsi = _apply_h(v, wf.grid, wf.psi)
+    return float(np.real(inner_product(wf, WaveFunction(wf.grid, hpsi, wf.t, wf.frame))))
 
 
-def _reverse(arr: np.ndarray) -> np.ndarray:
-    # x -> -x on the periodic grid (index 0 is its own mirror)
-    return np.concatenate((arr[:1], arr[:0:-1]))
+def _residual(v: np.ndarray, wf: WaveFunction, energy: float) -> float:
+    r = _apply_h(v, wf.grid, wf.psi) - energy * wf.psi
+    return float(np.sqrt(wf.grid.dx * np.sum(np.abs(r) ** 2)))
 
 
 def parity_of(wf: WaveFunction, tol: float = PARITY_TOL) -> str:
-    rev = _reverse(wf.psi)
-    if np.max(np.abs(wf.psi - rev)) < tol:
+    """'even' or 'odd' when psi(-x) = +-psi(x) to within tol, else 'none'."""
+    # psi(x) -+ psi(-x) is twice the odd / even part
+    if 2.0 * np.max(np.abs(parity_project(wf.grid, wf.psi, "odd"))) < tol:
         return "even"
-    if np.max(np.abs(wf.psi + rev)) < tol:
+    if 2.0 * np.max(np.abs(parity_project(wf.grid, wf.psi, "even"))) < tol:
         return "odd"
     return "none"
 
@@ -105,20 +118,12 @@ def imaginary_time_ground_state(
     dt_imag: float = 0.5,
     tol: float = 1e-10,
     max_steps: int = 1_000_000,
-    seed: WaveFunction | None = None,
-    parity: str | None = None,
-    state_tol: float | None = None,
 ) -> EigenPair:
     """Relax to the lowest state of H = p^2/2 + V by imaginary time.
 
     Strang-split steps with renormalization; converged when the per-step
     change of the decay-rate energy estimate drops below tol.  The
     reported energy is the Rayleigh quotient of the converged state.
-    With parity = "even"/"odd" the state is projected onto that symmetry
-    sector every step, which relaxes to the lowest state of the sector.
-    state_tol switches the stopping rule to the per-step sup change of
-    the amplitudes, which keeps relaxing long after the energy estimate
-    has flattened out (used when polishing already-good seeds).
     """
     if dt_imag <= 0 or tol <= 0:
         raise EigenError("dt_imag and tol must be positive")
@@ -129,34 +134,17 @@ def imaginary_time_ground_state(
     expv_half = np.exp(-0.5 * dt_imag * v)
     expt = np.exp(-0.5 * dt_imag * grid.p**2)
 
-    if seed is None:
-        psi = np.exp(-grid.x**2 / 50.0).astype(complex)
-    else:
-        psi = seed.psi.copy()
-    if parity is not None:
-        if parity not in ("even", "odd"):
-            raise EigenError(f"unknown parity sector '{parity}'")
-        sign = 1.0 if parity == "even" else -1.0
-        psi = 0.5 * (psi + sign * _reverse(psi))
-    nrm = np.sqrt(grid.dx * np.sum(np.abs(psi) ** 2))
-    if nrm == 0:
-        raise EigenError("seed state vanishes (wrong parity sector?)")
-    psi /= nrm
+    psi = np.exp(-grid.x**2 / 50.0).astype(complex)
+    psi /= np.sqrt(grid.dx * np.sum(np.abs(psi) ** 2))
 
     e_prev = np.inf
     trace = []
     for step in range(max_steps):
-        prev = psi
         psi = _split_step_imag(psi, expv_half, expt)
-        if parity is not None:
-            psi = 0.5 * (psi + sign * _reverse(psi))
         nrm = np.sqrt(grid.dx * np.sum(np.abs(psi) ** 2))
         psi /= nrm
         e_est = -np.log(nrm) / dt_imag
-        if state_tol is not None:
-            if np.max(np.abs(psi - prev)) < state_tol:
-                break
-        elif abs(e_est - e_prev) < tol:
+        if abs(e_est - e_prev) < tol:
             break
         e_prev = e_est
         if step % 1000 == 0:
@@ -174,12 +162,10 @@ def imaginary_time_ground_state(
             f"converged energy {energy:.6g} is not below the edge potential; "
             "no bound state found"
         )
-    return EigenPair(energy, wf, 0, parity or parity_of(wf))
+    return EigenPair(energy, wf, 0, parity_of(wf), _residual(v, wf, energy))
 
 
-def bound_states_fd(
-    v: np.ndarray, grid: SpatialGrid, count_hint: int = 8
-) -> list[EigenPair]:
+def bound_states_fd(v: np.ndarray, grid: SpatialGrid) -> list[EigenPair]:
     """All negative-energy eigenpairs of the three-point FD Hamiltonian.
 
     Dirichlet edges; symmetric tridiagonal eigensolve over the interior
@@ -212,84 +198,57 @@ def bound_states_fd(
             )
         wf = fix_global_phase(WaveFunction(grid, psi.astype(complex)))
         pairs.append(EigenPair(float(e), wf, len(pairs), parity_of(wf)))
-        if len(pairs) >= count_hint:
-            break
     return pairs
 
 
-def resample_to_grid(wf: WaveFunction, grid_to: SpatialGrid) -> WaveFunction:
-    """Band-limited resample onto another grid; zero outside the source box.
+def bound_states(v: np.ndarray, grid: SpatialGrid) -> list[EigenPair]:
+    """Bound eigenpairs of the spectral Hamiltonian on the grid itself.
 
-    Target points that coincide with source samples are copied directly;
-    anything else goes through exact trigonometric interpolation of the
-    periodic source signal.
+    `bound_states_fd` on the same grid gives the count and the seeds; one
+    LOBPCG block solve with the kinetic preconditioner (p^2/2 + sigma)^-1
+    refines them.  Raises EigenError unless every state ends with
+    ||H psi - E psi|| <= LOBPCG_TOL; that residual is kept on the pair.
     """
-    src = wf.grid
-    x_t = grid_to.x
-    inside = (x_t >= src.x_min) & (x_t < src.x_max)
-    out = np.zeros(grid_to.n_points, dtype=complex)
+    seeds = bound_states_fd(v, grid)
+    if not seeds:
+        return []
+    v = np.asarray(v, dtype=float)
+    inv_kin = 1.0 / (0.5 * grid.p**2 + PRECOND_SHIFT)
 
-    xi = x_t[inside]
-    u = (xi - src.x_min) / src.dx
-    ku = np.round(u)
-    if np.max(np.abs(u - ku)) < 1e-9:
-        out[inside] = wf.psi[ku.astype(int) % src.n_points]
-    else:
-        spec = fft(wf.psi) / src.n_points
-        # split the Nyquist bin across +/- so real signals stay real
-        nyq = src.n_points // 2
-        p = np.append(src.p, -src.p[nyq])
-        coeff = np.append(spec, 0.5 * spec[nyq])
-        coeff[nyq] *= 0.5
-        vals = np.empty(len(xi), dtype=complex)
-        chunk = 128
-        for lo in range(0, len(xi), chunk):
-            hi = min(lo + chunk, len(xi))
-            ph = np.exp(1j * np.outer(xi[lo:hi] - src.x_min, p))
-            vals[lo:hi] = ph @ coeff
-        out[inside] = vals
-    res = WaveFunction(grid_to, out, wf.t, wf.frame)
-    return res.normalized()
+    def hamiltonian(block):
+        return _apply_h(v, grid, block).real
 
+    def preconditioner(block):
+        return ifft(inv_kin[:, None] * fft(block, axis=0), axis=0).real
 
-def kh_bound_states(
-    grid: SpatialGrid,
-    alpha0: float,
-    quadrature_n: int = 2048,
-    solver_half_width: float = 300.0,
-    solver_n: int = 2**14,
-    polish: bool = True,
-    averaged: AveragedPotential | None = None,
-) -> list[EigenPair]:
-    """Bound eigenpairs of the cycle-averaged potential on the given grid.
+    x0 = np.stack([p.state.psi.real for p in seeds], axis=1)
+    _, vecs = lobpcg(hamiltonian, x0, M=preconditioner, tol=LOBPCG_TOL,
+                     maxiter=LOBPCG_MAXITER, largest=False)
 
-    Solves on a dedicated fine grid, resamples, then (optionally) relaxes
-    each state within its parity sector on the target grid so the pair is
-    consistent with the spectral Hamiltonian used for propagation.
-    """
-    solver_grid = SpatialGrid(-solver_half_width, solver_half_width, solver_n)
-    v_solver = kh_averaged_potential(solver_grid, alpha0, quadrature_n).samples
-    fd_pairs = bound_states_fd(v_solver, solver_grid)
-
-    if averaged is None:
-        averaged = kh_averaged_potential(grid, alpha0, quadrature_n)
-    v_target = averaged.samples
-
-    out = []
-    for pair in fd_pairs:
-        wf = resample_to_grid(pair.state, grid)
-        if polish:
-            refined = imaginary_time_ground_state(
-                v_target, grid, dt_imag=0.1, seed=wf,
-                parity=pair.parity, state_tol=1e-12,
+    pairs = []
+    for k in range(len(seeds)):
+        wf = fix_global_phase(WaveFunction(grid, vecs[:, k]))
+        energy = rayleigh_energy(v, wf)
+        residual = _residual(v, wf, energy)
+        if not residual <= LOBPCG_TOL:
+            raise EigenError(
+                f"LOBPCG did not converge in {LOBPCG_MAXITER} iterations: state {k} "
+                f"has ||H psi - E psi|| = {residual:.2e} > {LOBPCG_TOL}"
             )
-            wf, energy = refined.state, refined.energy
-        else:
-            wf = fix_global_phase(wf)
-            energy = rayleigh_energy(v_target, wf)
-        # dressed-potential eigenstates live in the oscillating frame
-        out.append(EigenPair(energy, wf.with_frame(FRAME_KH), pair.index, pair.parity))
-    return out
+        pairs.append(EigenPair(energy, wf, k, parity_of(wf), residual))
+    return pairs
+
+
+def kh_bound_states(averaged: AveragedPotential) -> list[EigenPair]:
+    """Bound eigenpairs of the cycle-averaged potential on its own grid.
+
+    Dressed-potential eigenstates live in the oscillating frame, so the
+    states carry the KH frame tag.
+    """
+    return [
+        replace(p, state=p.state.with_frame(FRAME_KH))
+        for p in bound_states(averaged.samples, averaged.grid)
+    ]
 
 
 def coherent_superposition(

@@ -63,8 +63,8 @@ def ground_pair(grid, v_atom):
 
 
 @pytest.fixture(scope="session")
-def kh_pairs(grid, averaged):
-    return kh_bound_states(grid, ALPHA0, averaged=averaged)
+def kh_pairs(averaged):
+    return kh_bound_states(averaged)
 
 
 @pytest.fixture(scope="session")

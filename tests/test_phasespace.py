@@ -20,6 +20,7 @@ from khatom.phasespace import (
     wigner_marginals,
     write_wigner,
 )
+from khatom.phasespace import _eval_positions
 from khatom.potential import kh_averaged_potential
 
 E_CURVE = 0.0125
@@ -29,6 +30,26 @@ E_CURVE = 0.0125
 def gaussian(grid):
     psi = np.pi**-0.25 * np.exp(-0.5 * grid.x**2)
     return WaveFunction(grid, psi.astype(complex), 0.0, FRAME_KH)
+
+
+def _packet(x):
+    return np.exp(-((x - 2.0) ** 2) / 18.0 + 0.7j * x)
+
+
+def test_eval_positions_off_grid():
+    # band-limited evaluation reproduces an analytic packet between the samples
+    g = SpatialGrid(-100.0, 100.0, 2048)
+    wf = WaveFunction(g, _packet(g.x))
+    xs = np.linspace(-25.0, 25.0, 401) + 0.3 * g.dx
+    assert np.max(np.abs(_eval_positions(wf, xs) - _packet(xs))) < 1e-9
+
+
+def test_eval_positions_on_grid_is_exact():
+    # on the grid points themselves it gives back the samples
+    g = SpatialGrid(-100.0, 100.0, 2048)
+    wf = WaveFunction(g, _packet(g.x))
+    on = np.abs(g.x) < 25.0
+    assert np.max(np.abs(_eval_positions(wf, g.x[on]) - wf.psi[on])) < 1e-12
 
 
 def test_wigner_gaussian_oracle(gaussian):
