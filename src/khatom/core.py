@@ -9,6 +9,8 @@ Conventions:
     spectrally accurate for decaying/periodic integrands on uniform grids.
   * translations of continuous-valued displacement are always spectral
     (momentum-space phase), never index rolls.
+  * every full-grid linear phase exp(i(c0 + c1*u)) on x or p comes from
+    phase_ramp (momentum_ramp in FFT order), not from a full-grid np.exp.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from scipy.fft import fft, ifft
 
 
 class KhatomError(Exception):
@@ -152,6 +155,43 @@ def inner_product(a: WaveFunction, b: WaveFunction) -> complex:
     return complex(a.grid.dx * np.vdot(a.psi, b.psi))
 
 
+def phase_ramp(c0: float, c1: float, start: float, step: float, n: int,
+               out: np.ndarray | None = None) -> np.ndarray:
+    """exp(i(c0 + c1*u_j)) on the uniform axis u_j = start + j*step, j < n.
+
+    Built as an outer product: with n = r*m and m a power of two near
+    sqrt(n), row a holds exp(i(c0 + c1*u_{a*m})) and column b holds
+    exp(i*c1*step*b), so n complex exponentials become r + m of them plus
+    one multiply.  Each value is within a few ulp of |c0| + |c1|*max|u| of
+    np.exp at the same argument, which is the rounding of the argument
+    itself.  Written into out (contiguous complex128, length n) when given.
+    """
+    m = 1 << ((n.bit_length() - 1) // 2)  # divides n when n is a power of two
+    r = -(-n // m)
+    rows = np.exp(1j * (c0 + c1 * (start + step * (m * np.arange(r)))))
+    cols = np.exp((1j * c1 * step) * np.arange(m))
+    if out is None:
+        out = np.empty(n, dtype=np.complex128)
+    if r * m == n:
+        np.multiply(rows[:, None], cols[None, :], out=out.reshape(r, m))
+    else:
+        out[:] = np.multiply.outer(rows, cols).ravel()[:n]
+    return out
+
+
+def momentum_ramp(grid: SpatialGrid, c1: float) -> np.ndarray:
+    """exp(i*c1*p_k) on the momentum grid in FFT order.
+
+    In FFT order p is two linear pieces, [0, n/2) and [-n/2, 0) times dp,
+    so this is two phase_ramp calls of n/2 points.
+    """
+    h = grid.n_points // 2
+    out = np.empty(grid.n_points, dtype=np.complex128)
+    phase_ramp(0.0, c1, 0.0, grid.dp, h, out[:h])
+    phase_ramp(0.0, c1, -h * grid.dp, grid.dp, h, out[h:])
+    return out
+
+
 def to_momentum(wf: WaveFunction) -> np.ndarray:
     """Momentum amplitudes Phi(p_k) in FFT order, unitary convention.
 
@@ -160,8 +200,10 @@ def to_momentum(wf: WaveFunction) -> np.ndarray:
     Parseval holds exactly: sum |psi|^2 dx = sum |Phi|^2 dp.
     """
     g = wf.grid
-    phase = np.exp(-1j * g.p * g.x_min)
-    return (g.dx / np.sqrt(2.0 * np.pi)) * phase * np.fft.fft(wf.psi)
+    phi = fft(wf.psi)
+    phi *= momentum_ramp(g, -g.x_min)
+    phi *= g.dx / np.sqrt(2.0 * np.pi)
+    return phi
 
 
 def from_momentum(grid: SpatialGrid, phi: np.ndarray, t: float = 0.0,
@@ -172,7 +214,8 @@ def from_momentum(grid: SpatialGrid, phi: np.ndarray, t: float = 0.0,
         raise GridError(
             f"momentum array of length {phi.size} does not match grid n_points={grid.n_points}"
         )
-    psi = np.fft.ifft(phi * np.exp(1j * grid.p * grid.x_min)) * (np.sqrt(2.0 * np.pi) / grid.dx)
+    psi = ifft(phi * momentum_ramp(grid, grid.x_min), overwrite_x=True)
+    psi *= np.sqrt(2.0 * np.pi) / grid.dx
     return WaveFunction(grid, psi, t, frame)
 
 
@@ -182,8 +225,9 @@ def shift_samples(grid: SpatialGrid, arr: np.ndarray, s: float) -> np.ndarray:
     Momentum-space phase multiplication; exact for band-limited signals,
     periodic wrap at the grid edges is documented behavior.
     """
-    arr = np.asarray(arr, dtype=np.complex128)
-    return np.fft.ifft(np.fft.fft(arr) * np.exp(-1j * s * grid.p))
+    spec = fft(np.asarray(arr, dtype=np.complex128))
+    spec *= momentum_ramp(grid, -s)
+    return ifft(spec, overwrite_x=True)
 
 
 def spectral_shift(wf: WaveFunction, s: float) -> WaveFunction:

@@ -25,6 +25,7 @@ from .core import (
     SpatialGrid,
     WaveFunction,
     periodic_sinc_shift,
+    phase_ramp,
     shift_samples,
 )
 from .laser import FieldCache
@@ -45,6 +46,11 @@ class FrameTransformContext:
         c = self.cache
         return c.a_at(t), c.alpha_at(t), c.s_at(t)
 
+    def _boost(self, sign: float, a: float, alpha: float, s: float) -> np.ndarray:
+        """exp(sign*i(S/2 + A(x - alpha))) on the grid."""
+        g = self.grid
+        return phase_ramp(sign * (0.5 * s - a * alpha), sign * a, g.x_min, g.dx, g.n_points)
+
     def lab_to_kh(self, wf: WaveFunction, t: float | None = None) -> WaveFunction:
         """Shift against alpha(t), then apply the phase; retags to 'kh'."""
         if wf.frame != FRAME_LAB:
@@ -57,8 +63,8 @@ class FrameTransformContext:
             t = wf.t
         a, alpha, s = self._field_values(t)
         shifted = shift_samples(self.grid, wf.psi, alpha)  # psi_L(x - alpha)
-        phase = np.exp(1j * (0.5 * s + a * (self.grid.x - alpha)))
-        return WaveFunction(self.grid, phase * shifted, t, FRAME_KH)
+        shifted *= self._boost(1.0, a, alpha, s)
+        return WaveFunction(self.grid, shifted, t, FRAME_KH)
 
     def kh_to_lab(self, wf: WaveFunction, t: float | None = None) -> WaveFunction:
         """Exact inverse of lab_to_kh."""
@@ -71,8 +77,7 @@ class FrameTransformContext:
         if t is None:
             t = wf.t
         a, alpha, s = self._field_values(t)
-        phase = np.exp(1j * (-0.5 * s - a * (self.grid.x - alpha)))
-        shifted = shift_samples(self.grid, phase * wf.psi, -alpha)
+        shifted = shift_samples(self.grid, self._boost(-1.0, a, alpha, s) * wf.psi, -alpha)
         return WaveFunction(self.grid, shifted, t, FRAME_LAB)
 
 

@@ -52,6 +52,7 @@ CSV_COLUMNS = (
 )
 
 HALF_LINE_WINDOW = 60.0
+WINDOW = (-HALF_LINE_WINDOW, HALF_LINE_WINDOW)
 
 
 class ObservableError(KhatomError):
@@ -87,28 +88,34 @@ def population(psi: WaveFunction, phi: WaveFunction) -> float:
     return float(abs(inner_product(phi, psi)) ** 2)
 
 
-def _window_moments(psi: WaveFunction, window: tuple) -> tuple[float, float, float]:
-    g = psi.grid
+def _span(grid, lo: float, lo_side: str, hi: float, hi_side: str) -> slice:
+    """The contiguous run of samples between lo and hi; side 'left' of lo
+    keeps x == lo, side 'right' of hi keeps x == hi."""
+    return slice(np.searchsorted(grid.x, lo, lo_side), np.searchsorted(grid.x, hi, hi_side))
+
+
+def _window_moments(grid, den: np.ndarray, window: tuple) -> tuple[float, float, float]:
+    """Weight, mean and standard deviation of a density over lo <= x <= hi."""
     lo, hi = window
-    if lo < g.x_min or hi > g.x_max:
+    if lo < grid.x_min or hi > grid.x_max:
         raise ObservableError("window extends beyond the grid")
-    sel = (g.x >= lo) & (g.x <= hi)
-    den = psi.density()[sel]
-    w = g.dx * den.sum()
+    sel = _span(grid, lo, "left", hi, "right")
+    den = den[sel]
+    w = grid.dx * den.sum()
     if w < 1e-8:
         raise ObservableError("window norm below 1e-8: nothing trapped")
-    x = g.x[sel]
-    mean = g.dx * np.sum(x * den) / w
-    mean2 = g.dx * np.sum(x * x * den) / w
+    x = grid.x[sel]
+    mean = grid.dx * np.sum(x * den) / w
+    mean2 = grid.dx * np.sum(x * x * den) / w
     return float(w), float(mean), float(np.sqrt(max(mean2 - mean**2, 0.0)))
 
 
-def trapped_width(psi: WaveFunction, window: tuple = (-60.0, 60.0)) -> float:
+def trapped_width(psi: WaveFunction, window: tuple = WINDOW) -> float:
     """Standard deviation of position over the window, renormalized there."""
-    return _window_moments(psi, window)[2]
+    return _window_moments(psi.grid, psi.density(), window)[2]
 
 
-def window_mean_x(psi: WaveFunction, window: tuple = (-60.0, 60.0)) -> float:
+def window_mean_x(psi: WaveFunction, window: tuple = WINDOW) -> float:
     """Mean position over the window, renormalized there.
 
     The trapped-region mean, not the full-grid one: once ionized flux
@@ -116,7 +123,7 @@ def window_mean_x(psi: WaveFunction, window: tuple = (-60.0, 60.0)) -> float:
     frame reduces to the lab mean plus alpha times the surviving norm,
     which tracks norm loss rather than the cloud.
     """
-    return _window_moments(psi, window)[1]
+    return _window_moments(psi.grid, psi.density(), window)[1]
 
 
 def expectation_x(psi: WaveFunction) -> float:
@@ -130,11 +137,13 @@ def autocorrelation(psi0: WaveFunction, psit: WaveFunction) -> complex:
 
 def half_line_masses(psi: WaveFunction) -> tuple[float, float]:
     """Density integrated over [-60, 0) and (0, 60]."""
-    g = psi.grid
-    den = psi.density()
-    left = (g.x >= -HALF_LINE_WINDOW) & (g.x < 0)
-    right = (g.x > 0) & (g.x <= HALF_LINE_WINDOW)
-    return float(g.dx * den[left].sum()), float(g.dx * den[right].sum())
+    return _half_line_masses(psi.grid, psi.density())
+
+
+def _half_line_masses(grid, den: np.ndarray) -> tuple[float, float]:
+    left = _span(grid, -HALF_LINE_WINDOW, "left", 0.0, "left")
+    right = _span(grid, 0.0, "right", HALF_LINE_WINDOW, "right")
+    return float(grid.dx * den[left].sum()), float(grid.dx * den[right].sum())
 
 
 def two_level_density(pair0, pair1, t: float) -> np.ndarray:
@@ -211,18 +220,21 @@ class Recorder:
         p1 = pops[1] if len(pops) > 1 else np.nan
         p_tot = float(np.sum(pops)) if pops else np.nan
 
+        g = wf.grid
+        den = wf.density()
+        den_kh = kh.density() if self._lab else den
         try:
-            sigma = trapped_width(wf)
+            _, mean_wf, sigma = _window_moments(g, den, WINDOW)
         except ObservableError:
-            sigma = np.nan
-        try:
-            mean_lab = window_mean_x(wf) if self._lab else np.nan
-            mean_kh = window_mean_x(kh)
-        except ObservableError:
-            mean_lab = np.nan
-            mean_kh = np.nan
+            sigma = mean_lab = mean_kh = np.nan
+        else:
+            try:
+                mean_kh = _window_moments(g, den_kh, WINDOW)[1] if self._lab else mean_wf
+                mean_lab = mean_wf if self._lab else np.nan
+            except ObservableError:
+                mean_lab = mean_kh = np.nan
         c = autocorrelation(self._ref_kh, kh)
-        left, right = half_line_masses(kh)
+        left, right = _half_line_masses(g, den_kh)
         self.rows.append(
             (
                 t,
@@ -238,7 +250,7 @@ class Recorder:
                 abs(c) ** 2,
                 left,
                 right,
-                wf.norm() ** 2,
+                float(np.sqrt(g.dx * np.sum(den))) ** 2,
             )
         )
 

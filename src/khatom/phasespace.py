@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import KhatomError, SpatialGrid, WaveFunction, spectral_upsample
+from .core import KhatomError, SpatialGrid, WaveFunction, momentum_ramp, spectral_upsample
 from .potential import AveragedPotential, local_minima_positions
 
 __all__ = [
@@ -102,7 +102,7 @@ def _sample_matrix(wf: WaveFunction, x_out: np.ndarray, m_max: int) -> np.ndarra
     spec = np.fft.fft(up)
     out = np.empty((len(x_out), 2 * m_max + 1), dtype=np.complex128)
     for j, xj in enumerate(x_out):
-        row = np.fft.ifft(spec * np.exp(1j * xj * up_grid.p))
+        row = np.fft.ifft(spec * momentum_ramp(up_grid, xj))
         out[j] = row[k0 - m_max : k0 + m_max + 1]
     return out
 

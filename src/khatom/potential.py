@@ -88,6 +88,15 @@ def _phase_nodes(quadrature_n: int) -> np.ndarray:
     return 2.0 * np.pi * np.arange(quadrature_n) / quadrature_n
 
 
+def _check_quadrature(alpha0: float, quadrature_n: int) -> None:
+    if alpha0 <= 0:
+        raise PotentialError("alpha0 must be positive")
+    if quadrature_n < MIN_QUADRATURE_N:
+        raise PotentialError(
+            f"quadrature_n = {quadrature_n} below minimum {MIN_QUADRATURE_N}"
+        )
+
+
 def kh_averaged_potential(
     grid: SpatialGrid,
     alpha0: float,
@@ -97,21 +106,26 @@ def kh_averaged_potential(
     """Average model(x + alpha0*sin(theta)) over theta in [0, 2pi).
 
     Uniform phase nodes; for the smooth periodic integrand this converges
-    spectrally, so 2048 nodes is already at machine accuracy.
+    spectrally, so 2048 nodes is already at machine accuracy.  The sum is
+    folded over two exact symmetries.  sin(pi - theta) = sin(theta) on the
+    nodes, so N/2 + 1 displacements carry weight 2/N (1/N at +-alpha0);
+    this needs N % 4 == 0.  V0 is even, so it is evaluated at the distinct
+    |x| of the grid and mapped back, which makes it exactly even on a
+    symmetric grid.
     """
-    if alpha0 <= 0:
-        raise PotentialError("alpha0 must be positive")
-    if quadrature_n < MIN_QUADRATURE_N:
-        raise PotentialError(
-            f"quadrature_n = {quadrature_n} below minimum {MIN_QUADRATURE_N}"
-        )
-    disp = alpha0 * np.sin(_phase_nodes(quadrature_n))
-    x = grid.x
-    out = np.empty(grid.n_points)
-    for lo in range(0, grid.n_points, _GRID_CHUNK):
-        hi = min(lo + _GRID_CHUNK, grid.n_points)
-        out[lo:hi] = model(x[lo:hi, None] + disp[None, :]).mean(axis=1)
-    return AveragedPotential(grid, alpha0, out, quadrature_n)
+    _check_quadrature(alpha0, quadrature_n)
+    if quadrature_n % 4:
+        raise PotentialError(f"quadrature_n = {quadrature_n} is not a multiple of 4")
+    half = alpha0 * np.sin(_phase_nodes(quadrature_n)[: quadrature_n // 4 + 1])
+    disp = np.concatenate((-half[:0:-1], half))  # -alpha0 .. alpha0
+    weights = np.full(len(disp), 2.0 / quadrature_n)
+    weights[[0, -1]] = 1.0 / quadrature_n
+    ax, where = np.unique(np.abs(grid.x), return_inverse=True)
+    folded = np.empty(len(ax))
+    for lo in range(0, len(ax), _GRID_CHUNK):
+        hi = min(lo + _GRID_CHUNK, len(ax))
+        folded[lo:hi] = (model(ax[lo:hi, None] + disp[None, :]) * weights).sum(axis=1)
+    return AveragedPotential(grid, alpha0, folded[where], quadrature_n)
 
 
 def kh_fourier_harmonic(
@@ -129,12 +143,7 @@ def kh_fourier_harmonic(
     """
     if abs(n) > MAX_HARMONIC:
         raise PotentialError(f"|n| = {abs(n)} exceeds maximum harmonic {MAX_HARMONIC}")
-    if alpha0 <= 0:
-        raise PotentialError("alpha0 must be positive")
-    if quadrature_n < MIN_QUADRATURE_N:
-        raise PotentialError(
-            f"quadrature_n = {quadrature_n} below minimum {MIN_QUADRATURE_N}"
-        )
+    _check_quadrature(alpha0, quadrature_n)
     theta = _phase_nodes(quadrature_n)
     disp = alpha0 * np.sin(theta)
     phase = np.exp(-1j * n * theta) / quadrature_n

@@ -22,6 +22,7 @@ from .core import (
     SpatialGrid,
     TimeGrid,
     WaveFunction,
+    phase_ramp,
 )
 from .laser import FieldCache
 
@@ -34,9 +35,7 @@ __all__ = [
     "PropagatorError",
     "SplitOperator",
     "build_absorber_mask",
-    "step",
     "propagate",
-    "time_evolution_phase",
     "write_snapshot",
     "read_snapshot",
 ]
@@ -79,6 +78,10 @@ class SplitOperator:
 
     step_array advances a raw amplitude array by dt from time t; the
     absorber mask (if any) is applied once at the end of every step.
+    It never writes to its input, but the array it returns is the
+    operator's own work buffer: the next call overwrites it, so a caller
+    that keeps a state across steps must copy it.  Passing the returned
+    array back in advances it in place.
     """
 
     def __init__(
@@ -104,7 +107,8 @@ class SplitOperator:
         self.mask = mask
         self._expv_half = np.exp(-0.5j * dt * v)
         self._expt = np.exp(-0.5j * dt * grid.p**2)
-        self._x = grid.x
+        self._buf = np.empty(grid.n_points, dtype=np.complex128)
+        self._expv = np.empty(grid.n_points, dtype=np.complex128)
 
     def step_array(self, psi: np.ndarray, t: float) -> np.ndarray:
         expv = self._expv_half
@@ -112,26 +116,19 @@ class SplitOperator:
             eps_mid = self.cache.eps_at(t + 0.5 * self.dt)
             if eps_mid != 0.0:
                 # V_eff = V - x*eps; the -x*eps part contributes exp(+i x eps dt/2)
-                expv = expv * np.exp(0.5j * self.dt * eps_mid * self._x)
-        psi = expv * ifft(self._expt * fft(expv * psi))
+                g = self.grid
+                expv = phase_ramp(0.0, 0.5 * self.dt * eps_mid, g.x_min, g.dx,
+                                  g.n_points, self._expv)
+                expv *= self._expv_half
+        buf = np.multiply(expv, psi, out=self._buf)
+        buf = fft(buf, overwrite_x=True)
+        buf *= self._expt
+        buf = ifft(buf, overwrite_x=True)
+        buf *= expv
         if self.mask is not None:
-            psi = psi * self.mask
-        return psi
-
-
-def step(
-    wf: WaveFunction,
-    t: float,
-    dt: float,
-    mode: str,
-    v: np.ndarray,
-    cache: FieldCache | None = None,
-    mask: np.ndarray | None = None,
-) -> WaveFunction:
-    """Single Strang step of the chosen mode; convenience wrapper."""
-    op = SplitOperator(wf.grid, v, dt, mode, cache, mask)
-    psi = op.step_array(wf.psi, t)
-    return WaveFunction(wf.grid, psi, t + dt, wf.frame)
+            buf *= self.mask
+        self._buf = buf
+        return buf
 
 
 @dataclass
@@ -198,17 +195,22 @@ def propagate(job: PropagationJob) -> PropagationResult:
     snapshots = []
 
     def emit(k):
+        observed = job.observer is not None and (
+            k % job.observer_cadence == 0 or k == tg.n_steps
+        )
+        if not observed and k not in snap_steps:
+            return
         t = tg.time_at(k)
         wf = WaveFunction(grid, psi.copy(), t, frame)
         if k in snap_steps:
             snapshots.append(wf)
-        if job.observer is not None and (k % job.observer_cadence == 0 or k == tg.n_steps):
+        if observed:
             job.observer.record(t, wf)
 
     emit(0)
     for k in range(1, tg.n_steps + 1):
         psi = op.step_array(psi, tg.time_at(k - 1))
-        if not np.isfinite(psi).all():
+        if not np.isfinite(psi.view(float)).all():  # both parts; faster than complex
             raise PropagatorError(f"non-finite amplitudes at step {k}")
         emit(k)
 
@@ -216,12 +218,6 @@ def propagate(job: PropagationJob) -> PropagationResult:
     absorbed = initial_sq - grid.dx * float(np.sum(np.abs(psi) ** 2))
     series = job.observer.series() if hasattr(job.observer, "series") else None
     return PropagationResult(snapshots, final, absorbed, series, tuple(job.snapshot_times))
-
-
-def time_evolution_phase(pair, t: float) -> complex:
-    """exp(-i E t) for an eigenpair (or bare energy)."""
-    energy = getattr(pair, "energy", pair)
-    return complex(np.exp(-1j * energy * t))
 
 
 def write_snapshot(path, wf: WaveFunction) -> None:

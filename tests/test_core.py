@@ -9,13 +9,16 @@ from khatom.core import (
     WaveFunction,
     from_momentum,
     inner_product,
+    momentum_ramp,
     parity_project,
     periodic_sinc_shift,
+    phase_ramp,
     shift_samples,
     spectral_shift,
     spectral_upsample,
     to_momentum,
 )
+from khatom.phasespace import DEFAULT_X_WINDOW
 
 
 def small_grid(n=1024, half=200.0):
@@ -176,6 +179,44 @@ def test_periodic_sinc_shift_agrees_with_spectral():
 def test_spectral_shift_norm_preserved(s):
     wf = gaussian(small_grid(512, 100.0), sigma=4.0)
     assert spectral_shift(wf, s).norm() == pytest.approx(1.0, abs=1e-12)
+
+
+def _ramp_bound(c0, c1, axis):
+    # a few ulp of the largest argument: the rounding of the argument itself
+    return 4 * np.finfo(float).eps * (abs(c0) + abs(c1) * np.max(np.abs(axis)))
+
+
+def test_phase_ramps_match_exp_at_run_arguments(grid, long_cache):
+    """Dipole, boost, shift, momentum-grid and Wigner-row phases at the
+    production pulse's extremes (dt 0.1) and at its end, where S is largest."""
+    c = long_cache
+    dt = 0.1
+    picks = {int(np.argmax(np.abs(series))) for series in (c.eps, c.a, c.alpha)}
+    for i in sorted(picks) + [len(c.times) - 1]:
+        eps, a, alpha, s = c.eps[i], c.a[i], c.alpha[i], c.s[i]
+        for c0, c1 in ((0.0, 0.5 * dt * eps), (0.5 * s - a * alpha, a), (a * alpha - 0.5 * s, -a)):
+            got = phase_ramp(c0, c1, grid.x_min, grid.dx, grid.n_points)
+            want = np.exp(1j * (c0 + c1 * grid.x))
+            assert np.max(np.abs(got - want)) <= _ramp_bound(c0, c1, grid.x)
+        for c1 in (-alpha, alpha, -grid.x_min, grid.x_min):
+            got = momentum_ramp(grid, c1)
+            want = np.exp(1j * c1 * grid.p)
+            assert np.max(np.abs(got - want)) <= _ramp_bound(0.0, c1, grid.p)
+    # the Wigner row phase exp(i x p) at the x-window edges, on the 2x-upsampled grid
+    fine = SpatialGrid(grid.x_min, grid.x_max, 2 * grid.n_points)
+    for c1 in DEFAULT_X_WINDOW:
+        got = momentum_ramp(fine, c1)
+        assert np.max(np.abs(got - np.exp(1j * c1 * fine.p))) <= _ramp_bound(0.0, c1, fine.p)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 1000, 1024])
+def test_phase_ramp_any_length_and_out_buffer(n):
+    c0, c1, start, step = 0.7, -1.3, -12.5, 0.037
+    axis = start + step * np.arange(n)
+    out = np.zeros(n, dtype=np.complex128)
+    got = phase_ramp(c0, c1, start, step, n, out)
+    assert got is out
+    assert np.max(np.abs(out - np.exp(1j * (c0 + c1 * axis)))) <= _ramp_bound(c0, c1, axis)
 
 
 def test_spectral_upsample_band_limited_exact():

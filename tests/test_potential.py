@@ -47,9 +47,17 @@ def test_averaged_zero_quiver_limit(grid):
 
 
 def test_averaged_evenness(avg):
+    # the grid is exactly symmetric, so the folded average is even bit for bit
     v = avg.samples
     rev = np.concatenate((v[:1], v[:0:-1]))
-    assert np.max(np.abs(v - rev)) < 1e-12
+    assert np.array_equal(v, rev)
+
+
+def test_averaged_matches_plain_node_mean(grid, avg):
+    n = avg.quadrature_n
+    disp = ALPHA0 * np.sin(2.0 * np.pi * np.arange(n) / n)
+    plain = np.array([atomic_potential(x + disp).mean() for x in grid.x[::7]])
+    assert np.max(np.abs(avg.samples[::7] - plain)) < 1e-15
 
 
 def test_averaged_not_deeper_than_bare_well(avg, grid):
@@ -79,6 +87,8 @@ def test_averaged_quadrature_converged(grid):
 def test_averaged_rejects_small_quadrature(grid):
     with pytest.raises(PotentialError):
         kh_averaged_potential(grid, ALPHA0, quadrature_n=128)
+    with pytest.raises(PotentialError, match="multiple of 4"):
+        kh_averaged_potential(grid, ALPHA0, quadrature_n=2050)
     with pytest.raises(PotentialError):
         kh_averaged_potential(grid, -1.0)
 
