@@ -19,6 +19,7 @@ import json
 import os
 import sys
 from dataclasses import dataclass
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -328,89 +329,73 @@ class Pipeline:
             "error": None,
         }
         self.segments: list[RunSegment] = []
-        self._grid = None
-        self._params = None
-        self._cache = None
-        self._ctx = None
-        self._avg = None
-        self._pairs = None
-        self._ground = None
 
     # ---- lazy physics objects -------------------------------------------
 
-    @property
+    @cached_property
     def grid(self) -> SpatialGrid:
-        if self._grid is None:
-            cfg = self.cfg
-            self._grid = SpatialGrid(cfg["grid.x_min"], cfg["grid.x_max"], cfg["grid.n_points"])
-        return self._grid
+        cfg = self.cfg
+        return SpatialGrid(cfg["grid.x_min"], cfg["grid.x_max"], cfg["grid.n_points"])
 
-    @property
+    @cached_property
     def params(self) -> PulseParams:
-        if self._params is None:
-            cfg = self.cfg
-            if cfg["pulse.eps0"] is not None:
-                kw = {"eps0": cfg["pulse.eps0"]}
-            else:
-                kw = {"intensity": cfg["pulse.intensity_wcm2"]}
-            self._params = PulseParams(
-                period=cfg["pulse.period"],
-                ramp_cycles=cfg["pulse.ramp_cycles"],
-                flat_end_cycles=cfg["pulse.flat_end_cycles"],
-                total_cycles=cfg["pulse.total_cycles"],
-                **kw,
-            )
-            der = self.manifest["derived"]
-            der["eps0"] = float(self._params.eps0)
-            der["omega"] = float(self._params.omega)
-            der["alpha0_quiver"] = float(self._params.alpha0)
-        return self._params
+        cfg = self.cfg
+        if cfg["pulse.eps0"] is not None:
+            kw = {"eps0": cfg["pulse.eps0"]}
+        else:
+            kw = {"intensity": cfg["pulse.intensity_wcm2"]}
+        params = PulseParams(
+            period=cfg["pulse.period"],
+            ramp_cycles=cfg["pulse.ramp_cycles"],
+            flat_end_cycles=cfg["pulse.flat_end_cycles"],
+            total_cycles=cfg["pulse.total_cycles"],
+            **kw,
+        )
+        der = self.manifest["derived"]
+        der["eps0"] = float(params.eps0)
+        der["omega"] = float(params.omega)
+        der["alpha0_quiver"] = float(params.alpha0)
+        return params
 
-    @property
+    @cached_property
     def cache(self):
-        if self._cache is None:
-            self._cache = build_field_cache(self.params, dt_field=0.5 * self.cfg["run.dt"])
-            res_a, res_alpha = self._cache.endpoint_residuals
-            self.manifest["residuals"]["field_endpoint_a"] = float(res_a)
-            self.manifest["residuals"]["field_endpoint_alpha"] = float(res_alpha)
-        return self._cache
+        cache = build_field_cache(self.params, dt_field=0.5 * self.cfg["run.dt"])
+        res_a, res_alpha = cache.endpoint_residuals
+        self.manifest["residuals"]["field_endpoint_a"] = float(res_a)
+        self.manifest["residuals"]["field_endpoint_alpha"] = float(res_alpha)
+        return cache
 
-    @property
+    @cached_property
     def ctx(self) -> FrameTransformContext:
-        if self._ctx is None:
-            self._ctx = FrameTransformContext(cache=self.cache, grid=self.grid)
-        return self._ctx
+        return FrameTransformContext(cache=self.cache, grid=self.grid)
 
-    @property
+    @cached_property
     def avg(self):
-        if self._avg is None:
-            self._avg = kh_averaged_potential(
-                self.grid, self.cfg["kh.alpha0"], quadrature_n=self.cfg["kh.quadrature_n"]
-            )
-            self.manifest["derived"]["e_separatrix"] = float(separatrix_energy(self._avg))
-        return self._avg
+        avg = kh_averaged_potential(
+            self.grid, self.cfg["kh.alpha0"], quadrature_n=self.cfg["kh.quadrature_n"]
+        )
+        self.manifest["derived"]["e_separatrix"] = float(separatrix_energy(avg))
+        return avg
 
-    @property
+    @cached_property
     def pairs(self):
-        if self._pairs is None:
-            self._pairs = kh_bound_states(self.avg)
-            for k, pair in enumerate(self._pairs):
-                self.manifest["residuals"][f"eigen_residual_kh_{k}"] = pair.residual
-            e0, e1 = (p.energy for p in self._pairs[:2])
-            der = self.manifest["derived"]
-            der["e_kh_0"] = float(e0)
-            der["e_kh_1"] = float(e1)
-            der["omega_10"] = float(e1 - e0)
-            der["t_10"] = float(2.0 * np.pi / (e1 - e0))
-        return self._pairs
+        pairs = kh_bound_states(self.avg)
+        for k, pair in enumerate(pairs):
+            self.manifest["residuals"][f"eigen_residual_kh_{k}"] = pair.residual
+        e0, e1 = (p.energy for p in pairs[:2])
+        der = self.manifest["derived"]
+        der["e_kh_0"] = float(e0)
+        der["e_kh_1"] = float(e1)
+        der["omega_10"] = float(e1 - e0)
+        der["t_10"] = float(2.0 * np.pi / (e1 - e0))
+        return pairs
 
-    @property
+    @cached_property
     def ground(self):
-        if self._ground is None:
-            self._ground = imaginary_time_ground_state(atomic_potential(self.grid.x), self.grid)
-            self.manifest["derived"]["e_atomic"] = float(self._ground.energy)
-            self.manifest["residuals"]["eigen_residual_atomic"] = self._ground.residual
-        return self._ground
+        ground = imaginary_time_ground_state(atomic_potential(self.grid.x), self.grid)
+        self.manifest["derived"]["e_atomic"] = float(ground.energy)
+        self.manifest["residuals"]["eigen_residual_atomic"] = ground.residual
+        return ground
 
     # ---- file plumbing ---------------------------------------------------
 
@@ -584,9 +569,11 @@ class Pipeline:
         with open(self._path(f"{stem}.txt"), "w") as fh:
             fh.write("# normalized Wigner map: x p w/max|w|\n")
             fh.write(f"# t={float(w.t)!r} frame={w.frame} scale={scale!r}\n")
-            for i, x in enumerate(w.x):
-                for j, p in enumerate(w.p):
-                    fh.write(f"{x:.6f} {p:.6f} {norm[i, j]:.8e}\n")
+            p_cols = [f" {p:.6f} " for p in w.p]
+            for x, row in zip(w.x, norm):
+                x_col = f"{x:.6f}"
+                cells = zip(p_cols, row.tolist())
+                fh.write("".join(f"{x_col}{p_col}{v:.8e}\n" for p_col, v in cells))
                 fh.write("\n")
         dp = w.p[1] - w.p[0]
         mass = float(np.trapezoid(np.trapezoid(w.values, dx=dp, axis=1), x=w.x))
@@ -769,6 +756,27 @@ def _cmd_restart(args) -> int:
     return 0
 
 
+def _cmd_portrait(args) -> int:
+    forced = {"run.enabled": False}
+    if _verb_config(args)["portrait.energies"] == "none":
+        forced["portrait.energies"] = "auto"
+    return _cmd_plain(args, **forced)
+
+
+VERBS = {
+    "eigen": partial(_cmd_plain, **{"run.enabled": False, "emit.eigen": True}),
+    "potential": partial(_cmd_plain, **{"run.enabled": False, "emit.potential": True}),
+    "field": partial(_cmd_plain, **{"run.enabled": False, "emit.field": True}),
+    "propagate": _cmd_plain,
+    "observables": partial(_cmd_plain, **{"run.snapshots": (), "wigner.times": "none"}),
+    "portrait": _cmd_portrait,
+    "transform": _cmd_transform,
+    "wigner": _cmd_wigner,
+    "run": _cmd_run,
+    "restart": _cmd_restart,
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="khatom",
@@ -808,31 +816,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.verb == "eigen":
-            return _cmd_plain(args, **{"run.enabled": False, "emit.eigen": True})
-        if args.verb == "potential":
-            return _cmd_plain(args, **{"run.enabled": False, "emit.potential": True})
-        if args.verb == "field":
-            return _cmd_plain(args, **{"run.enabled": False, "emit.field": True})
-        if args.verb == "propagate":
-            return _cmd_plain(args)
-        if args.verb == "observables":
-            return _cmd_plain(args, **{"run.snapshots": (), "wigner.times": "none"})
-        if args.verb == "portrait":
-            forced = {"run.enabled": False}
-            cfg = _verb_config(args)
-            if cfg["portrait.energies"] == "none":
-                forced["portrait.energies"] = "auto"
-            return _cmd_plain(args, **forced)
-        if args.verb == "transform":
-            return _cmd_transform(args)
-        if args.verb == "wigner":
-            return _cmd_wigner(args)
-        if args.verb == "run":
-            return _cmd_run(args)
-        if args.verb == "restart":
-            return _cmd_restart(args)
-        raise CliError(f"unhandled verb {args.verb}")
+        return VERBS[args.verb](args)
     except KhatomError as err:
         print(f"khatom: [{err.module}] {err}", file=sys.stderr)
         return 1

@@ -15,6 +15,8 @@ Conventions:
 
 from __future__ import annotations
 
+import math
+import os
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -39,6 +41,8 @@ class FrameError(KhatomError):
 FRAME_LAB = "lab"
 FRAME_KH = "kh"
 _FRAMES = (FRAME_LAB, FRAME_KH)
+
+_HEADER_MAX = 1024  # bytes; a written header has at most nine fields, under 200 bytes
 
 
 @dataclass(frozen=True)
@@ -259,29 +263,21 @@ def periodic_sinc_shift(grid: SpatialGrid, arr: np.ndarray, s: float) -> np.ndar
     return full[n - 1:2 * n - 1]
 
 
-def spectral_upsample(grid: SpatialGrid, arr: np.ndarray, factor: int):
-    """Zero-pad the spectrum: same interval, factor*n samples.
+def padded_spectrum(grid: SpatialGrid, arr: np.ndarray) -> np.ndarray:
+    """Spectrum of the samples zero-padded to 2n points.
 
-    Returns (fine_grid, fine_samples). Exact for band-limited signals; the
-    Nyquist coefficient is split symmetrically so real input stays real.
+    Its ifft gives the band-limited samples at spacing dx/2 on the same
+    interval, exact for band-limited signals; the Nyquist coefficient is
+    split symmetrically so real input stays real.
     """
-    if factor < 1 or factor & (factor - 1):
-        raise GridError(f"upsampling factor must be a power of two, got {factor}")
-    arr = np.asarray(arr, dtype=np.complex128)
     n = grid.n_points
-    if factor == 1:
-        fine = SpatialGrid(grid.x_min, grid.x_max, n)
-        return fine, arr.copy()
-    m = n * factor
-    spec = np.fft.fft(arr)
-    out = np.zeros(m, dtype=np.complex128)
+    spec = fft(np.asarray(arr, dtype=np.complex128))
+    out = np.zeros(2 * n, dtype=np.complex128)
     h = n // 2
-    out[:h] = spec[:h]
-    out[m - h + 1:] = spec[h + 1:]
-    out[h] = 0.5 * spec[h]
-    out[m - h] = 0.5 * spec[h]
-    fine = SpatialGrid(grid.x_min, grid.x_max, m)
-    return fine, np.fft.ifft(out) * factor
+    out[:h] = 2.0 * spec[:h]
+    out[n + h + 1:] = 2.0 * spec[h + 1:]
+    out[h] = out[n + h] = spec[h]
+    return out
 
 
 def parity_project(grid: SpatialGrid, arr: np.ndarray, parity: str) -> np.ndarray:
@@ -297,3 +293,49 @@ def parity_project(grid: SpatialGrid, arr: np.ndarray, parity: str) -> np.ndarra
     if parity == "odd":
         return 0.5 * (arr - rev)
     raise GridError(f"parity must be 'even' or 'odd', got {parity!r}")
+
+
+def read_container(path, magic: str, n_counts: int, n_reals: int, item_bytes: int,
+                   error: type[KhatomError]):
+    """Header and payload of a binary container; a corrupt file raises error.
+
+    The header is one ascii line "magic count... real... frame": the counts
+    must be positive integers, the reals finite and the frame a known tag.
+    The payload must be exactly item_bytes * prod(counts) bytes of finite
+    little-endian float64.  Returns (counts, reals, frame, payload).
+    """
+    try:
+        with open(path, "rb") as fh:
+            line = fh.readline(_HEADER_MAX)
+            size = os.fstat(fh.fileno()).st_size - fh.tell()
+            try:
+                fields = line.decode("ascii").split()
+            except UnicodeDecodeError:
+                raise error(f"non-ascii header in {path}") from None
+            if (not line.endswith(b"\n") or len(fields) != n_counts + n_reals + 2
+                    or fields[0] != magic):
+                raise error(f"not a {magic} file: {path}")
+            counts = fields[1 : 1 + n_counts]
+            if not all(tok.isdigit() and int(tok) > 0 for tok in counts):
+                raise error(f"{magic} counts must be positive integers, got {counts}: {path}")
+            counts = [int(tok) for tok in counts]
+            try:
+                reals = [float(tok) for tok in fields[1 + n_counts : -1]]
+            except ValueError:
+                raise error(f"malformed number in the {magic} header: {path}") from None
+            if not all(math.isfinite(v) for v in reals):
+                raise error(f"non-finite number in the {magic} header: {path}")
+            frame = fields[-1]
+            if frame not in _FRAMES:
+                raise error(f"unknown frame tag {frame!r} in {path}")
+            n_bytes = item_bytes * math.prod(counts)
+            if size < n_bytes:
+                raise error(f"truncated {magic} payload: {path}")
+            if size > n_bytes:
+                raise error(f"{size - n_bytes} bytes past the {magic} payload: {path}")
+            payload = np.frombuffer(fh.read(n_bytes), dtype="<f8")
+    except OSError as err:
+        raise error(f"cannot read {path}: {err.strerror}") from None
+    if not np.all(np.isfinite(payload)):
+        raise error(f"non-finite values in the {magic} payload: {path}")
+    return counts, reals, frame, payload

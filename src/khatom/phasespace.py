@@ -1,10 +1,15 @@
 """Phase-space tools: Wigner transforms, marginals, classical portraits.
 
-The Wigner map is evaluated per output position by correlating
-band-limited half-step samples of the state (2x spectral upsampling)
-over a symmetric correlation window, then Fourier transforming the
-correlation lag to the momentum axis.  Classical curves come straight
-from energy conservation in the averaged potential.
+The Wigner map correlates band-limited half-step samples of the state
+around each output position over a symmetric lag window, then Fourier
+transforms the lag to the momentum axis.  The samples come from the
+state's spectrum zero-padded to twice the grid (half the spacing, h):
+an output position x_j lies a fraction t_j (|t_j| <= 1/2) of h from a
+fine-grid point, and the shift by t_j*h is a Taylor series in t_j whose
+n-th coefficient is one inverse FFT of the padded spectrum times
+(i p h)^n / n!.  So one map takes TAYLOR_ORDER + 1 inverse FFTs, shared
+by all output positions, instead of one per position.  Classical curves
+come straight from energy conservation in the averaged potential.
 """
 
 from __future__ import annotations
@@ -12,8 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.fft import ifft
 
-from .core import KhatomError, SpatialGrid, WaveFunction, momentum_ramp, spectral_upsample
+from .core import KhatomError, SpatialGrid, WaveFunction, padded_spectrum, read_container
 from .potential import AveragedPotential, local_minima_positions
 
 __all__ = [
@@ -41,6 +47,10 @@ DEFAULT_N_X = 241
 DEFAULT_N_P = 201
 DEFAULT_XI_MAX = 240.0
 REALITY_TOL = 1e-10
+# Taylor order of the sub-sample shift exp(i p h t): the padded spectrum lives
+# in |p h| <= pi/2 and |t| <= 1/2, so the remainder is at most
+# (pi/4)^19 / 19! ~ 1e-19 of sum |c_k| for any state in the band
+TAYLOR_ORDER = 18
 
 
 class PhaseSpaceError(KhatomError):
@@ -92,18 +102,31 @@ def _axes(x_window, p_window, n_x, n_p):
 
 
 def _sample_matrix(wf: WaveFunction, x_out: np.ndarray, m_max: int) -> np.ndarray:
-    """Rows of band-limited samples psi(x_j + m*dx_up), m in [-M, M]."""
-    up_grid, up = spectral_upsample(wf.grid, wf.psi, 2)
-    k0 = round(-up_grid.x_min / up_grid.dx)
-    if abs(up_grid.x_min + k0 * up_grid.dx) > 1e-9 * up_grid.dx:
-        raise PhaseSpaceError("grid does not contain x = 0; cannot center the correlation")
-    if k0 - m_max < 0 or k0 + m_max >= up_grid.n_points:
+    """Rows of band-limited samples psi(x_j + m*h), m in [-M, M], h = dx/2.
+
+    With x_j = x_min + (i_j + t_j)*h, |t_j| <= 1/2, each row is
+    sum_n t_j^n D_n[i_j + m], D_n = ifft(S (i p h)^n / n!) on the 2x grid.
+    """
+    g = wf.grid
+    h = 0.5 * g.dx
+    u = (x_out - g.x_min) / h
+    i = np.rint(u).astype(int)
+    t = u - i
+    lo, hi = int(i.min()) - m_max, int(i.max()) + m_max + 1
+    if lo < 0 or hi > 2 * g.n_points:
         raise PhaseSpaceError("correlation window exceeds the grid")
-    spec = np.fft.fft(up)
-    out = np.empty((len(x_out), 2 * m_max + 1), dtype=np.complex128)
-    for j, xj in enumerate(x_out):
-        row = np.fft.ifft(spec * momentum_ramp(up_grid, xj))
-        out[j] = row[k0 - m_max : k0 + m_max + 1]
+    term = padded_spectrum(g, wf.psi)
+    ph = (2.0 * np.pi) * np.fft.fftfreq(len(term))  # p*h; term vanishes beyond |p*h| = pi/2
+    d = np.empty((TAYLOR_ORDER + 1, hi - lo), dtype=np.complex128)
+    for n in range(TAYLOR_ORDER + 1):
+        if n:
+            term *= (1j / n) * ph
+        d[n] = ifft(term)[lo:hi]
+    powers = (t[:, None] ** np.arange(TAYLOR_ORDER + 1)).astype(np.complex128)
+    width = 2 * m_max + 1
+    out = np.empty((len(x_out), width), dtype=np.complex128)
+    for j, a in enumerate(i - m_max - lo):
+        out[j] = powers[j] @ d[:, a : a + width]
     return out
 
 
@@ -335,17 +358,9 @@ def write_wigner(path, w: WignerGrid) -> None:
 
 
 def read_wigner(path) -> WignerGrid:
-    with open(path, "rb") as fh:
-        header = fh.readline().decode("ascii", errors="replace").split()
-        if len(header) != 9 or header[0] != WIGNER_MAGIC:
-            raise PhaseSpaceError(f"not a {WIGNER_MAGIC} file: {path}")
-        n_x, n_p = int(header[1]), int(header[2])
-        x_min, x_max, p_min, p_max, t = map(float, header[3:8])
-        frame = header[8]
-        payload = fh.read(n_x * n_p * 8)
-    if len(payload) != n_x * n_p * 8:
-        raise PhaseSpaceError("truncated Wigner payload")
-    values = np.frombuffer(payload, dtype="<f8").reshape(n_x, n_p)
+    (n_x, n_p), (x_min, x_max, p_min, p_max, t), frame, raw = read_container(
+        path, WIGNER_MAGIC, 2, 5, 8, PhaseSpaceError
+    )
     x = np.linspace(x_min, x_max, n_x)
     p = np.linspace(p_min, p_max, n_p)
-    return WignerGrid(x, p, values.copy(), t, frame)
+    return WignerGrid(x, p, raw.reshape(n_x, n_p).copy(), t, frame)

@@ -18,11 +18,13 @@ from scipy.fft import fft, ifft
 from .core import (
     FRAME_KH,
     FRAME_LAB,
+    GridError,
     KhatomError,
     SpatialGrid,
     TimeGrid,
     WaveFunction,
     phase_ramp,
+    read_container,
 )
 from .laser import FieldCache
 
@@ -234,14 +236,11 @@ def write_snapshot(path, wf: WaveFunction) -> None:
 
 
 def read_snapshot(path) -> WaveFunction:
-    with open(path, "rb") as fh:
-        header = fh.readline().decode("ascii").split()
-        if len(header) != 6 or header[0] != SNAPSHOT_MAGIC:
-            raise PropagatorError(f"not a {SNAPSHOT_MAGIC} snapshot: {path}")
-        n = int(header[1])
-        grid = SpatialGrid(float(header[2]), float(header[3]), n)
-        raw = np.frombuffer(fh.read(16 * n), dtype="<f8")
-        if len(raw) != 2 * n:
-            raise PropagatorError(f"truncated snapshot payload: {path}")
-        psi = raw[0::2] + 1j * raw[1::2]
-    return WaveFunction(grid, psi, float(header[4]), header[5])
+    (n,), (x_min, x_max, t), frame, raw = read_container(
+        path, SNAPSHOT_MAGIC, 1, 3, 16, PropagatorError
+    )
+    try:
+        grid = SpatialGrid(x_min, x_max, n)
+    except GridError as err:
+        raise PropagatorError(f"bad grid in {path}: {err}") from None
+    return WaveFunction(grid, raw[0::2] + 1j * raw[1::2], t, frame)

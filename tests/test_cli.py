@@ -188,6 +188,22 @@ def test_mini_run_wigner_records(mini_run):
     assert np.max(exact.values) < 1.0 / np.pi + 1e-3
 
 
+def test_wigner_text_export_bytes(mini_run):
+    # the row-wise text export writes the bytes of the per-element format
+    w = read_wigner(mini_run / "wigner_t15.wig")
+    scale = float(np.max(np.abs(w.values)))
+    norm = w.values / scale
+    lines = [
+        "# normalized Wigner map: x p w/max|w|\n",
+        f"# t={float(w.t)!r} frame={w.frame} scale={scale!r}\n",
+    ]
+    for i, x in enumerate(w.x):
+        for j, p in enumerate(w.p):
+            lines.append(f"{x:.6f} {p:.6f} {norm[i, j]:.8e}\n")
+        lines.append("\n")
+    assert "".join(lines).encode("ascii") == (mini_run / "wigner_t15.txt").read_bytes()
+
+
 def test_run_determinism(mini_cfg_path, mini_run, tmp_path):
     assert cli.main(["run", mini_cfg_path, "--out", str(tmp_path)]) == 0
     names = sorted(os.listdir(mini_run))
@@ -249,3 +265,14 @@ def test_failing_module_is_named(tmp_path, capsys):
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     assert manifest["status"] == "incomplete"
     assert manifest["error"].startswith("propagator:")
+
+
+@pytest.mark.parametrize("verb", ["wigner", "restart"])
+def test_corrupt_snapshot_is_named(tmp_path, capsys, verb):
+    snap = tmp_path / "bad.snap"
+    snap.write_bytes(b"KHPS1 64.5 -20.0 20.0 nan kh\n" + b"\x00" * 64)
+    args = [verb, str(snap), "--out", str(tmp_path / "out")]
+    if verb == "restart":
+        args += ["--override", "restart.t_final=30"]
+    assert cli.main(args) == 1
+    assert capsys.readouterr().err.startswith("khatom: [propagator]")

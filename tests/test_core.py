@@ -10,15 +10,14 @@ from khatom.core import (
     from_momentum,
     inner_product,
     momentum_ramp,
+    padded_spectrum,
     parity_project,
     periodic_sinc_shift,
     phase_ramp,
     shift_samples,
     spectral_shift,
-    spectral_upsample,
     to_momentum,
 )
-from khatom.phasespace import DEFAULT_X_WINDOW
 
 
 def small_grid(n=1024, half=200.0):
@@ -187,8 +186,8 @@ def _ramp_bound(c0, c1, axis):
 
 
 def test_phase_ramps_match_exp_at_run_arguments(grid, long_cache):
-    """Dipole, boost, shift, momentum-grid and Wigner-row phases at the
-    production pulse's extremes (dt 0.1) and at its end, where S is largest."""
+    """Dipole, boost, shift and momentum-grid phases at the production
+    pulse's extremes (dt 0.1) and at its end, where S is largest."""
     c = long_cache
     dt = 0.1
     picks = {int(np.argmax(np.abs(series))) for series in (c.eps, c.a, c.alpha)}
@@ -202,11 +201,6 @@ def test_phase_ramps_match_exp_at_run_arguments(grid, long_cache):
             got = momentum_ramp(grid, c1)
             want = np.exp(1j * c1 * grid.p)
             assert np.max(np.abs(got - want)) <= _ramp_bound(0.0, c1, grid.p)
-    # the Wigner row phase exp(i x p) at the x-window edges, on the 2x-upsampled grid
-    fine = SpatialGrid(grid.x_min, grid.x_max, 2 * grid.n_points)
-    for c1 in DEFAULT_X_WINDOW:
-        got = momentum_ramp(fine, c1)
-        assert np.max(np.abs(got - np.exp(1j * c1 * fine.p))) <= _ramp_bound(0.0, c1, fine.p)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 1000, 1024])
@@ -226,12 +220,13 @@ def test_spectral_upsample_band_limited_exact():
     def f(x):
         return np.exp(-((x - 1.5) ** 2) / (4 * sigma**2) + 1j * 0.5 * x)
 
-    fine, up = spectral_upsample(g, f(g.x), 2)
-    assert fine.n_points == 1024
-    assert fine.dx == pytest.approx(g.dx / 2)
+    spec = padded_spectrum(g, f(g.x))
+    assert spec.shape == (1024,)
+    up = np.fft.ifft(spec)
+    fine_x = g.x_min + 0.5 * g.dx * np.arange(1024)
     # original samples preserved, interleaved ones match the analytic profile
     assert np.max(np.abs(up[::2] - f(g.x))) < 1e-12
-    assert np.max(np.abs(up[1::2] - f(fine.x[1::2]))) < 1e-10
+    assert np.max(np.abs(up[1::2] - f(fine_x[1::2]))) < 1e-10
 
 
 def test_parity_project():

@@ -20,7 +20,7 @@ from khatom.phasespace import (
     wigner_marginals,
     write_wigner,
 )
-from khatom.phasespace import _eval_positions
+from khatom.phasespace import _eval_positions, _sample_matrix
 from khatom.potential import kh_averaged_potential
 
 E_CURVE = 0.0125
@@ -50,6 +50,34 @@ def test_eval_positions_on_grid_is_exact():
     wf = WaveFunction(g, _packet(g.x))
     on = np.abs(g.x) < 25.0
     assert np.max(np.abs(_eval_positions(wf, g.x[on]) - wf.psi[on])) < 1e-12
+
+
+def test_sample_rows_match_band_limited_oracle(psi_coh):
+    # broadband state on a grid without x = 0: the KH superposition plus
+    # packets near p = 14, -9 and 3; rows sit on fine-grid points (t_j = 0)
+    # and halfway between them (t_j = +-1/2), the extremes of the Taylor shift
+    g0 = psi_coh.grid
+    g = SpatialGrid(g0.x_min + 0.3 * g0.dx, g0.x_max + 0.3 * g0.dx, g0.n_points)
+    assert np.min(np.abs(g.x)) > 0.2 * g.dx
+    x = g.x
+    packets = (
+        np.exp(-((x - 20.0) ** 2) / 50.0 + 14j * x)
+        + np.exp(-((x + 30.0) ** 2) / 80.0 - 9j * x)
+        + np.exp(-((x - 5.0) ** 2) / 30.0 + 3j * x)
+    )
+    wf = WaveFunction(g, psi_coh.psi + 0.05 * packets, 0.0, FRAME_KH)
+    h = 0.5 * g.dx
+    k = np.rint((np.array([-60.0, -41.0, -7.0, 0.0, 12.0, 33.0, 59.0]) - g.x_min) / h)
+    xs = g.x_min + h * (k + np.array([0.0, 0.5, -0.5, 0.0, 0.5, -0.5, 0.0]))
+    t = (xs - g.x_min) / h - k
+    assert np.min(np.abs(t)) < 1e-9 and np.max(np.abs(t)) > 0.5 - 1e-9
+    m_max = int(240.0 / g.dx)
+    rows = _sample_matrix(wf, xs, m_max)
+    cols = np.r_[0 : 2 * m_max + 1 : 41, 2 * m_max]
+    pos = xs[:, None] + (cols - m_max) * h
+    oracle = _eval_positions(wf, pos.ravel()).reshape(pos.shape)
+    assert np.max(np.abs(rows[:, cols] - oracle)) < 1e-12
+    assert np.max(np.abs(oracle)) > 0.05
 
 
 def test_wigner_gaussian_oracle(gaussian):
