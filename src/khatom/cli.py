@@ -191,7 +191,7 @@ class RunConfig:
 
 
 def parse_config_lines(lines, source: str) -> dict:
-    raw = {}
+    raw, first_line = {}, {}
     for lineno, line in enumerate(lines, start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
@@ -199,7 +199,13 @@ def parse_config_lines(lines, source: str) -> dict:
         if "=" not in stripped:
             raise CliError(f"{source}:{lineno}: expected key = value, got {line.strip()!r}")
         key, _, value = stripped.partition("=")
-        raw[key.strip()] = value.strip()
+        key = key.strip()
+        if key in first_line:
+            raise CliError(
+                f"{source}:{lineno}: {key} is already set on line {first_line[key]}"
+            )
+        first_line[key] = lineno
+        raw[key] = value.strip()
     return raw
 
 
@@ -254,6 +260,18 @@ def validate_config(cfg: RunConfig) -> None:
             raise CliError("restart.at must match one of run.snapshots")
         if cfg["restart.t_final"] is None or cfg["restart.t_final"] <= cfg["restart.at"]:
             raise CliError("restart.t_final must lie beyond restart.at")
+    wanted = cfg["wigner.times"]
+    if cfg["run.enabled"] and isinstance(wanted, tuple):
+        # an explicit time must name a stored snapshot, or no map is written
+        snaps = cfg["run.snapshots"]
+        if cfg["restart.at"] is not None:
+            snaps += cfg["restart.snapshots"]
+        for t in wanted:
+            if not any(abs(t - s) < 1e-6 for s in snaps):
+                raise CliError(
+                    f"wigner.times entry {t:g} matches no run.snapshots or "
+                    "restart.snapshots time"
+                )
 
 
 def _fmt_t(t: float) -> str:
@@ -585,6 +603,7 @@ class Pipeline:
             "frame": w.frame,
             "mass_deficit": abs(mass - window_norm),
             "high_p_fraction": float(momentum_tail_fraction(w, 0.25)),
+            "imag_residue": w.imag_residue,
         }
 
     def export_state_wigners(self) -> None:

@@ -51,6 +51,8 @@ REALITY_TOL = 1e-10
 # in |p h| <= pi/2 and |t| <= 1/2, so the remainder is at most
 # (pi/4)^19 / 19! ~ 1e-19 of sum |c_k| for any state in the band
 TAYLOR_ORDER = 18
+# output rows per block of the lag sum; a block's lag products stay in cache
+_LAG_ROWS = 16
 
 
 class PhaseSpaceError(KhatomError):
@@ -64,6 +66,9 @@ class WignerGrid:
     values: np.ndarray
     t: float
     frame: str
+    # largest |Im| of the complex transform the values were taken from;
+    # None where they came from elsewhere (a file, a closed form)
+    imag_residue: float | None = None
 
     def __post_init__(self):
         self.x = np.asarray(self.x, dtype=float)
@@ -115,13 +120,14 @@ def _sample_matrix(wf: WaveFunction, x_out: np.ndarray, m_max: int) -> np.ndarra
     lo, hi = int(i.min()) - m_max, int(i.max()) + m_max + 1
     if lo < 0 or hi > 2 * g.n_points:
         raise PhaseSpaceError("correlation window exceeds the grid")
-    term = padded_spectrum(g, wf.psi)
-    ph = (2.0 * np.pi) * np.fft.fftfreq(len(term))  # p*h; term vanishes beyond |p*h| = pi/2
-    d = np.empty((TAYLOR_ORDER + 1, hi - lo), dtype=np.complex128)
-    for n in range(TAYLOR_ORDER + 1):
-        if n:
-            term *= (1j / n) * ph
-        d[n] = ifft(term)[lo:hi]
+    spec = padded_spectrum(g, wf.psi)
+    ph = (2.0 * np.pi) * np.fft.fftfreq(len(spec))  # p*h; spec vanishes beyond |p*h| = pi/2
+    terms = np.empty((TAYLOR_ORDER + 1, len(spec)), dtype=np.complex128)
+    terms[0] = spec
+    for n in range(1, TAYLOR_ORDER + 1):
+        terms[n] = terms[n - 1] * ((1j / n) * ph)
+    # one batched transform: bit-identical to one call per row, about twice as fast
+    d = ifft(terms, axis=-1, overwrite_x=True)[:, lo:hi]
     powers = (t[:, None] ** np.arange(TAYLOR_ORDER + 1)).astype(np.complex128)
     width = 2 * m_max + 1
     out = np.empty((len(x_out), width), dtype=np.complex128)
@@ -130,13 +136,46 @@ def _sample_matrix(wf: WaveFunction, x_out: np.ndarray, m_max: int) -> np.ndarra
     return out
 
 
+def _lag_kernels(m_max: int, d_xi: float, p_out: np.ndarray):
+    """cos(p xi_m) and sin(p xi_m), m = 1..M, as two contiguous M x n_p arrays.
+
+    With xi_m = (q*b + r)*d_xi and b a power of two near sqrt(M), the angle
+    sum builds them from (M/b + b) x n_p cos/sin pairs.  Each value is within
+    a few ulp of max|p*xi| of the direct one, which is the rounding of the
+    argument itself.
+    """
+    b = 1 << (m_max.bit_length() // 2)
+    coarse = np.outer(np.arange(0, m_max + 1, b) * d_xi, p_out)[:, None, :]
+    fine = np.outer(np.arange(b) * d_xi, p_out)
+    cq, sq, cr, sr = np.cos(coarse), np.sin(coarse), np.cos(fine), np.sin(fine)
+    cos = (cq * cr - sq * sr).reshape(-1, len(p_out))[1 : m_max + 1]
+    sin = (sq * cr + cq * sr).reshape(-1, len(p_out))[1 : m_max + 1]
+    return cos, sin
+
+
 def _lag_transform(s_a: np.ndarray, s_b: np.ndarray, p_out: np.ndarray, d_xi: float) -> np.ndarray:
-    """(1/2pi) sum_m conj(a(x+xi_m/2)) b(x-xi_m/2) e^{ip xi_m} d_xi."""
-    m_max = (s_a.shape[1] - 1) // 2
-    corr = np.conj(s_a) * s_b[:, ::-1]
-    xi = (np.arange(2 * m_max + 1) - m_max) * d_xi
-    kernel = np.exp(1j * np.outer(xi, p_out)) * (d_xi / (2.0 * np.pi))
-    return corr @ kernel
+    """(1/2pi) sum_m conj(a(x+xi_m/2)) b(x-xi_m/2) e^{ip xi_m} d_xi.
+
+    Folded over +-xi_m in real arithmetic: with c_m the lag products,
+    sum_m c_m e^{ip xi_m} = c_0 + sum_{m>0} [(c_m + c_-m) cos(p xi_m)
+    + i (c_m - c_-m) sin(p xi_m)].  So each block of _LAG_ROWS output rows
+    is two real matrix products, the stacked real and imaginary parts of
+    the even and odd sums against the M x n_p cos and sin kernels.
+    """
+    n, m_max = len(s_a), (s_a.shape[1] - 1) // 2
+    cos, sin = _lag_kernels(m_max, d_xi, p_out)
+    out = np.empty((n, len(p_out)), dtype=np.complex128)
+    for lo in range(0, n, _LAG_ROWS):
+        rows = slice(lo, lo + _LAG_ROWS)
+        corr = np.conj(s_a[rows])
+        corr *= s_b[rows, ::-1]
+        k = len(corr)
+        pos, neg, c_0 = corr[:, m_max + 1 :], corr[:, m_max - 1 :: -1], corr[:, m_max, None]
+        c = np.concatenate((pos.real + neg.real, pos.imag + neg.imag)) @ cos
+        s = np.concatenate((pos.real - neg.real, pos.imag - neg.imag)) @ sin
+        out[rows].real = c[:k] - s[k:] + c_0.real
+        out[rows].imag = c[k:] + s[:k] + c_0.imag
+    return out * (d_xi / (2.0 * np.pi))
 
 
 def _check_windows(grid: SpatialGrid, x_out, p_out, xi_max):
@@ -150,11 +189,12 @@ def _check_windows(grid: SpatialGrid, x_out, p_out, xi_max):
         raise PhaseSpaceError("position window plus correlation reach exceeds the grid")
 
 
-def _take_real(w_complex: np.ndarray) -> np.ndarray:
+def _take_real(w_complex: np.ndarray) -> tuple[np.ndarray, float]:
+    """The real part of a transform that must be real, and its largest |Im|."""
     resid = float(np.max(np.abs(w_complex.imag))) if w_complex.size else 0.0
     if resid > REALITY_TOL:
         raise PhaseSpaceError(f"imaginary residue {resid:.2e} above {REALITY_TOL}")
-    return np.ascontiguousarray(w_complex.real)
+    return np.ascontiguousarray(w_complex.real), resid
 
 
 def wigner(
@@ -177,7 +217,7 @@ def wigner(
     _check_windows(wf.grid, x_out, p_out, xi_max)
     m_max = int(xi_max / wf.grid.dx)
     s = _sample_matrix(wf, x_out, m_max)
-    values = _take_real(_lag_transform(s, s, p_out, wf.grid.dx))
+    values, resid = _take_real(_lag_transform(s, s, p_out, wf.grid.dx))
 
     sel = (wf.grid.x >= x_window[0]) & (wf.grid.x <= x_window[1])
     window_norm = float(wf.grid.dx * np.sum(wf.density()[sel]))
@@ -186,7 +226,7 @@ def wigner(
         raise PhaseSpaceError(
             f"Wigner mass {total:.6f} disagrees with window norm {window_norm:.6f}"
         )
-    return WignerGrid(x_out, p_out, values, wf.t, wf.frame)
+    return WignerGrid(x_out, p_out, values, wf.t, wf.frame, resid)
 
 
 def wigner_cross(
@@ -270,8 +310,8 @@ def superposition_wigner_analytic(
 
     s0 = _sample_matrix(phi0, x_out, m_max)
     s1 = _sample_matrix(phi1, x_out, m_max)
-    w0 = _take_real(_lag_transform(s0, s0, p_out, d_xi))
-    w1 = _take_real(_lag_transform(s1, s1, p_out, d_xi))
+    w0, _ = _take_real(_lag_transform(s0, s0, p_out, d_xi))
+    w1, _ = _take_real(_lag_transform(s1, s1, p_out, d_xi))
     cross = _lag_transform(s0, s1, p_out, d_xi)
 
     w10 = pair1.energy - pair0.energy

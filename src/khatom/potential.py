@@ -32,7 +32,8 @@ MAX_HARMONIC = 64
 MIN_QUADRATURE_N = 256
 DEFAULT_QUADRATURE_N = 2048
 
-_GRID_CHUNK = 1024
+# grid rows per block of the cycle sums: a block's temporaries stay in cache
+_GRID_CHUNK = 16
 
 
 class PotentialError(KhatomError):
@@ -112,6 +113,15 @@ def kh_averaged_potential(
     this needs N % 4 == 0.  V0 is even, so it is evaluated at the distinct
     |x| of the grid and mapped back, which makes it exactly even on a
     symmetric grid.
+
+    The model decreases in |y|.  For |x| >= alpha0 the nearest term of a
+    row sits at the displacement -alpha0, exactly (sin(fl(pi/2)) = 1), so
+    where model(|x| - alpha0) is zero every term of the row is a signed
+    zero.  Those rows, about half of the default grid, where
+    exp(-sqrt(...)) underflows, are set to the +0.0 their sum gives without
+    evaluating them.  The other rows are summed _GRID_CHUNK at a time, each
+    with the same operations as a full evaluation, so V0 does not depend on
+    the chunking.
     """
     _check_quadrature(alpha0, quadrature_n)
     if quadrature_n % 4:
@@ -121,10 +131,14 @@ def kh_averaged_potential(
     weights = np.full(len(disp), 2.0 / quadrature_n)
     weights[[0, -1]] = 1.0 / quadrature_n
     ax, where = np.unique(np.abs(grid.x), return_inverse=True)
-    folded = np.empty(len(ax))
-    for lo in range(0, len(ax), _GRID_CHUNK):
-        hi = min(lo + _GRID_CHUNK, len(ax))
-        folded[lo:hi] = (model(ax[lo:hi, None] + disp[None, :]) * weights).sum(axis=1)
+    live = (ax < alpha0) | (model(ax + disp[0]) != 0.0)
+    rows = ax[live]
+    sums = np.empty(len(rows))
+    for lo in range(0, len(rows), _GRID_CHUNK):
+        hi = min(lo + _GRID_CHUNK, len(rows))
+        sums[lo:hi] = (model(rows[lo:hi, None] + disp[None, :]) * weights).sum(axis=1)
+    folded = np.zeros(len(ax))
+    folded[live] = sums
     return AveragedPotential(grid, alpha0, folded[where], quadrature_n)
 
 

@@ -12,7 +12,7 @@ from khatom import cli
 from khatom.cli import CliError, load_config, validate_config
 from khatom.core import WaveFunction
 from khatom.observables import read_series
-from khatom.phasespace import read_wigner
+from khatom.phasespace import REALITY_TOL, read_wigner
 from khatom.propagator import read_snapshot, write_snapshot
 
 RECIPES = ("fig1", "fig2ab", "fig2b", "fig3", "fig4a", "fig4b", "fig5", "fig6", "fig7", "fig8")
@@ -71,6 +71,13 @@ def test_config_file_and_override(tmp_path):
     assert "run.dt" in cfg.explicit and "run.cadence" not in cfg.explicit
 
 
+def test_config_rejects_duplicate_key(tmp_path):
+    path = tmp_path / "a.cfg"
+    path.write_text("run.dt = 0.05\n# comment\nrun.cadence = 10\nrun.dt = 0.1\n")
+    with pytest.raises(CliError, match=r"a.cfg:4: run.dt is already set on line 1"):
+        load_config(str(path))
+
+
 def test_config_rejects_unknown_key(tmp_path):
     path = tmp_path / "a.cfg"
     path.write_text("grid.points = 12\n")
@@ -98,6 +105,25 @@ def test_validate_rejects_bad_combinations():
         validate_config(load_config(overrides=["restart.at=10", "restart.t_final=20"]))
     with pytest.raises(CliError, match="positive"):
         validate_config(load_config(overrides=["run.dt=-0.05"]))
+
+
+def test_wigner_times_must_name_a_snapshot(tmp_path, capsys):
+    with pytest.raises(CliError, match="wigner.times entry 7 matches no"):
+        validate_config(load_config(overrides=["run.snapshots=5", "wigner.times=5, 7"]))
+    # restart snapshots count only when there is a restart
+    restart = ["run.snapshots=5", "restart.snapshots=7", "wigner.times=7"]
+    with pytest.raises(CliError, match="wigner.times entry 7"):
+        validate_config(load_config(overrides=restart))
+    validate_config(load_config(overrides=restart + ["restart.at=5", "restart.t_final=9"]))
+    validate_config(load_config(overrides=["run.snapshots=5", "wigner.times=5.0000001"]))
+    for keyword in ("none", "snapshots"):
+        validate_config(load_config(overrides=[f"wigner.times={keyword}"]))
+    # the verb fails before any solve, and before its output directory exists
+    out = tmp_path / "out"
+    argv = ["propagate", "--override", "run.snapshots=5", "--override", "wigner.times=7"]
+    assert cli.main(argv + ["--out", str(out)]) == 1
+    assert "khatom: [cli] wigner.times entry 7" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_all_recipes_load_and_validate():
@@ -180,6 +206,7 @@ def test_mini_run_wigner_records(mini_run):
     for rec in records.values():
         assert rec["mass_deficit"] < 1e-3
         assert rec["high_p_fraction"] < 0.03
+        assert rec["imag_residue"] < REALITY_TOL
     # per-panel normalization lives only in the text export
     txt = (mini_run / "wigner_t15.txt").read_text().splitlines()
     vals = np.array([float(ln.split()[2]) for ln in txt if ln and not ln.startswith("#")])

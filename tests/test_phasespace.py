@@ -20,7 +20,7 @@ from khatom.phasespace import (
     wigner_marginals,
     write_wigner,
 )
-from khatom.phasespace import _eval_positions, _sample_matrix
+from khatom.phasespace import _eval_positions, _lag_transform, _sample_matrix
 from khatom.potential import kh_averaged_potential
 
 E_CURVE = 0.0125
@@ -193,6 +193,25 @@ def test_superposition_analytic_quarter_period(kh_pairs, beat_period):
     # is odd in p and carries the packet's transit momentum
     assert np.max(np.abs(even_p - 0.5 * ws)) < 1e-9
     assert np.max(np.abs(odd_p)) > 1e-2
+
+
+def test_lag_transform_matches_direct_sum():
+    # the real folded sum against sum_m c_m e^{ip xi_m} with complex
+    # exponentials, for an auto pair (s, s) and a cross pair (s0, s1)
+    rng = np.random.default_rng(7)
+    n_x, m_max, d_xi = 37, 1310, 3000.0 / 16384
+    p = np.linspace(-0.6, 0.6, 201)
+    s0, s1 = (
+        rng.standard_normal((n_x, 2 * m_max + 1)) + 1j * rng.standard_normal((n_x, 2 * m_max + 1))
+        for _ in range(2)
+    )
+    xi = (np.arange(2 * m_max + 1) - m_max) * d_xi
+    for s_a, s_b in ((s0, s0), (s0, s1)):
+        c = np.conj(s_a) * s_b[:, ::-1]
+        direct = c @ np.exp(1j * np.outer(xi, p)) * (d_xi / (2.0 * np.pi))
+        bound = 1e-13 * np.sum(np.abs(c), axis=1) * d_xi / (2.0 * np.pi)
+        err = np.max(np.abs(_lag_transform(s_a, s_b, p, d_xi) - direct), axis=1)
+        assert np.all(err < bound)
 
 
 def test_cross_transform_magnitudes(kh_pairs):
