@@ -233,6 +233,13 @@ def load_config(path=None, overrides=()) -> RunConfig:
     return RunConfig(values, frozenset(raw))
 
 
+def _check_span(key: str, times, t0: float, t1: float) -> None:
+    # the propagator's own check, with its 1e-9 slack, made before any solve
+    for t in times:
+        if not t0 - 1e-9 <= t <= t1 + 1e-9:
+            raise CliError(f"{key} time {t:g} lies outside the run span [{t0:g}, {t1:g}]")
+
+
 def validate_config(cfg: RunConfig) -> None:
     if cfg["grid.x_min"] >= cfg["grid.x_max"]:
         raise CliError("grid.x_min must be below grid.x_max")
@@ -260,6 +267,15 @@ def validate_config(cfg: RunConfig) -> None:
             raise CliError("restart.at must match one of run.snapshots")
         if cfg["restart.t_final"] is None or cfg["restart.t_final"] <= cfg["restart.at"]:
             raise CliError("restart.t_final must lie beyond restart.at")
+        _check_span("restart.snapshots", cfg["restart.snapshots"],
+                    cfg["restart.at"], cfg["restart.t_final"])
+    if cfg["run.enabled"]:
+        t_final = cfg["run.t_final"]
+        if t_final is None:  # the pulse duration, PulseParams.t_final
+            t_final = cfg["pulse.total_cycles"] * cfg["pulse.period"]
+        # a snapshot file brings its own start time, which the propagator checks
+        t0 = cfg["run.t0"] if initial in NAMED_STATES else -np.inf
+        _check_span("run.snapshots", cfg["run.snapshots"], t0, t_final)
     wanted = cfg["wigner.times"]
     if cfg["run.enabled"] and isinstance(wanted, tuple):
         # an explicit time must name a stored snapshot, or no map is written
@@ -276,6 +292,12 @@ def validate_config(cfg: RunConfig) -> None:
 
 def _fmt_t(t: float) -> str:
     return f"{t:g}"
+
+
+def _repr_rows(columns):
+    """Text rows of repr(float(v)) joined by spaces, one %r template for all."""
+    template = " ".join(["%r"] * len(columns)) + "\n"
+    return [template % tuple(row) for row in np.array(columns, dtype=float).T.tolist()]
 
 
 def _sha256(path) -> str:
@@ -425,8 +447,7 @@ class Pipeline:
     def _emit_table(self, name: str, columns, header: str) -> None:
         with open(self._path(name), "w") as fh:
             fh.write(f"# {header}\n")
-            for row in zip(*columns):
-                fh.write(" ".join(repr(float(v)) for v in row) + "\n")
+            fh.writelines(_repr_rows(columns))
 
     # ---- stages ------------------------------------------------------------
 
@@ -587,11 +608,12 @@ class Pipeline:
         with open(self._path(f"{stem}.txt"), "w") as fh:
             fh.write("# normalized Wigner map: x p w/max|w|\n")
             fh.write(f"# t={float(w.t)!r} frame={w.frame} scale={scale!r}\n")
-            p_cols = [f" {p:.6f} " for p in w.p]
-            for x, row in zip(w.x, norm):
+            # "x p w" lines: the p columns go into the template once per map,
+            # the x column once per row
+            cells = [f" {p:.6f} %.8e\n" for p in w.p]
+            for x, row in zip(w.x, norm.tolist()):
                 x_col = f"{x:.6f}"
-                cells = zip(p_cols, row.tolist())
-                fh.write("".join(f"{x_col}{p_col}{v:.8e}\n" for p_col, v in cells))
+                fh.write((x_col + x_col.join(cells)) % tuple(row))
                 fh.write("\n")
         dp = w.p[1] - w.p[0]
         mass = float(np.trapezoid(np.trapezoid(w.values, dx=dp, axis=1), x=w.x))
@@ -636,8 +658,7 @@ class Pipeline:
                 tag = "separatrix" if abs(energy - portrait.e_sep) < 1e-12 else "regular"
                 for k, (xs, ps) in enumerate(branches):
                     fh.write(f"# E={float(energy)!r} branch={k} kind={tag}\n")
-                    for x, p in zip(xs, ps):
-                        fh.write(f"{float(x)!r} {float(p)!r}\n")
+                    fh.writelines(_repr_rows((xs, ps)))
                     fh.write("\n")
 
     # ---- manifest ---------------------------------------------------------

@@ -7,6 +7,11 @@ Knyazev, SIAM J. Sci. Comput. 23, 517 (2001)) refines the seeds into
 eigenstates of the spectral Hamiltonian used to propagate.  The
 finite-difference solver also stands alone as an independent oracle.
 The atomic ground state comes from split-operator imaginary time.
+
+Both iterations act on real states with a real Hamiltonian, so they run
+in real arithmetic: real-input transforms on the half spectrum
+(`rfft`/`irfft`), which take half the work of complex ones on the same
+data (Sorensen et al., IEEE Trans. ASSP 35, 849 (1987)).
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ import logging
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.fft import fft, ifft
+from scipy.fft import fft, ifft, irfft, rfft
 from scipy.linalg import eigh_tridiagonal
 from scipy.sparse.linalg import lobpcg
 
@@ -66,6 +71,18 @@ def _apply_h(v: np.ndarray, grid: SpatialGrid, psi: np.ndarray) -> np.ndarray:
     return ifft(kin * fft(psi, axis=0), axis=0) + v.reshape(shape) * psi
 
 
+def _half_p2(grid: SpatialGrid) -> np.ndarray:
+    """p^2 on the rfft half spectrum; the sign of the Nyquist p drops out."""
+    return grid.p[: grid.n_points // 2 + 1] ** 2
+
+
+def _real_multiply_p(mult: np.ndarray, block: np.ndarray) -> np.ndarray:
+    """irfft(mult * rfft(block)) down the columns, mult on the half spectrum."""
+    spec = rfft(block, axis=0)
+    spec *= mult[:, None]
+    return irfft(spec, len(block), axis=0, overwrite_x=True)
+
+
 def rayleigh_energy(v: np.ndarray, wf: WaveFunction) -> float:
     """<psi|H|psi> with spectral kinetic energy and diagonal potential."""
     hpsi = _apply_h(v, wf.grid, wf.psi)
@@ -108,10 +125,6 @@ def fix_global_phase(wf: WaveFunction) -> WaveFunction:
     return out.normalized()
 
 
-def _split_step_imag(psi, expv_half, expt):
-    return expv_half * ifft(expt * fft(expv_half * psi))
-
-
 def imaginary_time_ground_state(
     v: np.ndarray,
     grid: SpatialGrid,
@@ -121,9 +134,10 @@ def imaginary_time_ground_state(
 ) -> EigenPair:
     """Relax to the lowest state of H = p^2/2 + V by imaginary time.
 
-    Strang-split steps with renormalization; converged when the per-step
-    change of the decay-rate energy estimate drops below tol.  The
-    reported energy is the Rayleigh quotient of the converged state.
+    Strang-split steps on a real state, renormalized after each step;
+    converged when the per-step change of the decay-rate energy estimate
+    drops below tol.  The reported energy is the Rayleigh quotient of the
+    converged state.
     """
     if dt_imag <= 0 or tol <= 0:
         raise EigenError("dt_imag and tol must be positive")
@@ -131,17 +145,23 @@ def imaginary_time_ground_state(
     if len(v) != grid.n_points:
         raise EigenError("potential samples do not match the grid")
 
+    n = grid.n_points
     expv_half = np.exp(-0.5 * dt_imag * v)
-    expt = np.exp(-0.5 * dt_imag * grid.p**2)
+    expt = np.exp(-0.5 * dt_imag * _half_p2(grid))
 
-    psi = np.exp(-grid.x**2 / 50.0).astype(complex)
-    psi /= np.sqrt(grid.dx * np.sum(np.abs(psi) ** 2))
+    psi = np.exp(-grid.x**2 / 50.0)
+    psi /= np.sqrt(grid.dx * np.sum(psi * psi))
 
     e_prev = np.inf
     trace = []
     for step in range(max_steps):
-        psi = _split_step_imag(psi, expv_half, expt)
-        nrm = np.sqrt(grid.dx * np.sum(np.abs(psi) ** 2))
+        psi *= expv_half
+        spec = rfft(psi, overwrite_x=True)
+        spec *= expt
+        psi = irfft(spec, n, overwrite_x=True)
+        psi *= expv_half
+        # pairwise sum, not a BLAS dot: the same bits at any thread count
+        nrm = np.sqrt(grid.dx * np.sum(psi * psi))
         psi /= nrm
         e_est = -np.log(nrm) / dt_imag
         if abs(e_est - e_prev) < tol:
@@ -213,13 +233,14 @@ def bound_states(v: np.ndarray, grid: SpatialGrid) -> list[EigenPair]:
     if not seeds:
         return []
     v = np.asarray(v, dtype=float)
-    inv_kin = 1.0 / (0.5 * grid.p**2 + PRECOND_SHIFT)
+    kin = 0.5 * _half_p2(grid)
+    inv_kin = 1.0 / (kin + PRECOND_SHIFT)
 
     def hamiltonian(block):
-        return _apply_h(v, grid, block).real
+        return _real_multiply_p(kin, block) + v[:, None] * block
 
     def preconditioner(block):
-        return ifft(inv_kin[:, None] * fft(block, axis=0), axis=0).real
+        return _real_multiply_p(inv_kin, block)
 
     x0 = np.stack([p.state.psi.real for p in seeds], axis=1)
     _, vecs = lobpcg(hamiltonian, x0, M=preconditioner, tol=LOBPCG_TOL,

@@ -4,6 +4,8 @@ import filecmp
 import hashlib
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -124,6 +126,70 @@ def test_wigner_times_must_name_a_snapshot(tmp_path, capsys):
     assert cli.main(argv + ["--out", str(out)]) == 1
     assert "khatom: [cli] wigner.times entry 7" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_snapshot_times_must_lie_in_the_run_span(tmp_path, capsys):
+    def check(*overrides):
+        validate_config(load_config(overrides=list(overrides)))
+
+    # the primary span ends at run.t_final, or at the pulse end (1200) unset
+    check("run.snapshots=0, 600, 1200")
+    check("run.t_final=300", "run.snapshots=300")
+    with pytest.raises(CliError, match=r"run.snapshots time 1250 lies outside the run span \[0, 1200\]"):
+        check("run.snapshots=600, 1250")
+    with pytest.raises(CliError, match=r"run.snapshots time 400 lies outside the run span \[0, 300\]"):
+        check("run.t_final=300", "run.snapshots=400")
+    with pytest.raises(CliError, match="run.snapshots time -5 lies outside"):
+        check("run.snapshots=-5")
+    # no primary run, no span to check
+    check("run.enabled=false", "run.snapshots=5000")
+    # the restart span is [restart.at, restart.t_final]
+    restart = ["run.snapshots=15, 30", "restart.at=15", "restart.t_final=45"]
+    check(*restart, "restart.snapshots=15, 45")
+    with pytest.raises(CliError, match=r"restart.snapshots time 10 lies outside the run span \[15, 45\]"):
+        check(*restart, "restart.snapshots=10, 30")
+    with pytest.raises(CliError, match="restart.snapshots time 50 lies outside"):
+        check(*restart, "restart.snapshots=50")
+    # the verb fails before any solve, and before its output directory exists
+    for extra in (["run.snapshots=1300"], restart + ["restart.snapshots=50"]):
+        out = tmp_path / "out"
+        argv = ["propagate", "--out", str(out)]
+        for item in extra:
+            argv += ["--override", item]
+        assert cli.main(argv) == 1
+        assert "snapshots time" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_emit_table_bytes_match_repr_loop(tmp_path):
+    # one %r template per table writes the bytes of repr(float(v)) joined by spaces
+    pipe = cli.Pipeline(load_config(), str(tmp_path))
+    columns = (
+        np.arange(7),
+        np.array([0.1, -0.0, 0.0, 1e-310, 1e300, -2.5, np.pi]),
+        np.linspace(-1.0, 1.0, 7, dtype=np.float32),
+    )
+    pipe._emit_table("t.dat", columns, "i a b")
+    lines = ["# i a b\n"]
+    for row in zip(*columns):
+        lines.append(" ".join(repr(float(v)) for v in row) + "\n")
+    assert (tmp_path / "t.dat").read_text() == "".join(lines)
+
+
+def test_cli_import_leaves_out_integrate_and_optimize():
+    # scipy.integrate (and scipy.optimize, which it pulls in) add start-up
+    # time and memory to every run
+    import khatom
+
+    code = (
+        "import sys, khatom.cli\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[:2] in "
+        "(['scipy', 'integrate'], ['scipy', 'optimize'])))"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(khatom.__file__)))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_all_recipes_load_and_validate():
@@ -278,13 +344,17 @@ def test_wigner_verb_rejects_lab_snapshot(tmp_path, kh_pairs, capsys):
     assert "transform" in capsys.readouterr().err
 
 
-def test_failing_module_is_named(tmp_path, capsys):
+def test_failing_module_is_named(tmp_path, kh_pairs, capsys):
+    # a snapshot file brings its own start time (here 15), so validate_config
+    # cannot see that a snapshot at 5 lies before the span; the propagator does
+    snap = tmp_path / "start.snap"
+    write_snapshot(snap, WaveFunction(kh_pairs[0].state.grid, kh_pairs[0].state.psi, 15.0, "kh"))
     code = cli.main([
         "propagate", "--out", str(tmp_path),
         "--override", "run.mode=kh_averaged",
-        "--override", "run.initial=kh_coherent",
-        "--override", "run.t_final=10",
-        "--override", "run.snapshots=500",  # beyond the time span
+        "--override", f"run.initial={snap}",
+        "--override", "run.t_final=20",
+        "--override", "run.snapshots=5",  # before the time span
     ])
     assert code == 1
     err = capsys.readouterr().err

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from scipy.fft import fft, ifft
+from scipy.sparse.linalg import lobpcg
 
 from khatom.core import SpatialGrid, WaveFunction, inner_product
 import khatom.eigen as eigen
@@ -35,6 +37,48 @@ def test_harmonic_self_test():
     )
 
 
+def _complex_imaginary_time(v, grid, dt_imag=0.5, tol=1e-10):
+    """Reference: the same Strang iteration on a complex state, complex FFTs."""
+    expv_half = np.exp(-0.5 * dt_imag * v)
+    expt = np.exp(-0.5 * dt_imag * grid.p**2)
+    psi = np.exp(-grid.x**2 / 50.0).astype(complex)
+    psi /= np.sqrt(grid.dx * np.sum(np.abs(psi) ** 2))
+    e_prev = np.inf
+    for step in range(100_000):
+        psi = expv_half * ifft(expt * fft(expv_half * psi))
+        nrm = np.sqrt(grid.dx * np.sum(np.abs(psi) ** 2))
+        psi /= nrm
+        e_est = -np.log(nrm) / dt_imag
+        if abs(e_est - e_prev) < tol:
+            break
+        e_prev = e_est
+    wf = fix_global_phase(WaveFunction(grid, psi))
+    return rayleigh_energy(v, wf), wf, step + 1
+
+
+@pytest.mark.parametrize("n_points", [16384, 4096])
+def test_imaginary_time_real_matches_complex(n_points, monkeypatch):
+    # the real-transform iteration is the complex one without its rounding
+    # noise in Im(psi): same energy, same state, same number of steps
+    from khatom.potential import atomic_potential
+
+    g = SpatialGrid(n_points=n_points)
+    v = atomic_potential(g.x)
+    calls = []
+    rfft = eigen.rfft
+
+    def counting_rfft(*args, **kwargs):
+        calls.append(1)
+        return rfft(*args, **kwargs)
+
+    monkeypatch.setattr(eigen, "rfft", counting_rfft)
+    pair = imaginary_time_ground_state(v, g)
+    energy, wf, steps = _complex_imaginary_time(v, g)
+    assert pair.energy == pytest.approx(energy, abs=1e-12)
+    assert abs(inner_product(pair.state, wf)) >= 1 - 1e-12
+    assert len(calls) == steps  # one real transform per step
+
+
 def test_imaginary_time_validation():
     g = SpatialGrid(-20.0, 20.0, 256)
     with pytest.raises(EigenError):
@@ -67,6 +111,28 @@ def test_bound_states_poeschl_teller():
     assert abs(inner_product(pairs[0].state, pairs[1].state)) < 1e-12
     for p in pairs:
         assert p.residual <= eigen.LOBPCG_TOL
+
+
+def test_bound_states_match_complex_operators(averaged, kh_pairs):
+    # the real-transform LOBPCG operators against the complex ones they
+    # replaced (.real of complex transforms of the real blocks)
+    v, g = averaged.samples, averaged.grid
+    kin = 0.5 * g.p**2
+    inv_kin = 1.0 / (kin + eigen.PRECOND_SHIFT)
+
+    def hamiltonian(block):
+        return (ifft(kin[:, None] * fft(block, axis=0), axis=0) + v[:, None] * block).real
+
+    def preconditioner(block):
+        return ifft(inv_kin[:, None] * fft(block, axis=0), axis=0).real
+
+    x0 = np.stack([p.state.psi.real for p in bound_states_fd(v, g)], axis=1)
+    _, vecs = lobpcg(hamiltonian, x0, M=preconditioner, tol=eigen.LOBPCG_TOL,
+                     maxiter=eigen.LOBPCG_MAXITER, largest=False)
+    ref = [rayleigh_energy(v, WaveFunction(g, vecs[:, k]).normalized()) for k in range(x0.shape[1])]
+    assert len(kh_pairs) == len(ref) == 2
+    for pair, e in zip(kh_pairs, ref):
+        assert pair.energy == pytest.approx(e, abs=1e-12)
 
 
 def test_bound_states_nonconvergence_error(monkeypatch):

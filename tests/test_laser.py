@@ -11,6 +11,7 @@ from khatom.laser import (
     field_value,
     monochromatic_quiver,
 )
+from khatom.laser import _cumulative_simpson
 
 
 @pytest.fixture(scope="module")
@@ -138,6 +139,23 @@ def test_cache_rejects_bad_dt(params):
         build_field_cache(params, dt_field=-0.1)
     with pytest.raises(LaserError):
         build_field_cache(params, dt_field=7.3)
+    with pytest.raises(LaserError, match="two intervals"):
+        build_field_cache(params, dt_field=params.t_final)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 100, 101, 48000, 48001])
+def test_cumulative_simpson_matches_scipy(n):
+    # scipy is the oracle; the same operations give the same bits, signed
+    # zeros included, so the comparison is on the bytes
+    from scipy.integrate import cumulative_simpson
+
+    rng = np.random.default_rng(n)
+    t = np.arange(n) * 0.025
+    signed_zeros = np.where(np.arange(n) % 3 == 2, 0.0, -0.0)  # partial sums of -0.0
+    for y in (rng.normal(size=n), np.sin(0.0628 * t) * np.minimum(t, 1.0), signed_zeros):
+        for dx in (0.025, 1.0):
+            ref = cumulative_simpson(y, dx=dx, initial=0.0)
+            assert _cumulative_simpson(y, dx).tobytes() == ref.tobytes()
 
 
 def test_monochromatic_quiver(params):

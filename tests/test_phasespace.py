@@ -78,6 +78,17 @@ def test_sample_rows_match_band_limited_oracle(psi_coh):
     oracle = _eval_positions(wf, pos.ravel()).reshape(pos.shape)
     assert np.max(np.abs(rows[:, cols] - oracle)) < 1e-12
     assert np.max(np.abs(oracle)) > 0.05
+    # 37 rows, unsorted: two full blocks of 16 rows and a partial one of 5,
+    # each over the union of its rows' windows
+    rng = np.random.default_rng(3)
+    xs = np.concatenate((xs, rng.uniform(-60.0, 60.0, 30)))
+    rng.shuffle(xs)
+    rows = _sample_matrix(wf, xs, m_max)
+    assert rows.shape == (37, 2 * m_max + 1)
+    cols = np.r_[0 : 2 * m_max + 1 : 101, 2 * m_max]
+    pos = xs[:, None] + (cols - m_max) * h
+    oracle = _eval_positions(wf, pos.ravel()).reshape(pos.shape)
+    assert np.max(np.abs(rows[:, cols] - oracle)) < 1e-12
 
 
 def test_wigner_gaussian_oracle(gaussian):
