@@ -17,7 +17,11 @@ import argparse
 import hashlib
 import json
 import os
+import pickle
+import signal
 import sys
+import traceback
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from functools import cached_property, partial
 
@@ -240,6 +244,21 @@ def _check_span(key: str, times, t0: float, t1: float) -> None:
             raise CliError(f"{key} time {t:g} lies outside the run span [{t0:g}, {t1:g}]")
 
 
+def _start_snapshot_time(cfg: RunConfig, path: str) -> float:
+    """Checks a start snapshot's grid and frame against the config; returns its time."""
+    wf = read_snapshot(path)
+    if wf.grid != SpatialGrid(cfg["grid.x_min"], cfg["grid.x_max"], cfg["grid.n_points"]):
+        raise CliError(f"snapshot {path} was stored on a different grid")
+    mode = cfg["run.mode"]
+    frame = FRAME_LAB if mode == MODE_LAB else FRAME_KH
+    if wf.frame != frame:
+        raise CliError(
+            f"snapshot {path} is in the {wf.frame} frame but mode {mode} "
+            f"needs {frame}; apply lab_to_kh first (khatom transform)"
+        )
+    return wf.t
+
+
 def validate_config(cfg: RunConfig) -> None:
     if cfg["grid.x_min"] >= cfg["grid.x_max"]:
         raise CliError("grid.x_min must be below grid.x_max")
@@ -273,8 +292,12 @@ def validate_config(cfg: RunConfig) -> None:
         t_final = cfg["run.t_final"]
         if t_final is None:  # the pulse duration, PulseParams.t_final
             t_final = cfg["pulse.total_cycles"] * cfg["pulse.period"]
-        # a snapshot file brings its own start time, which the propagator checks
-        t0 = cfg["run.t0"] if initial in NAMED_STATES else -np.inf
+        if initial in NAMED_STATES:
+            t0 = cfg["run.t0"]
+            if abs(t0) > 1e-12:
+                raise CliError("named initial states are defined at t = 0 only")
+        else:
+            t0 = _start_snapshot_time(cfg, initial)
         _check_span("run.snapshots", cfg["run.snapshots"], t0, t_final)
     wanted = cfg["wigner.times"]
     if cfg["run.enabled"] and isinstance(wanted, tuple):
@@ -339,6 +362,75 @@ def _detect_landmarks(times: np.ndarray, abs2: np.ndarray) -> dict:
     return {"left_well": maxima, "right_well": minima, "midpoint": crossings}
 
 
+@contextmanager
+def _forked(fn):
+    """Yields join(), which returns fn() or raises the exception fn raised.
+
+    On Linux fn runs at once in a forked child, which pickles its outcome
+    into a pipe, and the caller goes on with other work until join().  The
+    child is reaped on every way out of the block; left before join(), it
+    is killed first.  Elsewhere join() calls fn inline: Windows has no
+    fork, and macOS system libraries are not fork-safe.  The inline path
+    computes the same bytes, in the order the sequential code did.
+    """
+    if sys.platform != "linux":
+        yield fn
+        return
+    rfd, wfd = os.pipe()
+    pid = os.fork()
+    if pid == 0:  # the child: send fn's outcome, and never return into the caller
+        code = 1
+        try:
+            os.close(rfd)
+            try:
+                outcome = (True, fn())
+            except Exception as err:
+                if not isinstance(err, KhatomError):  # a fault: show where it happened
+                    traceback.print_exc()
+                outcome = (False, err)
+            data = pickle.dumps(outcome, protocol=pickle.HIGHEST_PROTOCOL)
+            with os.fdopen(wfd, "wb") as fh:
+                fh.write(data)
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(wfd)
+    reader = os.fdopen(rfd, "rb")
+    done = []  # [(pickled outcome, wait status)] once the child is reaped
+
+    def join():
+        if not done:
+            data = reader.read()
+            done.append((data, os.waitpid(pid, 0)[1]))
+        data, status = done[0]
+        if not data:
+            raise CliError(f"a forked stage ended with wait status {status} and no result")
+        ok, value = pickle.loads(data)
+        if ok:
+            return value
+        raise value
+
+    try:
+        yield join
+    finally:
+        if not done:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        reader.close()
+
+
+def _uses_ground(cfg: RunConfig) -> bool:
+    """Whether a stage of execute will need the atomic ground state."""
+    run = cfg["run.enabled"]
+    restart_lab = cfg["restart.at"] is not None and cfg["restart.mode"] == MODE_LAB
+    return (
+        cfg["emit.eigen"]
+        or "atomic_ground" in cfg["wigner.states"]
+        or (run and (cfg["run.mode"] == MODE_LAB or restart_lab
+                     or cfg["run.initial"] == "atomic_ground"))
+    )
+
+
 @dataclass
 class RunSegment:
     label: str  # "" for the primary run, "restart_" for the continuation
@@ -369,6 +461,8 @@ class Pipeline:
             "error": None,
         }
         self.segments: list[RunSegment] = []
+        # where `ground` gets the atomic state; execute may hand it to a forked child
+        self.join_ground = self.solve_ground
 
     # ---- lazy physics objects -------------------------------------------
 
@@ -430,9 +524,12 @@ class Pipeline:
         der["t_10"] = float(2.0 * np.pi / (e1 - e0))
         return pairs
 
+    def solve_ground(self):
+        return imaginary_time_ground_state(atomic_potential(self.grid.x), self.grid)
+
     @cached_property
     def ground(self):
-        ground = imaginary_time_ground_state(atomic_potential(self.grid.x), self.grid)
+        ground = self.join_ground()
         self.manifest["derived"]["e_atomic"] = float(ground.energy)
         self.manifest["residuals"]["eigen_residual_atomic"] = ground.residual
         return ground
@@ -493,21 +590,11 @@ class Pipeline:
             wf = coherent_superposition(self.pairs[0], self.pairs[1])
         return wf.with_frame(frame)
 
-    def _initial_state(self, selector: str, mode: str, t0: float):
-        """Returns (state, parent_record_or_None)."""
-        frame = FRAME_LAB if mode == MODE_LAB else FRAME_KH
+    def _initial_state(self, selector: str, mode: str):
+        """Returns (state, parent_record_or_None); validate_config checked both kinds."""
         if selector in NAMED_STATES:
-            if abs(t0) > 1e-12:
-                raise CliError("named initial states are defined at t = 0 only")
-            return self._named_state(selector, frame), None
+            return self._named_state(selector, FRAME_LAB if mode == MODE_LAB else FRAME_KH), None
         wf = read_snapshot(selector)
-        if wf.grid != self.grid:
-            raise CliError(f"snapshot {selector} was stored on a different grid")
-        if wf.frame != frame:
-            raise CliError(
-                f"snapshot {selector} is in the {wf.frame} frame but mode {mode} "
-                f"needs {frame}; apply lab_to_kh first (khatom transform)"
-            )
         parent = {"snapshot": os.path.abspath(selector), "sha256": _sha256(selector), "t": wf.t}
         sibling = os.path.join(os.path.dirname(os.path.abspath(selector)), "manifest.json")
         if os.path.exists(sibling):
@@ -569,7 +656,7 @@ class Pipeline:
         cfg = self.cfg
         mode = cfg["run.mode"]
         selector = cfg["run.initial"]
-        initial, parent = self._initial_state(selector, mode, cfg["run.t0"])
+        initial, parent = self._initial_state(selector, mode)
         t0 = initial.t if parent is not None else cfg["run.t0"]
         if parent is not None:
             self.manifest["parent"] = parent
@@ -628,23 +715,47 @@ class Pipeline:
             "imag_residue": w.imag_residue,
         }
 
+    def _export_share(self, jobs) -> tuple[dict, dict]:
+        """Exports jobs in this process; returns the file list and the map records."""
+        for job in jobs:
+            self._export_wigner(*job)
+        return self.files, self.manifest["wigner"]
+
+    def _export_wigners(self, jobs) -> None:
+        """Exports (stem, state, mass_tol) jobs; a forked child takes the second half.
+
+        The child returns its copies of the file list and the map records.
+        Merged into the parent's, they add the child's entries and repeat
+        the ones the two shared at the fork.
+        """
+        mine = (len(jobs) + 1) // 2
+        if mine == len(jobs):  # nothing to hand over
+            self._export_share(jobs)
+            return
+        with _forked(partial(self._export_share, jobs[mine:])) as join:
+            self._export_share(jobs[:mine])
+            files, records = join()
+        self.files.update(files)
+        self.manifest["wigner"].update(records)
+
     def export_state_wigners(self) -> None:
-        for name in self.cfg["wigner.states"]:
-            self._export_wigner(f"wigner_{name}", self._named_state(name, FRAME_KH), 1e-3)
+        self._export_wigners([
+            (f"wigner_{name}", self._named_state(name, FRAME_KH), 1e-3)
+            for name in self.cfg["wigner.states"]
+        ])
 
     def export_run_wigners(self) -> None:
         wanted = self.cfg["wigner.times"]
         if wanted == "none":
             return
+        jobs = []
         for segment in self.segments:
             clean = segment.mode == MODE_KH and segment.named_initial
             mass_tol = 1e-3 if clean else LOOSE_MASS_TOL
             for snap in segment.result.snapshots:
-                if wanted != "snapshots" and not any(abs(snap.t - t) < 1e-6 for t in wanted):
-                    continue
-                self._export_wigner(
-                    f"{segment.label}wigner_t{_fmt_t(snap.t)}", snap, mass_tol
-                )
+                if wanted == "snapshots" or any(abs(snap.t - t) < 1e-6 for t in wanted):
+                    jobs.append((f"{segment.label}wigner_t{_fmt_t(snap.t)}", snap, mass_tol))
+        self._export_wigners(jobs)
 
     def export_portrait(self) -> None:
         choice = self.cfg["portrait.energies"]
@@ -682,20 +793,27 @@ def execute(cfg: RunConfig, out_dir: str, recipe: str | None = None) -> Pipeline
     """The full pipeline: solves -> propagation -> transforms -> exports."""
     validate_config(cfg)
     pipe = Pipeline(cfg, out_dir, recipe)
+    uses_ground = _uses_ground(cfg)
     try:
-        if cfg["emit.potential"]:
-            pipe.emit_potential()
-        if cfg["emit.field"]:
-            pipe.emit_field()
-        if cfg["emit.eigen"]:
-            pipe.emit_eigen()
-        if cfg["run.enabled"]:
-            primary = pipe.run_primary()
-            if cfg["restart.at"] is not None:
-                pipe.run_restart(primary)
-        pipe.export_state_wigners()
-        pipe.export_run_wigners()
-        pipe.export_portrait()
+        with (_forked if uses_ground else nullcontext)(pipe.solve_ground) as join:
+            pipe.join_ground = join
+            if uses_ground and (cfg["emit.eigen"] or cfg["run.enabled"]):
+                # both need the KH pairs too: solve them while the child
+                # solves the atomic state
+                pipe.pairs
+            if cfg["emit.potential"]:
+                pipe.emit_potential()
+            if cfg["emit.field"]:
+                pipe.emit_field()
+            if cfg["emit.eigen"]:
+                pipe.emit_eigen()
+            if cfg["run.enabled"]:
+                primary = pipe.run_primary()
+                if cfg["restart.at"] is not None:
+                    pipe.run_restart(primary)
+            pipe.export_state_wigners()
+            pipe.export_run_wigners()
+            pipe.export_portrait()
     except KhatomError as err:
         pipe.finalize(status="incomplete", error=f"{err.module}: {err}")
         raise
@@ -764,7 +882,7 @@ def _cmd_transform(args) -> int:
 def _cmd_wigner(args) -> int:
     cfg = _verb_config(args)
     validate_config(cfg)
-    pipe = Pipeline(cfg, args.out)
+    jobs = []
     for path in args.snapshot:
         wf = read_snapshot(path)
         if wf.frame != FRAME_KH:
@@ -773,7 +891,9 @@ def _cmd_wigner(args) -> int:
                 "first (khatom transform)"
             )
         stem = os.path.splitext(os.path.basename(path))[0]
-        pipe._export_wigner(f"wigner_{stem}", wf, LOOSE_MASS_TOL)
+        jobs.append((f"wigner_{stem}", wf, LOOSE_MASS_TOL))
+    pipe = Pipeline(cfg, args.out)
+    pipe._export_wigners(jobs)
     pipe.finalize()
     return 0
 

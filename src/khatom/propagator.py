@@ -178,8 +178,8 @@ def propagate(job: PropagationJob) -> PropagationResult:
     Snapshots are taken at the step nearest each requested time (the
     actual time is recorded on the WaveFunction).  The observer, if any,
     is called as observer.record(t, wf) every observer_cadence steps,
-    including step 0 and the final step.  Non-finite amplitudes abort
-    with the offending step index.
+    including step 0 and the final step.  Non-finite amplitudes, or an
+    initial norm that overflows, abort with the offending step index.
     """
     grid = job.initial.grid
     tg = job.time
@@ -192,7 +192,10 @@ def propagate(job: PropagationJob) -> PropagationResult:
         snap_steps.setdefault(min(max(k, 0), tg.n_steps), []).append(ts)
 
     psi = job.initial.psi.copy()
-    initial_sq = grid.dx * float(np.sum(np.abs(psi) ** 2))
+    with np.errstate(over="ignore"):
+        initial_sq = grid.dx * float(np.sum(np.abs(psi) ** 2))
+    if not np.isfinite(initial_sq):  # the observer would overflow on it at step 0
+        raise PropagatorError("non-finite norm at step 0")
     frame = job.initial.frame
     snapshots = []
 

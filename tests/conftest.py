@@ -5,6 +5,7 @@ one copy.  Everything is deterministic; no tmpdir state leaks between
 tests.
 """
 
+import os
 import sys
 
 import numpy as np
@@ -198,3 +199,15 @@ def pytest_terminal_summary(terminalreporter):
             for line in mod.VERDICTS:
                 terminalreporter.line(line)
             break
+
+
+@pytest.fixture(autouse=True)
+def no_child_process_left():
+    """Fails a test after which a child process is running or not yet reaped."""
+    yield
+    try:
+        pid, status = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:  # no child at all
+        return
+    state = "still running" if pid == 0 else f"pid {pid} exited unreaped (status {status})"
+    pytest.fail(f"a child process was left behind: {state}")

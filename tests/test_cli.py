@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -13,8 +14,9 @@ import pytest
 from khatom import cli
 from khatom.cli import CliError, load_config, validate_config
 from khatom.core import WaveFunction
+from khatom.eigen import EigenError
 from khatom.observables import read_series
-from khatom.phasespace import REALITY_TOL, read_wigner
+from khatom.phasespace import REALITY_TOL, PhaseSpaceError, read_wigner
 from khatom.propagator import read_snapshot, write_snapshot
 
 RECIPES = ("fig1", "fig2ab", "fig2b", "fig3", "fig4a", "fig4b", "fig5", "fig6", "fig7", "fig8")
@@ -306,6 +308,99 @@ def test_run_determinism(mini_cfg_path, mini_run, tmp_path):
     assert set(match) == set(names)
 
 
+@contextmanager
+def _inline(fn):
+    yield fn
+
+
+def _counting(monkeypatch, name):
+    """Wraps cli.<name>; the list counts the calls made in this process."""
+    calls, real = [], getattr(cli, name)
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, name, counted)
+    return calls
+
+
+def test_forked_stages_write_inline_bytes(mini_cfg_path, mini_run, tmp_path, monkeypatch):
+    # the mini recipe solves the atomic state for emit.eigen and writes four
+    # snapshot maps; with the fork helper inline, one process runs every stage
+    ground = _counting(monkeypatch, "imaginary_time_ground_state")
+    maps = _counting(monkeypatch, "wigner")
+    forked = tmp_path / "forked"
+    assert cli.main(["run", mini_cfg_path, "--out", str(forked)]) == 0
+    if sys.platform == "linux":  # the child's calls are not counted here
+        assert (len(ground), len(maps)) == (0, 2)
+    monkeypatch.setattr(cli, "_forked", _inline)
+    inline = tmp_path / "inline"
+    assert cli.main(["run", mini_cfg_path, "--out", str(inline)]) == 0
+    assert (len(ground), len(maps)) == ((1, 6) if sys.platform == "linux" else (2, 8))
+    names = sorted(os.listdir(mini_run))
+    for out in (forked, inline):
+        assert sorted(os.listdir(out)) == names
+        match, mismatch, errors = filecmp.cmpfiles(mini_run, out, names, shallow=False)
+        assert mismatch == [] and errors == [] and set(match) == set(names)
+
+
+def test_wigner_verb_forks_the_second_map(mini_run, tmp_path, monkeypatch):
+    snaps = [str(mini_run / f"snapshot_t{t}.snap") for t in (15, 30)]
+    forked, inline = tmp_path / "forked", tmp_path / "inline"
+    assert cli.main(["wigner", *snaps, "--out", str(forked)]) == 0
+    monkeypatch.setattr(cli, "_forked", _inline)
+    assert cli.main(["wigner", *snaps, "--out", str(inline)]) == 0
+    names = sorted(os.listdir(forked))
+    assert names == sorted(os.listdir(inline))
+    assert set(json.loads((forked / "manifest.json").read_text())["files"]) == {
+        f"wigner_snapshot_t{t}.{ext}" for t in (15, 30) for ext in ("wig", "txt")
+    }
+    match, mismatch, errors = filecmp.cmpfiles(forked, inline, names, shallow=False)
+    assert mismatch == [] and errors == [] and set(match) == set(names)
+    # the same transform as the run's own maps
+    for t in (15, 30):
+        assert filecmp.cmp(forked / f"wigner_snapshot_t{t}.wig", mini_run / f"wigner_t{t}.wig",
+                           shallow=False)
+
+
+@pytest.mark.parametrize("fail_at", ["ground", 15.0, 45.0])
+def test_failing_forked_stage(mini_cfg_path, tmp_path, monkeypatch, capsys, fail_at):
+    # the atomic state and the second half of the maps (restart_wigner_t30,
+    # restart_wigner_t45) run in a child; a map at t = 15 fails in the parent
+    if fail_at == "ground":
+        def solve(*args, **kwargs):
+            raise EigenError("no ground state today")
+
+        monkeypatch.setattr(cli, "imaginary_time_ground_state", solve)
+        module = "eigen"
+    else:
+        real = cli.wigner
+
+        def transform(wf, **kwargs):
+            if abs(wf.t - fail_at) < 1e-6:
+                raise PhaseSpaceError(f"no map at t = {wf.t:g}")
+            return real(wf, **kwargs)
+
+        monkeypatch.setattr(cli, "wigner", transform)
+        module = "phasespace"
+    out = tmp_path / "out"
+    assert cli.main(["run", mini_cfg_path, "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(f"khatom: [{module}]")
+    with pytest.raises(ChildProcessError):  # no child left, running or unreaped
+        os.waitpid(-1, os.WNOHANG)
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == "incomplete"
+    assert manifest["error"].startswith(f"{module}:")
+    # the error surfaces where the sequential code raises it: at the first
+    # use of the atomic state, or after the parent's half of the maps
+    if fail_at == "ground":
+        assert sorted(manifest["files"]) == ["potential_averaged.dat", "potential_bare.dat"]
+    else:
+        done = {"wigner_t15.wig", "wigner_t30.wig"} if fail_at == 45.0 else set()
+        assert set(manifest["wigner"]) == done
+
+
 def test_restart_rejects_frame_mismatch(tmp_path, kh_pairs, capsys):
     snap = tmp_path / "lab.snap"
     write_snapshot(snap, WaveFunction(kh_pairs[0].state.grid, kh_pairs[0].state.psi, 625.0, "lab"))
@@ -342,19 +437,43 @@ def test_wigner_verb_rejects_lab_snapshot(tmp_path, kh_pairs, capsys):
     write_snapshot(snap, WaveFunction(kh_pairs[0].state.grid, kh_pairs[0].state.psi, 0.0, "lab"))
     assert cli.main(["wigner", str(snap), "--out", str(tmp_path / "w")]) == 1
     assert "transform" in capsys.readouterr().err
+    assert not (tmp_path / "w").exists()  # every snapshot is checked before any map
+
+
+def test_start_snapshot_is_checked_before_any_solve(tmp_path, kh_pairs, capsys):
+    # a snapshot file brings its own start time, grid and frame; validate_config
+    # reads them, so the verb fails before its output directory exists
+    state = kh_pairs[0].state
+    snap = tmp_path / "start.snap"
+    write_snapshot(snap, WaveFunction(state.grid, state.psi, 15.0, "kh"))
+    start = ["run.mode=kh_averaged", f"run.initial={snap}", "run.t_final=20"]
+    validate_config(load_config(overrides=start + ["run.snapshots=15, 20"]))
+    with pytest.raises(CliError, match=r"run.snapshots time 5 lies outside the run span \[15, 20\]"):
+        validate_config(load_config(overrides=start + ["run.snapshots=5"]))
+    with pytest.raises(CliError, match="different grid"):
+        validate_config(load_config(overrides=start + ["grid.n_points=8192"]))
+    with pytest.raises(CliError, match="lab_to_kh"):
+        validate_config(load_config(overrides=start + ["run.mode=lab_full"]))
+    out = tmp_path / "out"
+    argv = ["propagate", "--out", str(out)]
+    for item in start + ["run.snapshots=5"]:
+        argv += ["--override", item]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err.startswith("khatom: [cli] run.snapshots time 5")
+    assert not out.exists()
 
 
 def test_failing_module_is_named(tmp_path, kh_pairs, capsys):
-    # a snapshot file brings its own start time (here 15), so validate_config
-    # cannot see that a snapshot at 5 lies before the span; the propagator does
+    # amplitudes near 1e300 pass the snapshot reader and validate_config, but
+    # their norm overflows, which only the propagator sees
     snap = tmp_path / "start.snap"
-    write_snapshot(snap, WaveFunction(kh_pairs[0].state.grid, kh_pairs[0].state.psi, 15.0, "kh"))
+    state = kh_pairs[0].state
+    write_snapshot(snap, WaveFunction(state.grid, 1e300 * state.psi, 15.0, "kh"))
     code = cli.main([
         "propagate", "--out", str(tmp_path),
         "--override", "run.mode=kh_averaged",
         "--override", f"run.initial={snap}",
         "--override", "run.t_final=20",
-        "--override", "run.snapshots=5",  # before the time span
     ])
     assert code == 1
     err = capsys.readouterr().err
