@@ -17,10 +17,7 @@ import argparse
 import hashlib
 import json
 import os
-import pickle
-import signal
 import sys
-import traceback
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from functools import cached_property, partial
@@ -28,8 +25,13 @@ from functools import cached_property, partial
 import numpy as np
 
 from . import __version__
-from .core import FRAME_KH, FRAME_LAB, KhatomError, SpatialGrid, TimeGrid, WaveFunction
-from .eigen import coherent_superposition, imaginary_time_ground_state, kh_bound_states
+from .core import FRAME_KH, FRAME_LAB, KhatomError, SpatialGrid, TimeGrid, WaveFunction, forked
+from .eigen import (
+    coherent_superposition,
+    imaginary_time_ground_state,
+    kh_bound_states,
+    rayleigh_energy,
+)
 from .frame import FrameTransformContext
 from .laser import PulseParams, build_field_cache
 from .observables import Recorder, write_series
@@ -362,61 +364,9 @@ def _detect_landmarks(times: np.ndarray, abs2: np.ndarray) -> dict:
     return {"left_well": maxima, "right_well": minima, "midpoint": crossings}
 
 
-@contextmanager
-def _forked(fn):
-    """Yields join(), which returns fn() or raises the exception fn raised.
-
-    On Linux fn runs at once in a forked child, which pickles its outcome
-    into a pipe, and the caller goes on with other work until join().  The
-    child is reaped on every way out of the block; left before join(), it
-    is killed first.  Elsewhere join() calls fn inline: Windows has no
-    fork, and macOS system libraries are not fork-safe.  The inline path
-    computes the same bytes, in the order the sequential code did.
-    """
-    if sys.platform != "linux":
-        yield fn
-        return
-    rfd, wfd = os.pipe()
-    pid = os.fork()
-    if pid == 0:  # the child: send fn's outcome, and never return into the caller
-        code = 1
-        try:
-            os.close(rfd)
-            try:
-                outcome = (True, fn())
-            except Exception as err:
-                if not isinstance(err, KhatomError):  # a fault: show where it happened
-                    traceback.print_exc()
-                outcome = (False, err)
-            data = pickle.dumps(outcome, protocol=pickle.HIGHEST_PROTOCOL)
-            with os.fdopen(wfd, "wb") as fh:
-                fh.write(data)
-            code = 0
-        finally:
-            os._exit(code)
-    os.close(wfd)
-    reader = os.fdopen(rfd, "rb")
-    done = []  # [(pickled outcome, wait status)] once the child is reaped
-
-    def join():
-        if not done:
-            data = reader.read()
-            done.append((data, os.waitpid(pid, 0)[1]))
-        data, status = done[0]
-        if not data:
-            raise CliError(f"a forked stage ended with wait status {status} and no result")
-        ok, value = pickle.loads(data)
-        if ok:
-            return value
-        raise value
-
-    try:
-        yield join
-    finally:
-        if not done:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-        reader.close()
+# execute and the Wigner exports hand stages to a child; a child that dies
+# without an outcome is reported as a cli error
+_forked = partial(forked, error=CliError)
 
 
 def _uses_ground(cfg: RunConfig) -> bool:
@@ -627,6 +577,9 @@ class Pipeline:
             observer_cadence=cfg["run.cadence"],
         )
         result = propagate(job)
+        if mode == MODE_KH:  # field-free: the Rayleigh energy is conserved up to the splitting error
+            e0, e1 = (rayleigh_energy(v, wf) for wf in (initial, result.final))
+            self.manifest["residuals"][f"{label}energy_drift"] = abs((e1 - e0) / e0)
         segment = RunSegment(label, mode, named, result, recorder)
         self.segments.append(segment)
         write_series(self._path(f"{label}observables.csv"), recorder)
@@ -774,6 +727,17 @@ class Pipeline:
 
     # ---- manifest ---------------------------------------------------------
 
+    @contextmanager
+    def finalizing(self):
+        """Writes the manifest on leaving the block: incomplete, naming the
+        module, when a KhatomError ends it."""
+        try:
+            yield self
+        except KhatomError as err:
+            self.finalize(status="incomplete", error=f"{err.module}: {err}")
+            raise
+        self.finalize()
+
     def finalize(self, status: str = "complete", error: str | None = None) -> str:
         self.manifest["status"] = status
         self.manifest["error"] = error
@@ -794,30 +758,25 @@ def execute(cfg: RunConfig, out_dir: str, recipe: str | None = None) -> Pipeline
     validate_config(cfg)
     pipe = Pipeline(cfg, out_dir, recipe)
     uses_ground = _uses_ground(cfg)
-    try:
-        with (_forked if uses_ground else nullcontext)(pipe.solve_ground) as join:
-            pipe.join_ground = join
-            if uses_ground and (cfg["emit.eigen"] or cfg["run.enabled"]):
-                # both need the KH pairs too: solve them while the child
-                # solves the atomic state
-                pipe.pairs
-            if cfg["emit.potential"]:
-                pipe.emit_potential()
-            if cfg["emit.field"]:
-                pipe.emit_field()
-            if cfg["emit.eigen"]:
-                pipe.emit_eigen()
-            if cfg["run.enabled"]:
-                primary = pipe.run_primary()
-                if cfg["restart.at"] is not None:
-                    pipe.run_restart(primary)
-            pipe.export_state_wigners()
-            pipe.export_run_wigners()
-            pipe.export_portrait()
-    except KhatomError as err:
-        pipe.finalize(status="incomplete", error=f"{err.module}: {err}")
-        raise
-    pipe.finalize()
+    with pipe.finalizing(), (_forked if uses_ground else nullcontext)(pipe.solve_ground) as join:
+        pipe.join_ground = join
+        if uses_ground and (cfg["emit.eigen"] or cfg["run.enabled"]):
+            # both need the KH pairs too: solve them while the child
+            # solves the atomic state
+            pipe.pairs
+        if cfg["emit.potential"]:
+            pipe.emit_potential()
+        if cfg["emit.field"]:
+            pipe.emit_field()
+        if cfg["emit.eigen"]:
+            pipe.emit_eigen()
+        if cfg["run.enabled"]:
+            primary = pipe.run_primary()
+            if cfg["restart.at"] is not None:
+                pipe.run_restart(primary)
+        pipe.export_state_wigners()
+        pipe.export_run_wigners()
+        pipe.export_portrait()
     return pipe
 
 
@@ -861,21 +820,19 @@ def _cmd_run(args) -> int:
 def _cmd_transform(args) -> int:
     cfg = _verb_config(args)
     validate_config(cfg)
-    pipe = Pipeline(cfg, args.out)
     wf = read_snapshot(args.snapshot)
-    if wf.grid != pipe.grid:
+    if wf.grid != SpatialGrid(cfg["grid.x_min"], cfg["grid.x_max"], cfg["grid.n_points"]):
         raise CliError(f"snapshot {args.snapshot} was stored on a different grid")
     if wf.frame != FRAME_LAB:
         raise CliError(f"snapshot {args.snapshot} is already in the {wf.frame} frame")
-    out = pipe.ctx.lab_to_kh(wf)
-    stem = os.path.splitext(os.path.basename(args.snapshot))[0]
-    write_snapshot(pipe._path(f"{stem}_kh.snap"), out)
-    pipe.manifest["parent"] = {
-        "snapshot": os.path.abspath(args.snapshot),
-        "sha256": _sha256(args.snapshot),
-        "t": wf.t,
-    }
-    pipe.finalize()
+    with Pipeline(cfg, args.out).finalizing() as pipe:
+        pipe.manifest["parent"] = {
+            "snapshot": os.path.abspath(args.snapshot),
+            "sha256": _sha256(args.snapshot),
+            "t": wf.t,
+        }
+        stem = os.path.splitext(os.path.basename(args.snapshot))[0]
+        write_snapshot(pipe._path(f"{stem}_kh.snap"), pipe.ctx.lab_to_kh(wf))
     return 0
 
 
@@ -892,9 +849,8 @@ def _cmd_wigner(args) -> int:
             )
         stem = os.path.splitext(os.path.basename(path))[0]
         jobs.append((f"wigner_{stem}", wf, LOOSE_MASS_TOL))
-    pipe = Pipeline(cfg, args.out)
-    pipe._export_wigners(jobs)
-    pipe.finalize()
+    with Pipeline(cfg, args.out).finalizing() as pipe:
+        pipe._export_wigners(jobs)
     return 0
 
 

@@ -11,7 +11,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from khatom import cli
+from khatom import cli, propagator
 from khatom.cli import CliError, load_config, validate_config
 from khatom.core import WaveFunction
 from khatom.eigen import EigenError
@@ -265,6 +265,14 @@ def test_mini_run_outputs(mini_run, grid):
     assert snap.grid == grid and abs(snap.norm() - 1.0) < 1e-9
 
 
+def test_mini_run_energy_drift(mini_run):
+    # each kh_averaged segment records its relative Rayleigh-energy drift;
+    # the mini recipe's two 600-step segments measure 1.1e-12 and 4.5e-13
+    residuals = json.loads((mini_run / "manifest.json").read_text())["residuals"]
+    for key in ("energy_drift", "restart_energy_drift"):
+        assert residuals[key] < 1e-11
+
+
 def test_mini_run_wigner_records(mini_run):
     manifest = json.loads((mini_run / "manifest.json").read_text())
     records = manifest["wigner"]
@@ -313,15 +321,15 @@ def _inline(fn):
     yield fn
 
 
-def _counting(monkeypatch, name):
-    """Wraps cli.<name>; the list counts the calls made in this process."""
-    calls, real = [], getattr(cli, name)
+def _counting(monkeypatch, name, module=cli):
+    """Wraps module.<name>; the list counts the calls made in this process."""
+    calls, real = [], getattr(module, name)
 
     def counted(*args, **kwargs):
         calls.append(None)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(cli, name, counted)
+    monkeypatch.setattr(module, name, counted)
     return calls
 
 
@@ -364,6 +372,49 @@ def test_wigner_verb_forks_the_second_map(mini_run, tmp_path, monkeypatch):
                            shallow=False)
 
 
+def test_partner_writes_inline_bytes(mini_cfg_path, mini_run, tmp_path, monkeypatch):
+    # each of the mini recipe's two segments forks a propagation partner where
+    # the host has one; forced inline, one process steps both halves
+    forks = _counting(monkeypatch, "forked", propagator)
+    partner, inline = tmp_path / "partner", tmp_path / "inline"
+    assert cli.main(["run", mini_cfg_path, "--out", str(partner)]) == 0
+    expected = 2 if propagator._use_partner(16384) else 0
+    assert len(forks) == expected
+    monkeypatch.setattr(propagator, "PARTNER_MIN_POINTS", sys.maxsize)
+    assert cli.main(["run", mini_cfg_path, "--out", str(inline)]) == 0
+    assert len(forks) == expected
+    names = sorted(os.listdir(mini_run))
+    for out in (partner, inline):
+        assert sorted(os.listdir(out)) == names
+        match, mismatch, errors = filecmp.cmpfiles(mini_run, out, names, shallow=False)
+        assert mismatch == [] and errors == [] and set(match) == set(names)
+
+
+@pytest.mark.parametrize("executor", ["partner", "inline"])
+def test_non_finite_partner_half(mini_cfg_path, tmp_path, monkeypatch, capsys, executor):
+    # a NaN in an odd sample of the mask spoils only the odd half, which the
+    # partner steps; the error names the step that one process names
+    real = propagator.build_absorber_mask
+
+    def spoiled(grid, config=None):
+        mask = real(grid, config)
+        mask[1] = np.nan
+        return mask
+
+    monkeypatch.setattr(propagator, "build_absorber_mask", spoiled)
+    if executor == "inline":
+        monkeypatch.setattr(propagator, "PARTNER_MIN_POINTS", sys.maxsize)
+    out = tmp_path / "out"
+    argv = ["run", mini_cfg_path, "--out", str(out), "--override", "run.absorber=on"]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err == "khatom: [propagator] non-finite amplitudes at step 1\n"
+    with pytest.raises(ChildProcessError):  # no child left, running or unreaped
+        os.waitpid(-1, os.WNOHANG)
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == "incomplete"
+    assert manifest["error"] == "propagator: non-finite amplitudes at step 1"
+
+
 @pytest.mark.parametrize("fail_at", ["ground", 15.0, 45.0])
 def test_failing_forked_stage(mini_cfg_path, tmp_path, monkeypatch, capsys, fail_at):
     # the atomic state and the second half of the maps (restart_wigner_t30,
@@ -399,6 +450,29 @@ def test_failing_forked_stage(mini_cfg_path, tmp_path, monkeypatch, capsys, fail
     else:
         done = {"wigner_t15.wig", "wigner_t30.wig"} if fail_at == 45.0 else set()
         assert set(manifest["wigner"]) == done
+
+
+def test_failing_transform_makes_no_directory(tmp_path, kh_pairs, capsys):
+    snap = tmp_path / "lab.snap"
+    write_snapshot(snap, WaveFunction(kh_pairs[0].state.grid, kh_pairs[0].state.psi, 625.0, "lab"))
+    out = tmp_path / "t"
+    argv = ["transform", str(snap), "--out", str(out), "--override", "grid.n_points=8192"]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err.startswith("khatom: [cli] snapshot")
+    assert not out.exists()  # the grid and frame are checked before the directory is made
+
+
+def test_failing_wigner_verb_writes_incomplete_manifest(mini_run, tmp_path, monkeypatch, capsys):
+    def transform(wf, **kwargs):
+        raise PhaseSpaceError(f"no map at t = {wf.t:g}")
+
+    monkeypatch.setattr(cli, "wigner", transform)
+    out = tmp_path / "w"
+    assert cli.main(["wigner", str(mini_run / "snapshot_t15.snap"), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("khatom: [phasespace]")
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == "incomplete"
+    assert manifest["error"] == "phasespace: no map at t = 15"
 
 
 def test_restart_rejects_frame_mismatch(tmp_path, kh_pairs, capsys):

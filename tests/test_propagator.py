@@ -1,6 +1,13 @@
+import os
+import subprocess
+import sys
+import time
+
 import numpy as np
 import pytest
 
+import khatom
+from khatom import propagator
 from khatom.core import FRAME_KH, SpatialGrid, TimeGrid, WaveFunction, inner_product
 from khatom.laser import PulseParams, build_field_cache
 from khatom.propagator import (
@@ -11,6 +18,7 @@ from khatom.propagator import (
     PropagationResult,
     PropagatorError,
     SplitOperator,
+    _use_partner,
     build_absorber_mask,
     propagate,
     read_snapshot,
@@ -136,6 +144,125 @@ def test_absorber_removes_outgoing_packet():
     for k in range(4000):
         psi = op.step_array(psi, k * 0.05)
     assert g.dx * np.sum(np.abs(psi) ** 2) < 0.05
+
+
+@pytest.mark.parametrize("p0", [1.0, 2.0, 3.0])
+def test_absorber_reflection(p0):
+    # a packet sent into the cos^(1/8) mask (Krause, Schafer & Kulander,
+    # PRA 45, 4998 (1992)); once it has left |x| < 600, what is found there
+    # came back from the absorber.  Measured 9.8e-13, 4.1e-15 and 2.2e-14
+    # at p = 1, 2, 3.
+    g = SpatialGrid(n_points=4096)
+    inside = np.abs(g.x) < 600.0
+    psi = np.exp(-((g.x - 450.0) ** 2) / 400.0 + 1j * p0 * g.x)
+
+    class Returned:
+        def __init__(self):
+            self.norms = []
+
+        def record(self, t, wf):
+            if p0 * t >= 300.0:
+                self.norms.append(g.dx * np.sum(np.abs(wf.psi[inside]) ** 2))
+
+    rec = Returned()
+    job = PropagationJob(
+        MODE_KH, kh_wf(g, psi).normalized(), TimeGrid(0.0, 0.05, int(round(450.0 / p0 / 0.05))),
+        np.zeros(g.n_points), observer=rec, observer_cadence=100,
+    )
+    propagate(job)
+    assert len(rec.norms) > 5 and max(rec.norms) < 1e-11
+
+
+_PARTNER_SCRIPT = """
+import os
+import numpy as np
+from khatom.core import SpatialGrid, TimeGrid, WaveFunction
+from khatom.propagator import MODE_KH, PropagationJob, propagate
+
+real_fork = os.fork
+def fork():
+    pid = real_fork()
+    if pid:
+        print(pid, flush=True)
+    return pid
+os.fork = fork
+
+class Started:
+    def record(self, t, wf):
+        if t == 1.0:
+            print("stepping", flush=True)
+
+g = SpatialGrid()
+job = PropagationJob(MODE_KH, WaveFunction(g, np.exp(-g.x**2 / 8.0) + 0j, 0.0, "kh"),
+                     TimeGrid(0.0, 0.05, 10**6), np.zeros(g.n_points), use_absorber=False,
+                     observer=Started())
+propagate(job)
+"""
+
+
+def _running(pid):
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+@pytest.mark.skipif(not _use_partner(16384), reason="no propagation partner on this host")
+def test_partner_exits_with_its_parent():
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(khatom.__file__)))
+    proc = subprocess.Popen([sys.executable, "-c", _PARTNER_SCRIPT], env=env,
+                            stdout=subprocess.PIPE)
+    try:
+        partner = int(proc.stdout.readline())
+        assert proc.stdout.readline() == b"stepping\n"
+        proc.kill()
+        proc.wait(timeout=10)
+        deadline = time.monotonic() + 2.0
+        while _running(partner) and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert not _running(partner)
+    finally:
+        proc.kill()
+        proc.wait(timeout=10)
+        proc.stdout.close()
+
+
+class _Copies:
+    def __init__(self):
+        self.states = []
+
+    def record(self, t, wf):
+        self.states.append(wf.psi.copy())
+
+
+@pytest.mark.skipif(not _use_partner(8192), reason="no propagation partner on this host")
+def test_partner_matches_inline_under_load(monkeypatch):
+    # two busy processes more than there are cores: the barrier must not
+    # lose a step when either side is preempted, so every record, the
+    # snapshots and the final state equal the inline run bit for bit
+    g = SpatialGrid(-750.0, 750.0, 8192)
+    psi = np.exp(-((g.x - 5.0) ** 2) / 8.0 + 0.5j * g.x)
+
+    def run():
+        rec = _Copies()
+        job = PropagationJob(MODE_KH, kh_wf(g, psi), TimeGrid(0.0, 0.05, 800), 0.01 * g.x**2,
+                             snapshot_times=(12.35, 30.0), observer=rec, observer_cadence=7)
+        result = propagate(job)
+        return rec.states + [s.psi for s in result.snapshots] + [result.final.psi]
+
+    burners = [subprocess.Popen([sys.executable, "-c", "while True: pass"])
+               for _ in range(len(os.sched_getaffinity(0)))]
+    try:
+        loaded = run()
+    finally:
+        for proc in burners:
+            proc.kill()
+            proc.wait(timeout=10)
+    monkeypatch.setattr(propagator, "PARTNER_MIN_POINTS", sys.maxsize)
+    inline = run()
+    assert len(loaded) == len(inline) == 800 // 7 + 2 + 2 + 1
+    assert all(np.array_equal(a, b) for a, b in zip(loaded, inline))
 
 
 def test_absorber_config_validation():
