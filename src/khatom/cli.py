@@ -239,18 +239,34 @@ def load_config(path=None, overrides=()) -> RunConfig:
     return RunConfig(values, frozenset(raw))
 
 
-def _check_span(key: str, times, t0: float, t1: float) -> None:
-    # the propagator's own check, with its 1e-9 slack, made before any solve
+def _check_times(key: str, times, t0: float, t1: float, dt: float) -> None:
+    """The propagator's span test, with its 1e-9 slack, and the whole-step
+    test of Pipeline._propagate, made before any solve: a time between
+    steps would be stored at the nearest step."""
     for t in times:
         if not t0 - 1e-9 <= t <= t1 + 1e-9:
             raise CliError(f"{key} time {t:g} lies outside the run span [{t0:g}, {t1:g}]")
+        if abs(t0 + round((t - t0) / dt) * dt - t) > 1e-6:
+            raise CliError(
+                f"{key} time {t:g} is not a whole number of run.dt = {dt:g} steps from {t0:g}"
+            )
+
+
+def _config_grid(cfg: RunConfig) -> SpatialGrid:
+    return SpatialGrid(cfg["grid.x_min"], cfg["grid.x_max"], cfg["grid.n_points"])
+
+
+def _read_on_grid(cfg: RunConfig, path: str) -> WaveFunction:
+    """The snapshot stored at path, which must lie on the config's grid."""
+    wf = read_snapshot(path)
+    if wf.grid != _config_grid(cfg):
+        raise CliError(f"snapshot {path} was stored on a different grid")
+    return wf
 
 
 def _start_snapshot_time(cfg: RunConfig, path: str) -> float:
     """Checks a start snapshot's grid and frame against the config; returns its time."""
-    wf = read_snapshot(path)
-    if wf.grid != SpatialGrid(cfg["grid.x_min"], cfg["grid.x_max"], cfg["grid.n_points"]):
-        raise CliError(f"snapshot {path} was stored on a different grid")
+    wf = _read_on_grid(cfg, path)
     mode = cfg["run.mode"]
     frame = FRAME_LAB if mode == MODE_LAB else FRAME_KH
     if wf.frame != frame:
@@ -288,8 +304,6 @@ def validate_config(cfg: RunConfig) -> None:
             raise CliError("restart.at must match one of run.snapshots")
         if cfg["restart.t_final"] is None or cfg["restart.t_final"] <= cfg["restart.at"]:
             raise CliError("restart.t_final must lie beyond restart.at")
-        _check_span("restart.snapshots", cfg["restart.snapshots"],
-                    cfg["restart.at"], cfg["restart.t_final"])
     if cfg["run.enabled"]:
         t_final = cfg["run.t_final"]
         if t_final is None:  # the pulse duration, PulseParams.t_final
@@ -300,7 +314,14 @@ def validate_config(cfg: RunConfig) -> None:
                 raise CliError("named initial states are defined at t = 0 only")
         else:
             t0 = _start_snapshot_time(cfg, initial)
-        _check_span("run.snapshots", cfg["run.snapshots"], t0, t_final)
+        span = (t0, t_final, cfg["run.dt"])
+        _check_times("run.t_final", (t_final,), *span)
+        if cfg["restart.at"] is not None:
+            _check_times("restart.at", (cfg["restart.at"],), *span)
+            restart = (cfg["restart.at"], cfg["restart.t_final"], cfg["run.dt"])
+            _check_times("restart.t_final", (cfg["restart.t_final"],), *restart)
+            _check_times("restart.snapshots", cfg["restart.snapshots"], *restart)
+        _check_times("run.snapshots", cfg["run.snapshots"], *span)
     wanted = cfg["wigner.times"]
     if cfg["run.enabled"] and isinstance(wanted, tuple):
         # an explicit time must name a stored snapshot, or no map is written
@@ -418,8 +439,7 @@ class Pipeline:
 
     @cached_property
     def grid(self) -> SpatialGrid:
-        cfg = self.cfg
-        return SpatialGrid(cfg["grid.x_min"], cfg["grid.x_max"], cfg["grid.n_points"])
+        return _config_grid(self.cfg)
 
     @cached_property
     def params(self) -> PulseParams:
@@ -589,9 +609,9 @@ class Pipeline:
             self._emit_segment_densities(segment)
         self.manifest["residuals"][f"{label}final_norm"] = float(result.final.norm())
         self.manifest["residuals"][f"{label}absorbed_norm"] = float(result.absorbed_norm)
-        series = recorder.series()
+        recorder.series()  # checks each column: increasing times, populations in [0, 1]
         self.manifest["detected_times"][label or "run"] = _detect_landmarks(
-            series["autocorr_abs2"].times, np.asarray(series["autocorr_abs2"].values)
+            recorder.column("t"), recorder.column("autocorr_abs2")
         )
         return segment
 
@@ -820,9 +840,7 @@ def _cmd_run(args) -> int:
 def _cmd_transform(args) -> int:
     cfg = _verb_config(args)
     validate_config(cfg)
-    wf = read_snapshot(args.snapshot)
-    if wf.grid != SpatialGrid(cfg["grid.x_min"], cfg["grid.x_max"], cfg["grid.n_points"]):
-        raise CliError(f"snapshot {args.snapshot} was stored on a different grid")
+    wf = _read_on_grid(cfg, args.snapshot)
     if wf.frame != FRAME_LAB:
         raise CliError(f"snapshot {args.snapshot} is already in the {wf.frame} frame")
     with Pipeline(cfg, args.out).finalizing() as pipe:

@@ -71,10 +71,6 @@ class SpatialGrid:
     def dp(self) -> float:
         return 2.0 * np.pi / (self.n_points * self.dx)
 
-    @property
-    def length(self) -> float:
-        return self.x_max - self.x_min
-
     @cached_property
     def x(self) -> np.ndarray:
         arr = self.x_min + self.dx * np.arange(self.n_points)
@@ -126,9 +122,6 @@ class WaveFunction:
             )
         if self.frame not in _FRAMES:
             raise FrameError(f"unknown frame tag {self.frame!r}; expected one of {_FRAMES}")
-
-    def copy(self) -> "WaveFunction":
-        return WaveFunction(self.grid, self.psi.copy(), self.t, self.frame)
 
     def with_frame(self, frame: str) -> "WaveFunction":
         """Retag without transforming.  Legitimate only where the frames
@@ -208,33 +201,6 @@ def momentum_ramp(grid: SpatialGrid, c1: float) -> np.ndarray:
     return out
 
 
-def to_momentum(wf: WaveFunction) -> np.ndarray:
-    """Momentum amplitudes Phi(p_k) in FFT order, unitary convention.
-
-    Phi_k = dx/sqrt(2 pi) * sum_j psi_j exp(-i p_k x_j), so for band-limited
-    psi the values are samples of the continuum Fourier transform and
-    Parseval holds exactly: sum |psi|^2 dx = sum |Phi|^2 dp.
-    """
-    g = wf.grid
-    phi = fft(wf.psi)
-    phi *= momentum_ramp(g, -g.x_min)
-    phi *= g.dx / np.sqrt(2.0 * np.pi)
-    return phi
-
-
-def from_momentum(grid: SpatialGrid, phi: np.ndarray, t: float = 0.0,
-                  frame: str = FRAME_LAB) -> WaveFunction:
-    """Inverse of to_momentum."""
-    phi = np.asarray(phi, dtype=np.complex128)
-    if phi.shape != (grid.n_points,):
-        raise GridError(
-            f"momentum array of length {phi.size} does not match grid n_points={grid.n_points}"
-        )
-    psi = ifft(phi * momentum_ramp(grid, grid.x_min), overwrite_x=True)
-    psi *= np.sqrt(2.0 * np.pi) / grid.dx
-    return WaveFunction(grid, psi, t, frame)
-
-
 def shift_samples(grid: SpatialGrid, arr: np.ndarray, s: float) -> np.ndarray:
     """Translate samples by s: result_j ~ f(x_j - s) for band-limited f.
 
@@ -244,11 +210,6 @@ def shift_samples(grid: SpatialGrid, arr: np.ndarray, s: float) -> np.ndarray:
     spec = fft(np.asarray(arr, dtype=np.complex128))
     spec *= momentum_ramp(grid, -s)
     return ifft(spec, overwrite_x=True)
-
-
-def spectral_shift(wf: WaveFunction, s: float) -> WaveFunction:
-    """Translate a wave function by s (a feature at x0 moves to x0 + s)."""
-    return WaveFunction(wf.grid, shift_samples(wf.grid, wf.psi, s), wf.t, wf.frame)
 
 
 def periodic_sinc_shift(grid: SpatialGrid, arr: np.ndarray, s: float) -> np.ndarray:

@@ -22,7 +22,6 @@ __all__ = [
     "envelope",
     "field_value",
     "build_field_cache",
-    "monochromatic_quiver",
     "INTENSITY_AU",
 ]
 
@@ -97,13 +96,6 @@ def field_value(params: PulseParams, t):
     """Driving field eps0 * f(t) * sin(omega t)."""
     t = np.asarray(t, dtype=float)
     out = params.eps0 * envelope(params, t) * np.sin(params.omega * t)
-    return out if out.ndim else float(out)
-
-
-def monochromatic_quiver(params: PulseParams, t):
-    """Flat-top quiver displacement alpha0 * sin(omega t) (no transients)."""
-    t = np.asarray(t, dtype=float)
-    out = params.alpha0 * np.sin(params.omega * t)
     return out if out.ndim else float(out)
 
 

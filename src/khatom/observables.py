@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import FRAME_KH, FRAME_LAB, KhatomError, WaveFunction, inner_product
+from .core import KhatomError, WaveFunction, inner_product
 from .frame import FrameTransformContext
 
 __all__ = [
@@ -24,12 +24,7 @@ __all__ = [
     "Recorder",
     "population",
     "trapped_width",
-    "window_mean_x",
-    "expectation_x",
     "autocorrelation",
-    "half_line_masses",
-    "two_level_density",
-    "harmonic_amplitude",
     "write_series",
     "read_series",
 ]
@@ -95,7 +90,11 @@ def _span(grid, lo: float, lo_side: str, hi: float, hi_side: str) -> slice:
 
 
 def _window_moments(grid, den: np.ndarray, window: tuple) -> tuple[float, float, float]:
-    """Weight, mean and standard deviation of a density over lo <= x <= hi."""
+    """Weight, mean and standard deviation of a density over lo <= x <= hi.
+
+    Windowed, not full-grid: once ionized flux leaves the region, the
+    full-grid mean tracks the lost norm rather than the trapped cloud.
+    """
     lo, hi = window
     if lo < grid.x_min or hi > grid.x_max:
         raise ObservableError("window extends beyond the grid")
@@ -115,60 +114,16 @@ def trapped_width(psi: WaveFunction, window: tuple = WINDOW) -> float:
     return _window_moments(psi.grid, psi.density(), window)[2]
 
 
-def window_mean_x(psi: WaveFunction, window: tuple = WINDOW) -> float:
-    """Mean position over the window, renormalized there.
-
-    The trapped-region mean, not the full-grid one: once ionized flux
-    leaves the region of interest, the full-grid mean in the shifted
-    frame reduces to the lab mean plus alpha times the surviving norm,
-    which tracks norm loss rather than the cloud.
-    """
-    return _window_moments(psi.grid, psi.density(), window)[1]
-
-
-def expectation_x(psi: WaveFunction) -> float:
-    return float(psi.grid.dx * np.sum(psi.grid.x * psi.density()))
-
-
 def autocorrelation(psi0: WaveFunction, psit: WaveFunction) -> complex:
     """<psi0|psit>; same grid and frame required."""
     return inner_product(psi0, psit)
 
 
-def half_line_masses(psi: WaveFunction) -> tuple[float, float]:
-    """Density integrated over [-60, 0) and (0, 60]."""
-    return _half_line_masses(psi.grid, psi.density())
-
-
 def _half_line_masses(grid, den: np.ndarray) -> tuple[float, float]:
+    """Density integrated over [-60, 0) and (0, 60]."""
     left = _span(grid, -HALF_LINE_WINDOW, "left", 0.0, "left")
     right = _span(grid, 0.0, "right", HALF_LINE_WINDOW, "right")
     return float(grid.dx * den[left].sum()), float(grid.dx * den[right].sum())
-
-
-def two_level_density(pair0, pair1, t: float) -> np.ndarray:
-    """Beat-note density of the equal-weight two-state superposition.
-
-    (|phi0|^2 + |phi1|^2)/2 + Re[phi1 phi0*] cos(w10 t) for the real
-    eigenstates; the analytic reference the propagated density must hit.
-    """
-    w10 = pair1.energy - pair0.energy
-    f0, f1 = pair0.state.psi, pair1.state.psi
-    return (
-        0.5 * (np.abs(f0) ** 2 + np.abs(f1) ** 2)
-        + np.real(f1 * np.conj(f0)) * np.cos(w10 * t)
-    )
-
-
-def harmonic_amplitude(times: np.ndarray, values: np.ndarray, omega: float) -> float:
-    """Amplitude of the omega component of a uniformly sampled series."""
-    times = np.asarray(times, dtype=float)
-    values = np.asarray(values, dtype=float)
-    if len(times) < 2:
-        raise ObservableError("need at least two samples")
-    detrended = values - values.mean()
-    z = np.sum(detrended * np.exp(-1j * omega * times))
-    return float(2.0 * abs(z) / len(times))
 
 
 class Recorder:

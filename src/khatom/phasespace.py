@@ -27,13 +27,11 @@ __all__ = [
     "WignerGrid",
     "PhasePortrait",
     "wigner",
-    "wigner_cross",
     "wigner_marginals",
     "superposition_wigner_analytic",
     "momentum_tail_fraction",
     "equienergy_curve",
     "separatrix_energy",
-    "saddle_position",
     "phase_portrait",
     "write_wigner",
     "read_wigner",
@@ -237,26 +235,6 @@ def wigner(
     return WignerGrid(x_out, p_out, values, wf.t, wf.frame, resid)
 
 
-def wigner_cross(
-    wf_a: WaveFunction,
-    wf_b: WaveFunction,
-    x_window=DEFAULT_X_WINDOW,
-    p_window=DEFAULT_P_WINDOW,
-    n_x: int = DEFAULT_N_X,
-    n_p: int = DEFAULT_N_P,
-    xi_max: float = DEFAULT_XI_MAX,
-) -> np.ndarray:
-    """Complex cross transform (1/2pi) int conj(a(x+xi/2)) b(x-xi/2) e^{ipxi} dxi."""
-    if wf_a.grid != wf_b.grid:
-        raise PhaseSpaceError("cross transform needs a common grid")
-    x_out, p_out = _axes(x_window, p_window, n_x, n_p)
-    _check_windows(wf_a.grid, x_out, p_out, xi_max)
-    m_max = int(xi_max / wf_a.grid.dx)
-    s_a = _sample_matrix(wf_a, x_out, m_max)
-    s_b = _sample_matrix(wf_b, x_out, m_max)
-    return _lag_transform(s_a, s_b, p_out, wf_a.grid.dx)
-
-
 def _eval_positions(wf: WaveFunction, xs: np.ndarray) -> np.ndarray:
     """Band-limited values of psi at arbitrary positions."""
     g = wf.grid
@@ -370,23 +348,15 @@ def equienergy_curve(energy: float, avg: AveragedPotential, x_window=DEFAULT_X_W
     return branches
 
 
-def _saddle_index(avg: AveragedPotential) -> int:
+def separatrix_energy(avg: AveragedPotential) -> float:
+    """Energy of the central barrier top separating the two wells."""
     minima = local_minima_positions(avg)
     if len(minima) < 2:
         raise PhaseSpaceError("averaged potential has a single well, no saddle")
     g = avg.grid
     i_lo = int(np.searchsorted(g.x, minima[0]))
     i_hi = int(np.searchsorted(g.x, minima[-1]))
-    return i_lo + int(np.argmax(avg.samples[i_lo : i_hi + 1]))
-
-
-def separatrix_energy(avg: AveragedPotential) -> float:
-    """Energy of the central barrier top separating the two wells."""
-    return float(avg.samples[_saddle_index(avg)])
-
-
-def saddle_position(avg: AveragedPotential) -> float:
-    return float(avg.grid.x[_saddle_index(avg)])
+    return float(np.max(avg.samples[i_lo : i_hi + 1]))
 
 
 def phase_portrait(avg: AveragedPotential, energies, x_window=DEFAULT_X_WINDOW) -> PhasePortrait:

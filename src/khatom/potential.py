@@ -3,8 +3,7 @@
 The binding potential is a short-range single-well model with one bound
 state.  Averaging it over one period of the quiver displacement
 alpha0*sin(theta) gives the dressed (dichotomous) potential that governs
-the dynamics in the oscillating frame; its Fourier harmonics in theta are
-available as diagnostics.
+the dynamics in the oscillating frame.
 """
 
 from __future__ import annotations
@@ -21,12 +20,8 @@ __all__ = [
     "PotentialError",
     "atomic_potential",
     "kh_averaged_potential",
-    "kh_fourier_harmonic",
     "local_minima_positions",
-    "MAX_HARMONIC",
 ]
-
-MAX_HARMONIC = 64
 
 # minimum number of phase nodes accepted for the cycle average
 MIN_QUADRATURE_N = 256
@@ -84,20 +79,6 @@ class AveragedPotential:
             raise PotentialError("samples do not match the grid")
 
 
-def _phase_nodes(quadrature_n: int) -> np.ndarray:
-    # uniform nodes over one period; periodic trapezoid = plain mean
-    return 2.0 * np.pi * np.arange(quadrature_n) / quadrature_n
-
-
-def _check_quadrature(alpha0: float, quadrature_n: int) -> None:
-    if alpha0 <= 0:
-        raise PotentialError("alpha0 must be positive")
-    if quadrature_n < MIN_QUADRATURE_N:
-        raise PotentialError(
-            f"quadrature_n = {quadrature_n} below minimum {MIN_QUADRATURE_N}"
-        )
-
-
 def kh_averaged_potential(
     grid: SpatialGrid,
     alpha0: float,
@@ -123,10 +104,17 @@ def kh_averaged_potential(
     with the same operations as a full evaluation, so V0 does not depend on
     the chunking.
     """
-    _check_quadrature(alpha0, quadrature_n)
+    if alpha0 <= 0:
+        raise PotentialError("alpha0 must be positive")
+    if quadrature_n < MIN_QUADRATURE_N:
+        raise PotentialError(
+            f"quadrature_n = {quadrature_n} below minimum {MIN_QUADRATURE_N}"
+        )
     if quadrature_n % 4:
         raise PotentialError(f"quadrature_n = {quadrature_n} is not a multiple of 4")
-    half = alpha0 * np.sin(_phase_nodes(quadrature_n)[: quadrature_n // 4 + 1])
+    # the first quarter of N uniform nodes over one period
+    theta = 2.0 * np.pi * np.arange(quadrature_n // 4 + 1) / quadrature_n
+    half = alpha0 * np.sin(theta)
     disp = np.concatenate((-half[:0:-1], half))  # -alpha0 .. alpha0
     weights = np.full(len(disp), 2.0 / quadrature_n)
     weights[[0, -1]] = 1.0 / quadrature_n
@@ -140,33 +128,6 @@ def kh_averaged_potential(
     folded = np.zeros(len(ax))
     folded[live] = sums
     return AveragedPotential(grid, alpha0, folded[where], quadrature_n)
-
-
-def kh_fourier_harmonic(
-    n: int,
-    grid: SpatialGrid,
-    alpha0: float,
-    quadrature_n: int = DEFAULT_QUADRATURE_N,
-    model: PotentialModel = DEFAULT_MODEL,
-) -> np.ndarray:
-    """nth Fourier coefficient of the displaced potential over one period.
-
-    n = 0 reproduces the cycle average; coefficients obey V_{-n} = conj(V_n),
-    and for the sin-quiver they are purely real (n even) or purely
-    imaginary (n odd).  Diagnostics only; never fed back into propagation.
-    """
-    if abs(n) > MAX_HARMONIC:
-        raise PotentialError(f"|n| = {abs(n)} exceeds maximum harmonic {MAX_HARMONIC}")
-    _check_quadrature(alpha0, quadrature_n)
-    theta = _phase_nodes(quadrature_n)
-    disp = alpha0 * np.sin(theta)
-    phase = np.exp(-1j * n * theta) / quadrature_n
-    x = grid.x
-    out = np.empty(grid.n_points, dtype=complex)
-    for lo in range(0, grid.n_points, _GRID_CHUNK):
-        hi = min(lo + _GRID_CHUNK, grid.n_points)
-        out[lo:hi] = model(x[lo:hi, None] + disp[None, :]) @ phase
-    return out
 
 
 def local_minima_positions(avg: AveragedPotential) -> np.ndarray:

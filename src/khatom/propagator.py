@@ -53,7 +53,6 @@ from .laser import FieldCache
 __all__ = [
     "MODE_LAB",
     "MODE_KH",
-    "AbsorberConfig",
     "PropagationJob",
     "PropagationResult",
     "PropagatorError",
@@ -69,47 +68,35 @@ MODE_KH = "kh_averaged"
 
 SNAPSHOT_MAGIC = "KHPS1"
 
+# the absorber mask: 1 inside |x| <= ABSORBER_HALF_WIDTH, then a gentle
+# cos^ABSORBER_POWER rolloff reaching ~0 at the grid edge
+ABSORBER_HALF_WIDTH = 600.0
+ABSORBER_POWER = 0.125
+
 
 class PropagatorError(KhatomError):
     module = "propagator"
 
 
-@dataclass(frozen=True)
-class AbsorberConfig:
-    """Multiplicative mask: 1 inside |x| <= inner_half_width, then a
-    gentle cos^power rolloff reaching ~0 at the grid edge."""
-
-    inner_half_width: float = 600.0
-    power: float = 0.125
-
-
-def build_absorber_mask(grid: SpatialGrid, config: AbsorberConfig | None = None) -> np.ndarray:
-    if config is None:
-        config = AbsorberConfig()
-    a = config.inner_half_width
+def build_absorber_mask(grid: SpatialGrid) -> np.ndarray:
+    a = ABSORBER_HALF_WIDTH
     guard = grid.x_max - a
     if guard <= 0:
         raise PropagatorError("absorber inner width reaches the grid edge")
     ax = np.abs(grid.x)
     mask = np.ones(grid.n_points)
     out = ax > a
-    mask[out] = np.cos(0.5 * np.pi * (ax[out] - a) / guard) ** config.power
+    mask[out] = np.cos(0.5 * np.pi * (ax[out] - a) / guard) ** ABSORBER_POWER
     return mask
 
 
 class SplitOperator:
     """Precomputed split-step factors for one (grid, potential, dt, mode).
 
-    step_array advances a raw amplitude array by dt from time t; the
-    absorber mask (if any) is applied once at the end of every step.
-    It never writes to its input, but the array it returns is the
-    operator's own work buffer: the next call overwrites it, so a caller
-    that keeps a state across steps must copy it.  Passing the returned
-    array back in advances it in place.
-
     forward and backward are the two stages of one half (0 even, 1 odd)
     of the step, as the module docstring sets out; propagate runs them in
-    one process or two.
+    one process or two.  The absorber mask, if any, is applied once at the
+    end of every step.
     """
 
     def __init__(
@@ -144,9 +131,6 @@ class SplitOperator:
         self._fold = ((p, w * d), (w.conj() * d, p))
         self._expv = np.empty((2, h), dtype=np.complex128)
         self._work = np.empty((2, h), dtype=np.complex128)
-        self._spectra = np.empty((2, h), dtype=np.complex128)  # for step_array
-        self._halves = np.empty((2, 2, h), dtype=np.complex128)
-        self._buf = np.empty(n, dtype=np.complex128)
 
     def forward(self, half: int, x: np.ndarray, t: float, spec: np.ndarray) -> np.ndarray:
         """spec = fft of the half's potential half-phase times x; returns that phase."""
@@ -178,15 +162,6 @@ class SplitOperator:
             x *= self._mask[half]
         return bool(np.isfinite(x.view(float)).all())  # both parts; faster than complex
 
-    def step_array(self, psi: np.ndarray, t: float) -> np.ndarray:
-        src, dst = self._halves
-        src[:] = np.asarray(psi).reshape(-1, 2).T
-        phases = [self.forward(i, src[i], t, self._spectra[i]) for i in (0, 1)]
-        for i in (0, 1):
-            self.backward(i, self._spectra, phases[i], dst[i])
-        self._buf[0::2], self._buf[1::2] = dst
-        return self._buf
-
 
 def _in_place(transform, x: np.ndarray) -> None:
     out = transform(x, overwrite_x=True)
@@ -203,7 +178,6 @@ class PropagationJob:
     time: TimeGrid
     v: np.ndarray
     cache: FieldCache | None = None
-    absorber: AbsorberConfig | None = None
     use_absorber: bool = True
     snapshot_times: tuple = ()
     observer: object | None = None
@@ -231,8 +205,6 @@ class PropagationResult:
     snapshots: list
     final: WaveFunction
     absorbed_norm: float
-    series: object | None = None
-    nominal_snapshot_times: tuple = ()
 
 
 def propagate(job: PropagationJob) -> PropagationResult:
@@ -246,7 +218,7 @@ def propagate(job: PropagationJob) -> PropagationResult:
     """
     grid = job.initial.grid
     tg = job.time
-    mask = build_absorber_mask(grid, job.absorber) if job.use_absorber else None
+    mask = build_absorber_mask(grid) if job.use_absorber else None
     op = SplitOperator(grid, job.v, tg.dt, job.mode, job.cache, mask)
 
     snap_steps = {}
@@ -283,8 +255,7 @@ def propagate(job: PropagationJob) -> PropagationResult:
 
     final = WaveFunction(grid, psi, tg.t_end, frame)
     absorbed = initial_sq - grid.dx * float(np.sum(np.abs(psi) ** 2))
-    series = job.observer.series() if hasattr(job.observer, "series") else None
-    return PropagationResult(snapshots, final, absorbed, series, tuple(job.snapshot_times))
+    return PropagationResult(snapshots, final, absorbed)
 
 
 # Below this grid size one process steps both halves: the barrier then

@@ -21,15 +21,16 @@ from scipy.optimize import minimize_scalar
 from khatom.core import SpatialGrid, TimeGrid
 from khatom.eigen import bound_states_fd
 from khatom.frame import FrameTransformContext, density_relation_residual
-from khatom.observables import Recorder, autocorrelation, harmonic_amplitude, trapped_width
+from khatom.observables import Recorder, autocorrelation, trapped_width
 from khatom.phasespace import (
     momentum_tail_fraction,
     superposition_wigner_analytic,
     wigner,
     wigner_marginals,
 )
-from khatom.potential import DEFAULT_MODEL, kh_averaged_potential, kh_fourier_harmonic
+from khatom.potential import DEFAULT_MODEL, kh_averaged_potential
 from khatom.propagator import MODE_KH, MODE_LAB, PropagationJob, propagate
+from oracles import harmonic_amplitude, kh_fourier_harmonic
 
 ALPHA0 = 10.23
 CYCLE = 100.0

@@ -163,6 +163,32 @@ def test_snapshot_times_must_lie_in_the_run_span(tmp_path, capsys):
         assert not out.exists()
 
 
+def test_off_step_times_fail_before_any_solve(tmp_path, capsys):
+    # a time between two steps would be stored at the nearest step: a map
+    # asked for at 12.34 found no snapshot (stored at 12.35), and a restart
+    # from it failed only after the whole primary run
+    base = ["grid.n_points=1024", "run.mode=kh_averaged", "run.initial=kh_coherent",
+            "run.t_final=30", "run.absorber=off"]
+    cases = [
+        (["run.snapshots=12.34", "wigner.times=12.34"],
+         "run.snapshots time 12.34 is not a whole number of run.dt = 0.05 steps from 0"),
+        (["run.snapshots=12.34", "restart.at=12.34", "restart.t_final=20"],
+         "restart.at time 12.34 is not a whole number of run.dt = 0.05 steps from 0"),
+        (["run.snapshots=15", "restart.at=15", "restart.t_final=30.01"],
+         "restart.t_final time 30.01 is not a whole number of run.dt = 0.05 steps from 15"),
+    ]
+    for extra, message in cases:
+        out = tmp_path / "out"
+        argv = ["propagate", "--out", str(out)]
+        for item in base + extra:
+            argv += ["--override", item]
+        assert cli.main(argv) == 1
+        assert f"khatom: [cli] {message}" in capsys.readouterr().err
+        assert not out.exists()
+    # a time within 1e-6 of a step passes, as Pipeline._propagate lets it
+    validate_config(load_config(overrides=base + ["run.snapshots=12.3500001"]))
+
+
 def test_emit_table_bytes_match_repr_loop(tmp_path):
     # one %r template per table writes the bytes of repr(float(v)) joined by spaces
     pipe = cli.Pipeline(load_config(), str(tmp_path))
@@ -396,8 +422,8 @@ def test_non_finite_partner_half(mini_cfg_path, tmp_path, monkeypatch, capsys, e
     # partner steps; the error names the step that one process names
     real = propagator.build_absorber_mask
 
-    def spoiled(grid, config=None):
-        mask = real(grid, config)
+    def spoiled(grid):
+        mask = real(grid)
         mask[1] = np.nan
         return mask
 

@@ -7,7 +7,6 @@ from khatom.core import (
     GridError,
     SpatialGrid,
     WaveFunction,
-    from_momentum,
     inner_product,
     momentum_ramp,
     padded_spectrum,
@@ -15,9 +14,8 @@ from khatom.core import (
     periodic_sinc_shift,
     phase_ramp,
     shift_samples,
-    spectral_shift,
-    to_momentum,
 )
+from khatom.phasespace import _eval_momenta
 
 
 def small_grid(n=1024, half=200.0):
@@ -92,12 +90,22 @@ def test_inner_product_conjugate_symmetry_and_sesquilinearity():
     assert inner_product(a, scaled) == pytest.approx(c * ab)
 
 
+def to_momentum(wf):
+    """Momentum amplitudes Phi(p_k) in FFT order, unitary convention: the
+    continuum transform that the momentum marginal of a Wigner map is
+    checked against, taken by direct summation on the momentum grid."""
+    return _eval_momenta(wf, wf.grid.p)
+
+
 def test_momentum_round_trip_random():
+    # the direct sums are the FFT times the x_min phase; the inverse FFT
+    # with the opposite phase gives the samples back
     g = small_grid()
     rng = np.random.default_rng(3)
     wf = WaveFunction(g, rng.normal(size=g.n_points) + 1j * rng.normal(size=g.n_points))
-    back = from_momentum(g, to_momentum(wf))
-    assert np.max(np.abs(back.psi - wf.psi)) < 1e-12
+    phi = to_momentum(wf)
+    back = np.fft.ifft(phi * momentum_ramp(g, g.x_min)) * np.sqrt(2.0 * np.pi) / g.dx
+    assert np.max(np.abs(back - wf.psi)) < 1e-12
 
 
 def test_momentum_parseval():
@@ -138,10 +146,11 @@ def test_momentum_values_match_analytic_gaussian():
 
 def test_spectral_shift_identity_and_inverse():
     wf = gaussian(small_grid(), x0=-4.0, p0=0.2)
-    z = spectral_shift(wf, 0.0)
-    assert np.max(np.abs(z.psi - wf.psi)) < 1e-12
-    there_and_back = spectral_shift(spectral_shift(wf, 10.23), -10.23)
-    assert np.max(np.abs(there_and_back.psi - wf.psi)) < 1e-10
+    g = wf.grid
+    z = shift_samples(g, wf.psi, 0.0)
+    assert np.max(np.abs(z - wf.psi)) < 1e-12
+    there_and_back = shift_samples(g, shift_samples(g, wf.psi, 10.23), -10.23)
+    assert np.max(np.abs(there_and_back - wf.psi)) < 1e-10
 
 
 def test_spectral_shift_gaussian_against_analytic():
@@ -149,10 +158,10 @@ def test_spectral_shift_gaussian_against_analytic():
     sigma = 5.0
     wf = gaussian(g, x0=0.0, sigma=sigma)
     s = 10.23
-    shifted = spectral_shift(wf, s)
+    shifted = shift_samples(g, wf.psi, s)
     target = gaussian(g, x0=s, sigma=sigma)
-    assert np.max(np.abs(shifted.psi - target.psi)) < 1e-10
-    mean_x = g.dx * np.sum(g.x * np.abs(shifted.psi) ** 2)
+    assert np.max(np.abs(shifted - target.psi)) < 1e-10
+    mean_x = g.dx * np.sum(g.x * np.abs(shifted) ** 2)
     assert abs(mean_x - s) < g.dx / 10
 
 
@@ -177,7 +186,8 @@ def test_periodic_sinc_shift_agrees_with_spectral():
 @given(s=st.floats(min_value=-50.0, max_value=50.0, allow_nan=False))
 def test_spectral_shift_norm_preserved(s):
     wf = gaussian(small_grid(512, 100.0), sigma=4.0)
-    assert spectral_shift(wf, s).norm() == pytest.approx(1.0, abs=1e-12)
+    shifted = WaveFunction(wf.grid, shift_samples(wf.grid, wf.psi, s))
+    assert shifted.norm() == pytest.approx(1.0, abs=1e-12)
 
 
 def _ramp_bound(c0, c1, axis):

@@ -9,7 +9,6 @@ from khatom.laser import (
     build_field_cache,
     envelope,
     field_value,
-    monochromatic_quiver,
 )
 from khatom.laser import _cumulative_simpson
 
@@ -157,8 +156,3 @@ def test_cumulative_simpson_matches_scipy(n):
             ref = cumulative_simpson(y, dx=dx, initial=0.0)
             assert _cumulative_simpson(y, dx).tobytes() == ref.tobytes()
 
-
-def test_monochromatic_quiver(params):
-    T = params.period
-    assert monochromatic_quiver(params, 0.25 * T) == pytest.approx(params.alpha0)
-    assert monochromatic_quiver(params, 0.5 * T) == pytest.approx(0.0, abs=1e-12)

@@ -3,24 +3,30 @@
 import numpy as np
 import pytest
 
-from khatom.core import FRAME_KH, FrameError, SpatialGrid, TimeGrid, WaveFunction, shift_samples
+from khatom.core import FRAME_KH, FrameError, TimeGrid, WaveFunction, shift_samples
 from khatom.observables import (
     CSV_COLUMNS,
+    WINDOW,
     ObservableError,
     ObservableSeries,
     Recorder,
     autocorrelation,
-    expectation_x,
-    half_line_masses,
-    harmonic_amplitude,
     population,
     read_series,
     trapped_width,
-    two_level_density,
-    window_mean_x,
     write_series,
 )
+from khatom.observables import _half_line_masses, _window_moments
 from khatom.propagator import MODE_KH, PropagationJob, propagate
+from oracles import harmonic_amplitude, two_level_density
+
+
+def window_mean(wf, window=WINDOW):
+    return _window_moments(wf.grid, wf.density(), window)[1]
+
+
+def half_line_masses(wf):
+    return _half_line_masses(wf.grid, wf.density())
 
 
 def test_population_equal_superposition(kh_pairs, psi_coh):
@@ -58,10 +64,13 @@ def test_trapped_width_empty_window(grid):
 
 
 def test_expectation_x_even_and_shifted(grid, kh_pairs):
+    # a window wide enough to hold the whole state: |x| <= 60 leaves out
+    # about 1e-7 of it, which moves the shifted mean by 9e-6
+    wide = (-300.0, 300.0)
     phi0 = kh_pairs[0].state
-    assert abs(expectation_x(phi0)) < 1e-8
+    assert abs(window_mean(phi0, wide)) < 1e-8
     moved = WaveFunction(grid, shift_samples(grid, phi0.psi, 5.0), 0.0, FRAME_KH)
-    assert abs(expectation_x(moved) - 5.0) < 1e-6
+    assert abs(window_mean(moved, wide) - 5.0) < 1e-6
 
 
 def test_window_mean_ignores_far_field(grid, kh_pairs):
@@ -70,8 +79,8 @@ def test_window_mean_ignores_far_field(grid, kh_pairs):
     lump = 0.1 * np.exp(-0.5 * ((grid.x - 400.0) / 10.0) ** 2)
     psi = phi0.psi + lump.astype(complex)
     wf = WaveFunction(grid, psi, 0.0, FRAME_KH)
-    assert expectation_x(wf) > 50.0
-    assert abs(window_mean_x(wf)) < 1e-6
+    assert grid.dx * np.sum(grid.x * wf.density()) > 50.0
+    assert abs(window_mean(wf)) < 1e-6
 
 
 def test_half_line_masses_even_state(kh_pairs):

@@ -6,9 +6,9 @@ from khatom.potential import (
     PotentialError,
     atomic_potential,
     kh_averaged_potential,
-    kh_fourier_harmonic,
     local_minima_positions,
 )
+from oracles import kh_fourier_harmonic
 
 ALPHA0 = 10.23
 

@@ -8,16 +8,14 @@ import pytest
 
 import khatom
 from khatom import propagator
-from khatom.core import FRAME_KH, SpatialGrid, TimeGrid, WaveFunction, inner_product
+from khatom.core import FRAME_KH, FRAME_LAB, SpatialGrid, TimeGrid, WaveFunction, inner_product
 from khatom.laser import PulseParams, build_field_cache
 from khatom.propagator import (
     MODE_KH,
     MODE_LAB,
-    AbsorberConfig,
     PropagationJob,
     PropagationResult,
     PropagatorError,
-    SplitOperator,
     _use_partner,
     build_absorber_mask,
     propagate,
@@ -33,36 +31,51 @@ class NormRecorder:
     def record(self, t, wf):
         self.rows.append((t, wf.norm()))
 
-    def series(self):
-        return self.rows
-
 
 def kh_wf(grid, psi, t=0.0):
     return WaveFunction(grid, psi, t, FRAME_KH)
 
 
+def final_state(mode, initial, t0, dt, n_steps, v, cache=None, use_absorber=False):
+    """The amplitudes propagate leaves after n_steps steps of dt from t0."""
+    job = PropagationJob(mode, initial, TimeGrid(t0, dt, n_steps), v, cache,
+                         use_absorber=use_absorber)
+    return propagate(job).final.psi
+
+
+def by_executor(monkeypatch, n_points, run):
+    """run() stepped by the partner, where this host has one at n_points,
+    and inline; returns {executor: what run returned}."""
+    out = {}
+    if _use_partner(n_points):
+        out["partner"] = run()
+    with monkeypatch.context() as patch:
+        patch.setattr(propagator, "PARTNER_MIN_POINTS", sys.maxsize)
+        out["inline"] = run()
+    return out
+
+
 def test_eigenstate_single_step_stationary(grid, kh_pairs, averaged):
     phi0 = kh_pairs[0].state
-    op = SplitOperator(grid, averaged.samples, 0.05, MODE_KH)
-    out = kh_wf(grid, op.step_array(phi0.psi, 0.0), 0.05)
+    out = kh_wf(grid, final_state(MODE_KH, phi0, 0.0, 0.05, 1, averaged.samples), 0.05)
     assert abs(inner_product(phi0, out)) ** 2 == pytest.approx(1.0, abs=1e-8)
 
 
-def test_step_array_leaves_input_unchanged(grid, v_atom, averaged, long_cache, kh_pairs):
-    psi = kh_pairs[0].state.psi
+def test_propagate_leaves_initial_unchanged(grid, v_atom, averaged, long_cache, kh_pairs,
+                                            monkeypatch):
+    psi = kh_pairs[0].state.psi.copy()
     before = psi.copy()
     t_peak = float(long_cache.times[np.argmax(np.abs(long_cache.eps))])
-    mask = build_absorber_mask(grid)
-    for op in (
-        SplitOperator(grid, averaged.samples, 0.05, MODE_KH, mask=mask),
-        SplitOperator(grid, v_atom, 0.1, MODE_LAB, long_cache, mask),
-    ):
-        out = op.step_array(psi, t_peak)
-        assert out is not psi
-        assert np.array_equal(psi, before)
-        # the returned work buffer may be fed back in to advance in place
-        op.step_array(out, t_peak + op.dt)
-        assert np.array_equal(psi, before)
+
+    def run():
+        for mode, frame, v, cache in ((MODE_KH, FRAME_KH, averaged.samples, None),
+                                      (MODE_LAB, FRAME_LAB, v_atom, long_cache)):
+            initial = WaveFunction(grid, psi, t_peak, frame)
+            assert initial.psi is psi
+            final_state(mode, initial, t_peak, 0.1, 3, v, cache, use_absorber=True)
+            assert np.array_equal(psi, before)
+
+    by_executor(monkeypatch, grid.n_points, run)
 
 
 def _reference_lab_step(grid, v, dt, cache, mask, psi, t):
@@ -73,26 +86,24 @@ def _reference_lab_step(grid, v, dt, cache, mask, psi, t):
     return mask * expv * np.fft.ifft(kinetic * np.fft.fft(expv * psi))
 
 
-def test_lab_steps_match_reference_step(grid, v_atom, long_cache, ground_pair):
+def test_lab_steps_match_reference_step(grid, v_atom, long_cache, ground_pair, monkeypatch):
+    # both executors: the partner, where this host has one, and inline
     dt = 0.1
     mask = build_absorber_mask(grid)
-    op = SplitOperator(grid, v_atom, dt, MODE_LAB, long_cache, mask)
     t0 = 600.0  # flat top, field on at full strength
-    psi = ref = ground_pair.state.psi
+    ref = ground_pair.state.psi
     for k in range(200):
-        t = t0 + k * dt
-        psi = op.step_array(psi, t)
-        ref = _reference_lab_step(grid, v_atom, dt, long_cache, mask, ref, t)
-    assert np.max(np.abs(psi - ref)) < 1e-13
+        ref = _reference_lab_step(grid, v_atom, dt, long_cache, mask, ref, t0 + k * dt)
+    finals = by_executor(monkeypatch, grid.n_points, lambda: final_state(
+        MODE_LAB, ground_pair.state, t0, dt, 200, v_atom, long_cache, use_absorber=True))
+    for executor, psi in finals.items():
+        assert np.max(np.abs(psi - ref)) < 1e-13, executor
 
 
 def test_field_free_ground_state_survival(grid, v_atom, ground_pair):
     zero_pulse = PulseParams(eps0=0.0)
     cache = build_field_cache(zero_pulse, dt_field=0.025)
-    op = SplitOperator(grid, v_atom, 0.05, MODE_LAB, cache)
-    psi = ground_pair.state.psi.copy()
-    for k in range(1000):
-        psi = op.step_array(psi, k * 0.05)
+    psi = final_state(MODE_LAB, ground_pair.state, 0.0, 0.05, 1000, v_atom, cache)
     wf = WaveFunction(grid, psi, 50.0)
     assert abs(inner_product(ground_pair.state, wf)) ** 2 == pytest.approx(1.0, abs=1e-6)
 
@@ -102,10 +113,7 @@ def test_free_gaussian_dispersion():
     sigma0 = 5.0
     psi = np.exp(-g.x**2 / (4 * sigma0**2)).astype(complex)
     wf = kh_wf(g, psi).normalized()
-    op = SplitOperator(g, np.zeros(g.n_points), 0.05, MODE_KH)
-    psi = wf.psi
-    for k in range(1000):
-        psi = op.step_array(psi, k * 0.05)
+    psi = final_state(MODE_KH, wf, 0.0, 0.05, 1000, np.zeros(g.n_points))
     den = np.abs(psi) ** 2
     den /= g.dx * den.sum()
     var = g.dx * np.sum(g.x**2 * den)
@@ -114,10 +122,7 @@ def test_free_gaussian_dispersion():
 
 
 def test_unitarity_without_absorber(grid, averaged, psi_coh):
-    op = SplitOperator(grid, averaged.samples, 0.05, MODE_KH)
-    psi = psi_coh.psi.copy()
-    for k in range(1000):
-        psi = op.step_array(psi, k * 0.05)
+    psi = final_state(MODE_KH, psi_coh, 0.0, 0.05, 1000, averaged.samples)
     nrm = grid.dx * np.sum(np.abs(psi) ** 2)
     assert abs(nrm - 1.0) < 1e-11
 
@@ -135,14 +140,10 @@ def test_absorber_mask_shape(grid):
 
 def test_absorber_removes_outgoing_packet():
     g = SpatialGrid(-1500.0, 1500.0, 8192)
-    mask = build_absorber_mask(g)
     # fast packet starting near the absorber edge, heading right
     psi = np.exp(-((g.x - 500.0) ** 2) / 200.0 + 2.0j * g.x)
     wf = kh_wf(g, psi).normalized()
-    op = SplitOperator(g, np.zeros(g.n_points), 0.05, MODE_KH, mask=mask)
-    psi = wf.psi
-    for k in range(4000):
-        psi = op.step_array(psi, k * 0.05)
+    psi = final_state(MODE_KH, wf, 0.0, 0.05, 4000, np.zeros(g.n_points), use_absorber=True)
     assert g.dx * np.sum(np.abs(psi) ** 2) < 0.05
 
 
@@ -266,9 +267,10 @@ def test_partner_matches_inline_under_load(monkeypatch):
 
 
 def test_absorber_config_validation():
+    # the mask's inner region |x| <= 600 reaches past this grid's edge
     g = SpatialGrid(-100.0, 100.0, 256)
-    with pytest.raises(PropagatorError):
-        build_absorber_mask(g, AbsorberConfig(inner_half_width=100.0))
+    with pytest.raises(PropagatorError, match="grid edge"):
+        build_absorber_mask(g)
 
 
 def test_job_validation(grid, averaged, psi_coh, ground_pair):
@@ -306,7 +308,6 @@ def test_propagate_snapshots_and_observer(grid, averaged, psi_coh):
     assert res.final.t == pytest.approx(10.0)
     # observer: step 0, every 20 steps, final step (200 is on cadence)
     assert len(rec.rows) == 11
-    assert res.series is rec.series()
     assert res.absorbed_norm == pytest.approx(0.0, abs=1e-12)
     assert res.final.frame == FRAME_KH
 
@@ -322,11 +323,8 @@ def test_propagate_aborts_on_overflow(grid, psi_coh):
 def test_kh_energy_conservation(grid, averaged, psi_coh):
     from khatom.eigen import rayleigh_energy
 
-    op = SplitOperator(grid, averaged.samples, 0.05, MODE_KH)
-    psi = psi_coh.psi.copy()
-    e0 = rayleigh_energy(averaged.samples, WaveFunction(grid, psi, 0.0, FRAME_KH))
-    for k in range(2000):
-        psi = op.step_array(psi, k * 0.05)
+    e0 = rayleigh_energy(averaged.samples, psi_coh)
+    psi = final_state(MODE_KH, psi_coh, 0.0, 0.05, 2000, averaged.samples)
     e1 = rayleigh_energy(averaged.samples, WaveFunction(grid, psi, 100.0, FRAME_KH))
     assert abs((e1 - e0) / e0) < 1e-8
 
