@@ -81,45 +81,23 @@ def _parse_bool(raw: str) -> bool:
     raise CliError(f"expected a boolean, got {raw!r}")
 
 
-def _parse_times(raw: str) -> tuple:
-    raw = raw.strip()
-    if not raw or raw.lower() == "none":
-        return ()
-    try:
-        return tuple(float(tok) for tok in raw.split(","))
-    except ValueError:
-        raise CliError(f"expected comma-separated numbers, got {raw!r}")
+def _parse_number(kind=float, ok=None, need: str = ""):
+    """A float or int; ok, when given, is the key's range rule and need says it."""
+
+    def parse(raw: str):
+        try:
+            val = kind(raw)
+        except ValueError:
+            raise CliError(f"expected {'an integer' if kind is int else 'a number'}, got {raw!r}")
+        if ok is not None and not ok(val):
+            raise CliError(f"must be {need}, got {raw!r}")
+        return val
+
+    return parse
 
 
-def _parse_names(raw: str) -> tuple:
-    raw = raw.strip()
-    if not raw or raw.lower() == "none":
-        return ()
-    names = tuple(tok.strip() for tok in raw.split(","))
-    for name in names:
-        if name not in NAMED_STATES:
-            raise CliError(f"unknown state selector {name!r}")
-    return names
-
-
-def _parse_float(raw: str) -> float:
-    try:
-        return float(raw)
-    except ValueError:
-        raise CliError(f"expected a number, got {raw!r}")
-
-
-def _parse_optfloat(raw: str):
-    if raw.strip().lower() == "none":
-        return None
-    return _parse_float(raw)
-
-
-def _parse_int(raw: str) -> int:
-    try:
-        return int(raw)
-    except ValueError:
-        raise CliError(f"expected an integer, got {raw!r}")
+def _parse_optional(parse):
+    return lambda raw: None if raw.strip().lower() == "none" else parse(raw)
 
 
 def _parse_choice(options):
@@ -132,47 +110,56 @@ def _parse_choice(options):
     return parse
 
 
-def _parse_keyword_times(keywords):
-    """Either one of the keywords or an explicit comma list of times."""
+def _parse_list(item, keywords=()):
+    """One of the keywords, or a comma list of items: () when empty or none."""
 
     def parse(raw: str):
-        val = raw.strip().lower()
-        if val in keywords:
-            return val
-        return _parse_times(raw)
+        val = raw.strip()
+        if val.lower() in keywords:
+            return val.lower()
+        if not val or val.lower() == "none":
+            return ()
+        return tuple(item(tok.strip()) for tok in val.split(","))
 
     return parse
 
 
+_number = _parse_number()
+_number_or_none = _parse_optional(_number)
+_count = _parse_number(int)
+_times = _parse_list(_number)
+
 CONFIG_SPEC = {
-    "grid.x_min": (_parse_float, -1500.0),
-    "grid.x_max": (_parse_float, 1500.0),
-    "grid.n_points": (_parse_int, 16384),
-    "pulse.period": (_parse_float, 100.0),
-    "pulse.intensity_wcm2": (_parse_optfloat, 5.7e13),
-    "pulse.eps0": (_parse_optfloat, None),
-    "pulse.ramp_cycles": (_parse_int, 2),
-    "pulse.flat_end_cycles": (_parse_int, 10),
-    "pulse.total_cycles": (_parse_int, 12),
-    "kh.alpha0": (_parse_float, 10.23),
-    "kh.quadrature_n": (_parse_int, 2048),
+    # grid.* and pulse.* are checked whole by SpatialGrid and PulseParams (load_config)
+    "grid.x_min": (_number, -1500.0),
+    "grid.x_max": (_number, 1500.0),
+    "grid.n_points": (_count, 16384),
+    "pulse.period": (_number, 100.0),
+    "pulse.intensity_wcm2": (_number_or_none, 5.7e13),
+    "pulse.eps0": (_number_or_none, None),
+    "pulse.ramp_cycles": (_count, 2),
+    "pulse.flat_end_cycles": (_count, 10),
+    "pulse.total_cycles": (_count, 12),
+    "kh.alpha0": (_number, 10.23),
+    "kh.quadrature_n": (_count, 2048),
+    # run.* and restart.* spans and times are checked by the plan (validate_config)
     "run.enabled": (_parse_bool, True),
     "run.mode": (_parse_choice(MODES), MODE_LAB),
     "run.initial": (str, "atomic_ground"),
-    "run.t0": (_parse_float, 0.0),
-    "run.t_final": (_parse_optfloat, None),
-    "run.dt": (_parse_float, 0.05),
-    "run.cadence": (_parse_int, 20),
-    "run.snapshots": (_parse_times, ()),
+    "run.t0": (_number, 0.0),
+    "run.t_final": (_number_or_none, None),
+    "run.dt": (_parse_number(float, lambda v: v > 0, "positive"), 0.05),
+    "run.cadence": (_parse_number(int, lambda v: v >= 1, "at least 1"), 20),
+    "run.snapshots": (_times, ()),
     "run.absorber": (_parse_choice(TRISTATE), "auto"),
-    "restart.at": (_parse_optfloat, None),
+    "restart.at": (_number_or_none, None),
     "restart.mode": (_parse_choice(MODES), MODE_KH),
-    "restart.t_final": (_parse_optfloat, None),
-    "restart.snapshots": (_parse_times, ()),
+    "restart.t_final": (_number_or_none, None),
+    "restart.snapshots": (_times, ()),
     "restart.absorber": (_parse_choice(TRISTATE), "auto"),
-    "wigner.times": (_parse_keyword_times(("none", "snapshots")), "none"),
-    "wigner.states": (_parse_names, ()),
-    "portrait.energies": (_parse_keyword_times(("none", "auto")), "none"),
+    "wigner.times": (_parse_list(_number, ("none", "snapshots")), "none"),
+    "wigner.states": (_parse_list(_parse_choice(NAMED_STATES)), ()),
+    "portrait.energies": (_parse_list(_number, ("none", "auto")), "none"),
     "emit.potential": (_parse_bool, False),
     "emit.field": (_parse_bool, False),
     "emit.eigen": (_parse_bool, False),
@@ -180,20 +167,9 @@ CONFIG_SPEC = {
 }
 
 
-@dataclass
-class RunConfig:
-    values: dict
-    explicit: frozenset  # keys set by file or override, not defaults
-
-    def __getitem__(self, key: str):
-        return self.values[key]
-
-    def echo(self) -> dict:
-        out = {}
-        for key in sorted(self.values):
-            val = self.values[key]
-            out[key] = list(val) if isinstance(val, tuple) else val
-        return out
+def _echo(cfg: dict) -> dict:
+    """The config as the manifest records it: lists for tuples."""
+    return {key: list(val) if isinstance(val, tuple) else val for key, val in sorted(cfg.items())}
 
 
 def parse_config_lines(lines, source: str) -> dict:
@@ -215,7 +191,28 @@ def parse_config_lines(lines, source: str) -> dict:
     return raw
 
 
-def load_config(path=None, overrides=()) -> RunConfig:
+def _config_grid(cfg: dict) -> SpatialGrid:
+    return SpatialGrid(cfg["grid.x_min"], cfg["grid.x_max"], cfg["grid.n_points"])
+
+
+def _config_pulse(cfg: dict) -> PulseParams:
+    """The pulse; a given pulse.eps0 takes precedence over the default intensity."""
+    if cfg["pulse.eps0"] is not None:
+        kw = {"eps0": cfg["pulse.eps0"]}
+    else:
+        kw = {"intensity": cfg["pulse.intensity_wcm2"]}
+    return PulseParams(
+        period=cfg["pulse.period"],
+        ramp_cycles=cfg["pulse.ramp_cycles"],
+        flat_end_cycles=cfg["pulse.flat_end_cycles"],
+        total_cycles=cfg["pulse.total_cycles"],
+        **kw,
+    )
+
+
+def load_config(path=None, overrides=()) -> dict:
+    """The defaults, then the file, then the overrides, each value parsed and
+    checked; the grid.* and pulse.* keys are checked by building their objects."""
     raw = {}
     if path is not None:
         if not os.path.exists(path):
@@ -227,22 +224,33 @@ def load_config(path=None, overrides=()) -> RunConfig:
             raise CliError(f"override must be key=value, got {item!r}")
         key, _, value = item.partition("=")
         raw[key.strip()] = value.strip()
-    values = {key: default for key, (_, default) in CONFIG_SPEC.items()}
+    cfg = {key: default for key, (_, default) in CONFIG_SPEC.items()}
     for key, text in raw.items():
         if key not in CONFIG_SPEC:
             raise CliError(f"unknown config key: {key}")
         parse, _ = CONFIG_SPEC[key]
         try:
-            values[key] = parse(text)
+            cfg[key] = parse(text)
         except CliError as err:
             raise CliError(f"bad value for {key}: {err}")
-    return RunConfig(values, frozenset(raw))
+    if (
+        cfg["pulse.eps0"] is not None
+        and "pulse.intensity_wcm2" in raw
+        and cfg["pulse.intensity_wcm2"] is not None
+    ):
+        raise CliError("give pulse.eps0 or pulse.intensity_wcm2, not both")
+    for section, build in (("grid", _config_grid), ("pulse", _config_pulse)):
+        try:
+            build(cfg)
+        except KhatomError as err:
+            raise CliError(f"bad {section}.* values: {err}")
+    return cfg
 
 
 def _check_times(key: str, times, t0: float, t1: float, dt: float) -> None:
-    """The propagator's span test, with its 1e-9 slack, and the whole-step
-    test of Pipeline._propagate, made before any solve: a time between
-    steps would be stored at the nearest step."""
+    """The propagator's span test, with its 1e-9 slack, and a whole-step
+    test within 1e-6: a time between steps would be stored at the nearest
+    step."""
     for t in times:
         if not t0 - 1e-9 <= t <= t1 + 1e-9:
             raise CliError(f"{key} time {t:g} lies outside the run span [{t0:g}, {t1:g}]")
@@ -252,11 +260,16 @@ def _check_times(key: str, times, t0: float, t1: float, dt: float) -> None:
             )
 
 
-def _config_grid(cfg: RunConfig) -> SpatialGrid:
-    return SpatialGrid(cfg["grid.x_min"], cfg["grid.x_max"], cfg["grid.n_points"])
+def _time_grid(key: str, t0: float, t1: float, dt: float) -> TimeGrid:
+    """The steps from t0 to the key's t1: a whole number of dt, at least one."""
+    n_steps = round((t1 - t0) / dt)
+    if n_steps < 1:
+        raise CliError(f"{key} {t1:g} leaves no run.dt = {dt:g} step after {t0:g}")
+    _check_times(key, (t1,), t0, t1, dt)
+    return TimeGrid(t0=t0, dt=dt, n_steps=n_steps)
 
 
-def _read_on_grid(cfg: RunConfig, path: str) -> WaveFunction:
+def _read_on_grid(cfg: dict, path: str) -> WaveFunction:
     """The snapshot stored at path, which must lie on the config's grid."""
     wf = read_snapshot(path)
     if wf.grid != _config_grid(cfg):
@@ -264,76 +277,80 @@ def _read_on_grid(cfg: RunConfig, path: str) -> WaveFunction:
     return wf
 
 
-def _start_snapshot_time(cfg: RunConfig, path: str) -> float:
-    """Checks a start snapshot's grid and frame against the config; returns its time."""
-    wf = _read_on_grid(cfg, path)
-    mode = cfg["run.mode"]
-    frame = FRAME_LAB if mode == MODE_LAB else FRAME_KH
-    if wf.frame != frame:
-        raise CliError(
-            f"snapshot {path} is in the {wf.frame} frame but mode {mode} "
-            f"needs {frame}; apply lab_to_kh first (khatom transform)"
-        )
-    return wf.t
+@dataclass
+class RunSegment:
+    """One planned propagation; run_segment fills in its result."""
+
+    label: str  # "" for the primary run, "restart_" for the continuation
+    mode: str
+    initial: str | None  # a named state, a snapshot path, or None: the primary's state at t0
+    time: TimeGrid
+    snapshots: tuple  # sorted
+    absorber: bool
+    result: object = None
 
 
-def validate_config(cfg: RunConfig) -> None:
-    if cfg["grid.x_min"] >= cfg["grid.x_max"]:
-        raise CliError("grid.x_min must be below grid.x_max")
-    for key in ("pulse.period", "run.dt"):
-        if cfg[key] <= 0:
-            raise CliError(f"{key} must be positive")
-    if cfg["run.cadence"] < 1:
-        raise CliError("run.cadence must be at least 1")
-    if (
-        cfg["pulse.eps0"] is not None
-        and "pulse.intensity_wcm2" in cfg.explicit
-        and cfg["pulse.intensity_wcm2"] is not None
-    ):
-        raise CliError("give pulse.eps0 or pulse.intensity_wcm2, not both")
-    if cfg["pulse.eps0"] is None and cfg["pulse.intensity_wcm2"] is None:
-        raise CliError("one of pulse.eps0 or pulse.intensity_wcm2 is required")
+def _segment(cfg: dict, section: str, initial, time: TimeGrid) -> RunSegment:
+    """The segment that the section's mode, snapshots and absorber keys set."""
+    mode, absorber = cfg[f"{section}.mode"], cfg[f"{section}.absorber"]
+    return RunSegment(
+        "" if section == "run" else f"{section}_", mode, initial, time,
+        tuple(sorted(cfg[f"{section}.snapshots"])),
+        (mode == MODE_LAB) if absorber == "auto" else (absorber == "on"),
+    )
+
+
+def validate_config(cfg: dict) -> list[RunSegment]:
+    """Plans the propagation: the primary segment and its restart, each
+    checked against the other keys; [] when there is no run."""
     initial = cfg["run.initial"]
     if initial not in NAMED_STATES and not os.path.exists(initial):
         raise CliError(f"initial-state snapshot file not found: {initial}")
-    if cfg["restart.at"] is not None:
+    at = cfg["restart.at"]
+    if at is not None:
         if not cfg["run.enabled"]:
             raise CliError("restart.at needs a primary run to restart from")
-        snaps = cfg["run.snapshots"]
-        if not any(abs(t - cfg["restart.at"]) < 1e-9 for t in snaps):
+        if not any(abs(t - at) < 1e-9 for t in cfg["run.snapshots"]):
             raise CliError("restart.at must match one of run.snapshots")
-        if cfg["restart.t_final"] is None or cfg["restart.t_final"] <= cfg["restart.at"]:
-            raise CliError("restart.t_final must lie beyond restart.at")
-    if cfg["run.enabled"]:
-        t_final = cfg["run.t_final"]
-        if t_final is None:  # the pulse duration, PulseParams.t_final
-            t_final = cfg["pulse.total_cycles"] * cfg["pulse.period"]
-        if initial in NAMED_STATES:
-            t0 = cfg["run.t0"]
-            if abs(t0) > 1e-12:
-                raise CliError("named initial states are defined at t = 0 only")
-        else:
-            t0 = _start_snapshot_time(cfg, initial)
-        span = (t0, t_final, cfg["run.dt"])
-        _check_times("run.t_final", (t_final,), *span)
-        if cfg["restart.at"] is not None:
-            _check_times("restart.at", (cfg["restart.at"],), *span)
-            restart = (cfg["restart.at"], cfg["restart.t_final"], cfg["run.dt"])
-            _check_times("restart.t_final", (cfg["restart.t_final"],), *restart)
-            _check_times("restart.snapshots", cfg["restart.snapshots"], *restart)
-        _check_times("run.snapshots", cfg["run.snapshots"], *span)
-    wanted = cfg["wigner.times"]
-    if cfg["run.enabled"] and isinstance(wanted, tuple):
+        if cfg["restart.t_final"] is None:
+            raise CliError("restart.at needs restart.t_final")
+    if not cfg["run.enabled"]:
+        return []
+    mode, dt = cfg["run.mode"], cfg["run.dt"]
+    if initial in NAMED_STATES:
+        t0 = cfg["run.t0"]
+        if abs(t0) > 1e-12:
+            raise CliError("named initial states are defined at t = 0 only")
+    else:  # a snapshot brings its start time; its grid and frame must fit the run
+        wf = _read_on_grid(cfg, initial)
+        frame = FRAME_LAB if mode == MODE_LAB else FRAME_KH
+        if wf.frame != frame:
+            raise CliError(
+                f"snapshot {initial} is in the {wf.frame} frame but mode {mode} "
+                f"needs {frame}; apply lab_to_kh first (khatom transform)"
+            )
+        t0 = wf.t
+    t_final = cfg["run.t_final"]
+    if t_final is None:
+        t_final = _config_pulse(cfg).t_final
+    span = (t0, t_final, dt)
+    plan = [_segment(cfg, "run", initial, _time_grid("run.t_final", *span))]
+    if at is not None:
+        _check_times("restart.at", (at,), *span)
+        restart = (at, cfg["restart.t_final"], dt)
+        plan.append(_segment(cfg, "restart", None, _time_grid("restart.t_final", *restart)))
+        _check_times("restart.snapshots", cfg["restart.snapshots"], *restart)
+    _check_times("run.snapshots", cfg["run.snapshots"], *span)
+    snaps = [t for seg in plan for t in seg.snapshots]
+    if isinstance(cfg["wigner.times"], tuple):
         # an explicit time must name a stored snapshot, or no map is written
-        snaps = cfg["run.snapshots"]
-        if cfg["restart.at"] is not None:
-            snaps += cfg["restart.snapshots"]
-        for t in wanted:
+        for t in cfg["wigner.times"]:
             if not any(abs(t - s) < 1e-6 for s in snaps):
                 raise CliError(
                     f"wigner.times entry {t:g} matches no run.snapshots or "
                     "restart.snapshots time"
                 )
+    return plan
 
 
 def _fmt_t(t: float) -> str:
@@ -390,31 +407,19 @@ def _detect_landmarks(times: np.ndarray, abs2: np.ndarray) -> dict:
 _forked = partial(forked, error=CliError)
 
 
-def _uses_ground(cfg: RunConfig) -> bool:
+def _uses_ground(cfg: dict, plan) -> bool:
     """Whether a stage of execute will need the atomic ground state."""
-    run = cfg["run.enabled"]
-    restart_lab = cfg["restart.at"] is not None and cfg["restart.mode"] == MODE_LAB
     return (
         cfg["emit.eigen"]
         or "atomic_ground" in cfg["wigner.states"]
-        or (run and (cfg["run.mode"] == MODE_LAB or restart_lab
-                     or cfg["run.initial"] == "atomic_ground"))
+        or any(seg.mode == MODE_LAB or seg.initial == "atomic_ground" for seg in plan)
     )
-
-
-@dataclass
-class RunSegment:
-    label: str  # "" for the primary run, "restart_" for the continuation
-    mode: str
-    named_initial: bool
-    result: object
-    recorder: Recorder
 
 
 class Pipeline:
     """One CLI invocation: lazy physics objects, staged emission, manifest."""
 
-    def __init__(self, cfg: RunConfig, out_dir: str, recipe: str | None = None):
+    def __init__(self, cfg: dict, out_dir: str, recipe: str | None = None):
         self.cfg = cfg
         self.out_dir = out_dir
         os.makedirs(out_dir, exist_ok=True)
@@ -422,7 +427,7 @@ class Pipeline:
         self.manifest: dict = {
             "version": __version__,
             "recipe": recipe,
-            "config": cfg.echo(),
+            "config": _echo(cfg),
             "derived": {"alpha0": float(cfg["kh.alpha0"])},
             "residuals": {},
             "detected_times": {},
@@ -443,18 +448,7 @@ class Pipeline:
 
     @cached_property
     def params(self) -> PulseParams:
-        cfg = self.cfg
-        if cfg["pulse.eps0"] is not None:
-            kw = {"eps0": cfg["pulse.eps0"]}
-        else:
-            kw = {"intensity": cfg["pulse.intensity_wcm2"]}
-        params = PulseParams(
-            period=cfg["pulse.period"],
-            ramp_cycles=cfg["pulse.ramp_cycles"],
-            flat_end_cycles=cfg["pulse.flat_end_cycles"],
-            total_cycles=cfg["pulse.total_cycles"],
-            **kw,
-        )
+        params = _config_pulse(self.cfg)
         der = self.manifest["derived"]
         der["eps0"] = float(params.eps0)
         der["omega"] = float(params.omega)
@@ -560,60 +554,64 @@ class Pipeline:
             wf = coherent_superposition(self.pairs[0], self.pairs[1])
         return wf.with_frame(frame)
 
-    def _initial_state(self, selector: str, mode: str):
-        """Returns (state, parent_record_or_None); validate_config checked both kinds."""
-        if selector in NAMED_STATES:
-            return self._named_state(selector, FRAME_LAB if mode == MODE_LAB else FRAME_KH), None
-        wf = read_snapshot(selector)
-        parent = {"snapshot": os.path.abspath(selector), "sha256": _sha256(selector), "t": wf.t}
-        sibling = os.path.join(os.path.dirname(os.path.abspath(selector)), "manifest.json")
-        if os.path.exists(sibling):
-            parent["manifest"] = sibling
-        return wf, parent
+    def _initial_state(self, seg: RunSegment) -> WaveFunction:
+        """The segment's start: a named state, a stored snapshot (recorded as
+        the run's parent), or the primary's snapshot at t0 in the mode's frame."""
+        frame = FRAME_LAB if seg.mode == MODE_LAB else FRAME_KH
+        if seg.initial in NAMED_STATES:
+            return self._named_state(seg.initial, frame)
+        if seg.initial is not None:
+            path = seg.initial
+            wf = read_snapshot(path)
+            parent = {"snapshot": os.path.abspath(path), "sha256": _sha256(path), "t": wf.t}
+            sibling = os.path.join(os.path.dirname(os.path.abspath(path)), "manifest.json")
+            if os.path.exists(sibling):
+                parent["manifest"] = sibling
+            self.manifest["parent"] = parent
+            return wf
+        t0 = seg.time.t0
+        wf = min(self.segments[0].result.snapshots, key=lambda s: abs(s.t - t0))
+        if wf.frame != frame:
+            # explicit transform stage; the restart verb proper refuses instead
+            wf = self.ctx.lab_to_kh(wf)
+            write_snapshot(self._path(f"snapshot_t{_fmt_t(t0)}_kh.snap"), wf)
+        return wf
 
-    def _propagate(self, label, mode, initial, t0, t_final, snapshot_times, absorber, named):
-        cfg = self.cfg
-        dt = cfg["run.dt"]
-        n_steps = int(round((t_final - t0) / dt))
-        if n_steps < 1 or abs(t0 + n_steps * dt - t_final) > 1e-6:
-            raise CliError(f"time span [{t0}, {t_final}] is not a whole number of dt steps")
+    def run_segment(self, seg: RunSegment) -> None:
+        label, mode = seg.label, seg.mode
+        initial = self._initial_state(seg)
         if mode == MODE_LAB:
             v = atomic_potential(self.grid.x)
             recorder = Recorder(MODE_LAB, self.ground, self.pairs, self.ctx)
-            cache = self.cache
         else:
             v = self.avg.samples
             recorder = Recorder(MODE_KH, kh_pairs=self.pairs)
-        use_absorber = (mode == MODE_LAB) if absorber == "auto" else (absorber == "on")
         job = PropagationJob(
             mode=mode,
             initial=initial,
-            time=TimeGrid(t0=t0, dt=dt, n_steps=n_steps),
+            time=seg.time,
             v=v,
-            cache=cache if mode == MODE_LAB else None,
-            use_absorber=use_absorber,
-            snapshot_times=tuple(sorted(snapshot_times)),
+            cache=self.cache if mode == MODE_LAB else None,
+            use_absorber=seg.absorber,
+            snapshot_times=seg.snapshots,
             observer=recorder,
-            observer_cadence=cfg["run.cadence"],
+            observer_cadence=self.cfg["run.cadence"],
         )
-        result = propagate(job)
+        seg.result = result = propagate(job)
         if mode == MODE_KH:  # field-free: the Rayleigh energy is conserved up to the splitting error
             e0, e1 = (rayleigh_energy(v, wf) for wf in (initial, result.final))
             self.manifest["residuals"][f"{label}energy_drift"] = abs((e1 - e0) / e0)
-        segment = RunSegment(label, mode, named, result, recorder)
-        self.segments.append(segment)
+        self.segments.append(seg)
         write_series(self._path(f"{label}observables.csv"), recorder)
         for snap in result.snapshots:
             write_snapshot(self._path(f"{label}snapshot_t{_fmt_t(snap.t)}.snap"), snap)
-        if cfg["emit.densities"]:
-            self._emit_segment_densities(segment)
+        if self.cfg["emit.densities"]:
+            self._emit_segment_densities(seg)
         self.manifest["residuals"][f"{label}final_norm"] = float(result.final.norm())
         self.manifest["residuals"][f"{label}absorbed_norm"] = float(result.absorbed_norm)
-        recorder.series()  # checks each column: increasing times, populations in [0, 1]
         self.manifest["detected_times"][label or "run"] = _detect_landmarks(
             recorder.column("t"), recorder.column("autocorr_abs2")
         )
-        return segment
 
     def _emit_segment_densities(self, segment: RunSegment) -> None:
         sel = np.abs(self.grid.x) <= EMIT_HALF_WIDTH
@@ -624,40 +622,6 @@ class Pipeline:
             if snap.frame == FRAME_LAB:
                 kh_view = self.ctx.lab_to_kh(snap)
                 self._emit_table(f"{stem}_kh.dat", (xs, kh_view.density()[sel]), "x density")
-
-    def run_primary(self) -> RunSegment:
-        cfg = self.cfg
-        mode = cfg["run.mode"]
-        selector = cfg["run.initial"]
-        initial, parent = self._initial_state(selector, mode)
-        t0 = initial.t if parent is not None else cfg["run.t0"]
-        if parent is not None:
-            self.manifest["parent"] = parent
-        t_final = cfg["run.t_final"]
-        if t_final is None:
-            t_final = self.params.t_final
-        return self._propagate(
-            "", mode, initial, t0, t_final, cfg["run.snapshots"],
-            cfg["run.absorber"], selector in NAMED_STATES,
-        )
-
-    def run_restart(self, primary: RunSegment) -> RunSegment:
-        cfg = self.cfg
-        at = cfg["restart.at"]
-        match = [s for s in primary.result.snapshots if abs(s.t - at) < 1e-6]
-        if not match:
-            raise CliError(f"no stored snapshot at t = {at} to restart from")
-        wf = match[0]
-        mode = cfg["restart.mode"]
-        needed = FRAME_LAB if mode == MODE_LAB else FRAME_KH
-        if wf.frame != needed:
-            # explicit transform stage; the restart verb proper refuses instead
-            wf = self.ctx.lab_to_kh(wf)
-            write_snapshot(self._path(f"snapshot_t{_fmt_t(at)}_kh.snap"), wf)
-        return self._propagate(
-            "restart_", mode, wf, at, cfg["restart.t_final"],
-            cfg["restart.snapshots"], cfg["restart.absorber"], False,
-        )
 
     def _export_wigner(self, stem: str, wf: WaveFunction, mass_tol: float) -> None:
         view = wf if wf.frame == FRAME_KH else self.ctx.lab_to_kh(wf)
@@ -723,7 +687,7 @@ class Pipeline:
             return
         jobs = []
         for segment in self.segments:
-            clean = segment.mode == MODE_KH and segment.named_initial
+            clean = segment.mode == MODE_KH and segment.initial in NAMED_STATES
             mass_tol = 1e-3 if clean else LOOSE_MASS_TOL
             for snap in segment.result.snapshots:
                 if wanted == "snapshots" or any(abs(snap.t - t) < 1e-6 for t in wanted):
@@ -773,14 +737,14 @@ class Pipeline:
         return out
 
 
-def execute(cfg: RunConfig, out_dir: str, recipe: str | None = None) -> Pipeline:
+def execute(cfg: dict, out_dir: str, recipe: str | None = None) -> Pipeline:
     """The full pipeline: solves -> propagation -> transforms -> exports."""
-    validate_config(cfg)
+    plan = validate_config(cfg)
     pipe = Pipeline(cfg, out_dir, recipe)
-    uses_ground = _uses_ground(cfg)
+    uses_ground = _uses_ground(cfg, plan)
     with pipe.finalizing(), (_forked if uses_ground else nullcontext)(pipe.solve_ground) as join:
         pipe.join_ground = join
-        if uses_ground and (cfg["emit.eigen"] or cfg["run.enabled"]):
+        if uses_ground and (cfg["emit.eigen"] or plan):
             # both need the KH pairs too: solve them while the child
             # solves the atomic state
             pipe.pairs
@@ -790,10 +754,10 @@ def execute(cfg: RunConfig, out_dir: str, recipe: str | None = None) -> Pipeline
             pipe.emit_field()
         if cfg["emit.eigen"]:
             pipe.emit_eigen()
-        if cfg["run.enabled"]:
-            primary = pipe.run_primary()
-            if cfg["restart.at"] is not None:
-                pipe.run_restart(primary)
+        if plan and cfg["run.t_final"] is None:
+            pipe.params  # the run ends with the pulse: record the pulse's derived values
+        for seg in plan:
+            pipe.run_segment(seg)
         pipe.export_state_wigners()
         pipe.export_run_wigners()
         pipe.export_portrait()
@@ -814,14 +778,8 @@ def _recipe_path(name: str) -> str:
     raise CliError(f"unknown recipe {name!r} (not a file, not a packaged recipe)")
 
 
-def _verb_config(args, **forced) -> RunConfig:
-    overrides = list(args.override)
-    cfg = load_config(args.config, overrides)
-    if forced:
-        values = dict(cfg.values)
-        values.update(forced)
-        cfg = RunConfig(values, cfg.explicit | frozenset(forced))
-    return cfg
+def _verb_config(args, **forced) -> dict:
+    return {**load_config(args.config, list(args.override)), **forced}
 
 
 def _cmd_plain(args, **forced) -> int:
@@ -839,7 +797,6 @@ def _cmd_run(args) -> int:
 
 def _cmd_transform(args) -> int:
     cfg = _verb_config(args)
-    validate_config(cfg)
     wf = _read_on_grid(cfg, args.snapshot)
     if wf.frame != FRAME_LAB:
         raise CliError(f"snapshot {args.snapshot} is already in the {wf.frame} frame")
@@ -856,7 +813,6 @@ def _cmd_transform(args) -> int:
 
 def _cmd_wigner(args) -> int:
     cfg = _verb_config(args)
-    validate_config(cfg)
     jobs = []
     for path in args.snapshot:
         wf = read_snapshot(path)

@@ -10,8 +10,6 @@ nan.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .core import KhatomError, WaveFunction, inner_product
@@ -20,7 +18,6 @@ from .frame import FrameTransformContext
 __all__ = [
     "CSV_COLUMNS",
     "ObservableError",
-    "ObservableSeries",
     "Recorder",
     "population",
     "trapped_width",
@@ -52,30 +49,6 @@ WINDOW = (-HALF_LINE_WINDOW, HALF_LINE_WINDOW)
 
 class ObservableError(KhatomError):
     module = "observables"
-
-
-@dataclass
-class ObservableSeries:
-    name: str
-    records: list = field(default_factory=list)
-
-    def append(self, t: float, value) -> None:
-        if self.records and t <= self.records[-1][0]:
-            raise ObservableError(f"series '{self.name}': times must increase")
-        if self.name.startswith("P_") and not np.isnan(value):
-            if not -1e-9 <= value <= 1.0 + 1e-9:
-                raise ObservableError(
-                    f"series '{self.name}': population {value} outside [0, 1]"
-                )
-        self.records.append((t, value))
-
-    @property
-    def times(self) -> np.ndarray:
-        return np.array([r[0] for r in self.records])
-
-    @property
-    def values(self) -> np.ndarray:
-        return np.array([r[1] for r in self.records])
 
 
 def population(psi: WaveFunction, phi: WaveFunction) -> float:
@@ -129,6 +102,9 @@ def _half_line_masses(grid, den: np.ndarray) -> tuple[float, float]:
 class Recorder:
     """Accumulates the standard observable rows during propagation.
 
+    Each row is checked as it comes: times must increase, and every P_*
+    population lie in [0, 1] (within 1e-9) unless it is nan.
+
     For lab runs, pass the atomic ground pair and a frame context; the
     dressed-state populations and oscillating-frame columns are then
     computed on the transformed snapshot.  For kh runs, those transforms
@@ -162,6 +138,8 @@ class Recorder:
         return wf
 
     def record(self, t: float, wf: WaveFunction) -> None:
+        if self.rows and t <= self.rows[-1][0]:
+            raise ObservableError(f"observable times must increase: {t} after {self.rows[-1][0]}")
         kh = self._kh_view(wf)
         if self._ref_kh is None:
             self._ref_kh = kh
@@ -174,6 +152,9 @@ class Recorder:
         p0 = pops[0] if len(pops) > 0 else np.nan
         p1 = pops[1] if len(pops) > 1 else np.nan
         p_tot = float(np.sum(pops)) if pops else np.nan
+        for name, value in zip(CSV_COLUMNS[1:5], (p_b, p0, p1, p_tot)):
+            if not np.isnan(value) and not -1e-9 <= value <= 1.0 + 1e-9:
+                raise ObservableError(f"series '{name}': population {value} outside [0, 1]")
 
         g = wf.grid
         den = wf.density()
@@ -208,14 +189,6 @@ class Recorder:
                 float(np.sqrt(g.dx * np.sum(den))) ** 2,
             )
         )
-
-    def series(self) -> dict[str, ObservableSeries]:
-        out = {name: ObservableSeries(name) for name in CSV_COLUMNS[1:]}
-        for row in self.rows:
-            t = row[0]
-            for name, value in zip(CSV_COLUMNS[1:], row[1:]):
-                out[name].append(t, value)
-        return out
 
     def column(self, name: str) -> np.ndarray:
         i = CSV_COLUMNS.index(name)

@@ -4,6 +4,7 @@ import filecmp
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from contextlib import contextmanager
@@ -72,7 +73,7 @@ def test_config_file_and_override(tmp_path):
     cfg = load_config(str(path), ["run.dt=0.2"])
     assert cfg["run.dt"] == 0.2  # override wins over the file
     assert cfg["run.snapshots"] == (1.0, 2.5)
-    assert "run.dt" in cfg.explicit and "run.cadence" not in cfg.explicit
+    assert cfg["run.cadence"] == 20  # set by neither: the default
 
 
 def test_config_rejects_duplicate_key(tmp_path):
@@ -98,6 +99,32 @@ def test_config_rejects_bad_values():
         load_config(overrides=["wigner.states=kh_ground,mystery"])
     with pytest.raises(CliError):
         load_config(overrides=["run.mode=adiabatic"])
+    # the range rules sit beside their keys, or in the object the keys build
+    rules = [
+        ("run.cadence=0", "bad value for run.cadence: must be at least 1, got '0'"),
+        ("grid.x_max=-1500", "bad grid.* values: x_max must exceed x_min"),
+        ("pulse.period=0", "bad pulse.* values: period must be positive"),
+        ("pulse.total_cycles=0", "bad pulse.* values: need 0 < ramp < flat_end < total"),
+        ("pulse.intensity_wcm2=none", "bad pulse.* values: give exactly one of eps0 or intensity"),
+    ]
+    for override, message in rules:
+        with pytest.raises(CliError, match=re.escape(message)):
+            load_config(overrides=["run.mode=kh_averaged", override])
+    load_config(overrides=["pulse.eps0=0.04"])  # eps0 takes precedence over the default intensity
+
+
+def test_config_defaults_parse_back():
+    # every default, written as the manifest echoes it, passes its own key's rules
+    def text(value):
+        if value is None:
+            return "none"
+        return ",".join(map(str, value)) if isinstance(value, list) else str(value)
+
+    defaults = load_config()
+    echoed = json.loads(json.dumps(cli._echo(defaults)))
+    assert set(echoed) == set(cli.CONFIG_SPEC)
+    for key, value in echoed.items():
+        assert load_config(overrides=[f"{key}={text(value)}"])[key] == defaults[key], key
 
 
 def test_validate_rejects_bad_combinations():
@@ -176,6 +203,13 @@ def test_off_step_times_fail_before_any_solve(tmp_path, capsys):
          "restart.at time 12.34 is not a whole number of run.dt = 0.05 steps from 0"),
         (["run.snapshots=15", "restart.at=15", "restart.t_final=30.01"],
          "restart.t_final time 30.01 is not a whole number of run.dt = 0.05 steps from 15"),
+        # a span with no step used to fail after the solves, as did the
+        # grid and pulse rules that SpatialGrid and PulseParams own
+        (["run.t_final=0"], "run.t_final 0 leaves no run.dt = 0.05 step after 0"),
+        (["run.mode=lab_full", "pulse.ramp_cycles=30"],
+         "bad pulse.* values: need 0 < ramp < flat_end < total cycles"),
+        (["grid.n_points=1000"],
+         "bad grid.* values: n_points must be a power of two >= 2, got 1000"),
     ]
     for extra, message in cases:
         out = tmp_path / "out"
@@ -185,7 +219,7 @@ def test_off_step_times_fail_before_any_solve(tmp_path, capsys):
         assert cli.main(argv) == 1
         assert f"khatom: [cli] {message}" in capsys.readouterr().err
         assert not out.exists()
-    # a time within 1e-6 of a step passes, as Pipeline._propagate lets it
+    # a time within 1e-6 of a step passes: it is stored at that step
     validate_config(load_config(overrides=base + ["run.snapshots=12.3500001"]))
 
 
@@ -530,6 +564,23 @@ def test_transform_then_restart(tmp_path, kh_pairs):
     assert manifest["parent"]["t"] == 625.0
     series = read_series(out / "observables.csv")
     assert series["t"][0] == 625.0
+
+
+def test_transform_and_wigner_plan_no_run(mini_run, tmp_path, kh_pairs):
+    # neither verb propagates, so run.* values that would plan no run pass,
+    # and their manifests echo the config as given
+    lab = tmp_path / "lab.snap"
+    write_snapshot(lab, WaveFunction(kh_pairs[0].state.grid, kh_pairs[0].state.psi, 625.0, "lab"))
+    kh = str(mini_run / "snapshot_t15.snap")
+    cases = [("wigner", kh, "run.snapshots=1300"), ("wigner", kh, "run.dt=0.07"),
+             ("transform", str(lab), "run.snapshots=1300")]
+    for k, (verb, snap, override) in enumerate(cases):
+        out = tmp_path / f"out{k}"
+        assert cli.main([verb, snap, "--out", str(out), "--override", override]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["status"] == "complete"
+        echoed = cli._echo(load_config(overrides=[override]))
+        assert manifest["config"] == json.loads(json.dumps(echoed))
 
 
 def test_wigner_verb_rejects_lab_snapshot(tmp_path, kh_pairs, capsys):

@@ -8,7 +8,6 @@ from khatom.observables import (
     CSV_COLUMNS,
     WINDOW,
     ObservableError,
-    ObservableSeries,
     Recorder,
     autocorrelation,
     population,
@@ -161,13 +160,18 @@ def test_single_eigenstate_autocorrelation_flat(grid, averaged, kh_pairs):
     assert np.max(np.abs(c2 - 1.0)) < 1e-8
 
 
-def test_series_validation():
-    s = ObservableSeries("P_b")
-    s.append(0.0, 0.5)
-    with pytest.raises(ObservableError):
-        s.append(0.0, 0.6)
-    with pytest.raises(ObservableError):
-        s.append(1.0, 1.1)
+def test_series_validation(kh_pairs):
+    # each record is checked as it comes: increasing times, populations in
+    # [0, 1] within 1e-9; the nan P_b of a kh run passes
+    phi = kh_pairs[0].state
+    rec = Recorder(MODE_KH, kh_pairs=kh_pairs)
+    rec.record(0.0, phi)
+    with pytest.raises(ObservableError, match="times must increase"):
+        rec.record(0.0, phi)
+    with pytest.raises(ObservableError, match=r"'P_KH_0': population 1\.10.* outside \[0, 1\]"):
+        rec.record(1.0, WaveFunction(phi.grid, 1.05 * phi.psi, 1.0, phi.frame))
+    assert len(rec.rows) == 1  # a rejected row is not kept
+    assert np.isnan(rec.column("P_b")[0])
 
 
 def test_recorder_kh_nan_columns(kh_beat_run):
@@ -179,8 +183,6 @@ def test_recorder_kh_nan_columns(kh_beat_run):
 
 def test_recorder_series_and_csv_roundtrip(tmp_path, kh_beat_run):
     result, rec = kh_beat_run
-    series = rec.series()
-    assert set(series) == set(CSV_COLUMNS[1:])
     path = tmp_path / "series.csv"
     write_series(path, rec)
     back = read_series(path)
