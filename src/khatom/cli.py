@@ -44,9 +44,10 @@ from .phasespace import (
 )
 from .potential import atomic_potential, kh_averaged_potential
 from .propagator import (
+    MODE_FRAMES,
     MODE_KH,
     MODE_LAB,
-    PropagationJob,
+    SplitOperator,
     propagate,
     read_snapshot,
     write_snapshot,
@@ -58,7 +59,6 @@ class CliError(KhatomError):
 
 
 NAMED_STATES = ("atomic_ground", "kh_ground", "kh_excited", "kh_coherent")
-MODES = (MODE_LAB, MODE_KH)
 TRISTATE = ("auto", "on", "off")
 
 # half-width of the region written to plot-ready density / potential tables
@@ -142,9 +142,10 @@ CONFIG_SPEC = {
     "pulse.total_cycles": (_count, 12),
     "kh.alpha0": (_number, 10.23),
     "kh.quadrature_n": (_count, 2048),
-    # run.* and restart.* spans and times are checked by the plan (validate_config)
+    # run.*, restart.* and wigner.times spans and times are resolved to steps
+    # by the plan (validate_config)
     "run.enabled": (_parse_bool, True),
-    "run.mode": (_parse_choice(MODES), MODE_LAB),
+    "run.mode": (_parse_choice(tuple(MODE_FRAMES)), MODE_LAB),
     "run.initial": (str, "atomic_ground"),
     "run.t0": (_number, 0.0),
     "run.t_final": (_number_or_none, None),
@@ -153,7 +154,7 @@ CONFIG_SPEC = {
     "run.snapshots": (_times, ()),
     "run.absorber": (_parse_choice(TRISTATE), "auto"),
     "restart.at": (_number_or_none, None),
-    "restart.mode": (_parse_choice(MODES), MODE_KH),
+    "restart.mode": (_parse_choice(tuple(MODE_FRAMES)), MODE_KH),
     "restart.t_final": (_number_or_none, None),
     "restart.snapshots": (_times, ()),
     "restart.absorber": (_parse_choice(TRISTATE), "auto"),
@@ -247,26 +248,32 @@ def load_config(path=None, overrides=()) -> dict:
     return cfg
 
 
-def _check_times(key: str, times, t0: float, t1: float, dt: float) -> None:
-    """The propagator's span test, with its 1e-9 slack, and a whole-step
-    test within 1e-6: a time between steps would be stored at the nearest
-    step."""
-    for t in times:
-        if not t0 - 1e-9 <= t <= t1 + 1e-9:
-            raise CliError(f"{key} time {t:g} lies outside the run span [{t0:g}, {t1:g}]")
-        if abs(t0 + round((t - t0) / dt) * dt - t) > 1e-6:
-            raise CliError(
-                f"{key} time {t:g} is not a whole number of run.dt = {dt:g} steps from {t0:g}"
-            )
+def _step(t: float, time: TimeGrid) -> int | None:
+    """The step of the time grid that t lies on, within 1e-6; None between steps."""
+    k = round((t - time.t0) / time.dt)
+    return k if abs(time.time_at(k) - t) <= 1e-6 else None
+
+
+def _steps(key: str, times, time: TimeGrid) -> tuple:
+    """The step of each of the key's times, which must lie on the time grid."""
+    steps = tuple(_step(t, time) for t in times)
+    for t, k in zip(times, steps):
+        if k is None:
+            raise CliError(f"{key} time {t:g} is not a whole number of run.dt = "
+                           f"{time.dt:g} steps from {time.t0:g}")
+        if not 0 <= k <= time.n_steps:
+            span = f"[{time.t0:g}, {time.t_end:g}]"
+            raise CliError(f"{key} time {t:g} lies outside the run span {span}")
+    return steps
 
 
 def _time_grid(key: str, t0: float, t1: float, dt: float) -> TimeGrid:
     """The steps from t0 to the key's t1: a whole number of dt, at least one."""
-    n_steps = round((t1 - t0) / dt)
-    if n_steps < 1:
+    time = TimeGrid(t0=t0, dt=dt, n_steps=round((t1 - t0) / dt))
+    if time.n_steps < 1:
         raise CliError(f"{key} {t1:g} leaves no run.dt = {dt:g} step after {t0:g}")
-    _check_times(key, (t1,), t0, t1, dt)
-    return TimeGrid(t0=t0, dt=dt, n_steps=n_steps)
+    _steps(key, (t1,), time)
+    return time
 
 
 def _read_on_grid(cfg: dict, path: str) -> WaveFunction:
@@ -279,30 +286,35 @@ def _read_on_grid(cfg: dict, path: str) -> WaveFunction:
 
 @dataclass
 class RunSegment:
-    """One planned propagation; run_segment fills in its result."""
+    """One planned propagation, each configured time resolved to a step of
+    its time grid; run_segment fills in its result."""
 
     label: str  # "" for the primary run, "restart_" for the continuation
     mode: str
-    initial: str | None  # a named state, a snapshot path, or None: the primary's state at t0
+    initial: str | None  # a named state, a snapshot path, or None: the primary's at start_step
     time: TimeGrid
-    snapshots: tuple  # sorted
+    snapshot_steps: tuple  # sorted, distinct
+    wigner_steps: tuple  # the snapshot steps that get a Wigner map
     absorber: bool
+    start_step: int | None = None  # the restart's start, a step of the primary
     result: object = None
 
 
-def _segment(cfg: dict, section: str, initial, time: TimeGrid) -> RunSegment:
+def _segment(cfg: dict, section: str, initial, time: TimeGrid, start=None) -> RunSegment:
     """The segment that the section's mode, snapshots and absorber keys set."""
     mode, absorber = cfg[f"{section}.mode"], cfg[f"{section}.absorber"]
+    steps = tuple(sorted(set(_steps(f"{section}.snapshots", cfg[f"{section}.snapshots"], time))))
     return RunSegment(
-        "" if section == "run" else f"{section}_", mode, initial, time,
-        tuple(sorted(cfg[f"{section}.snapshots"])),
-        (mode == MODE_LAB) if absorber == "auto" else (absorber == "on"),
+        "" if section == "run" else f"{section}_", mode, initial, time, steps,
+        steps if cfg["wigner.times"] == "snapshots" else (),
+        (mode == MODE_LAB) if absorber == "auto" else (absorber == "on"), start,
     )
 
 
 def validate_config(cfg: dict) -> list[RunSegment]:
     """Plans the propagation: the primary segment and its restart, each
-    checked against the other keys; [] when there is no run."""
+    checked against the other keys, and each configured time resolved to a
+    step of its segment; [] when there is no run."""
     initial = cfg["run.initial"]
     if initial not in NAMED_STATES and not os.path.exists(initial):
         raise CliError(f"initial-state snapshot file not found: {initial}")
@@ -310,10 +322,11 @@ def validate_config(cfg: dict) -> list[RunSegment]:
     if at is not None:
         if not cfg["run.enabled"]:
             raise CliError("restart.at needs a primary run to restart from")
-        if not any(abs(t - at) < 1e-9 for t in cfg["run.snapshots"]):
-            raise CliError("restart.at must match one of run.snapshots")
         if cfg["restart.t_final"] is None:
             raise CliError("restart.at needs restart.t_final")
+        if (cfg["run.mode"], cfg["restart.mode"]) == (MODE_KH, MODE_LAB):
+            raise CliError(f"restart.mode {MODE_LAB} cannot continue a {MODE_KH} run: "
+                           "only a lab state is carried into the other frame")
     if not cfg["run.enabled"]:
         return []
     mode, dt = cfg["run.mode"], cfg["run.dt"]
@@ -323,38 +336,37 @@ def validate_config(cfg: dict) -> list[RunSegment]:
             raise CliError("named initial states are defined at t = 0 only")
     else:  # a snapshot brings its start time; its grid and frame must fit the run
         wf = _read_on_grid(cfg, initial)
-        frame = FRAME_LAB if mode == MODE_LAB else FRAME_KH
-        if wf.frame != frame:
+        if wf.frame != MODE_FRAMES[mode]:
             raise CliError(
                 f"snapshot {initial} is in the {wf.frame} frame but mode {mode} "
-                f"needs {frame}; apply lab_to_kh first (khatom transform)"
+                f"needs {MODE_FRAMES[mode]}; apply lab_to_kh first (khatom transform)"
             )
         t0 = wf.t
     t_final = cfg["run.t_final"]
     if t_final is None:
         t_final = _config_pulse(cfg).t_final
-    span = (t0, t_final, dt)
-    plan = [_segment(cfg, "run", initial, _time_grid("run.t_final", *span))]
-    if at is not None:
-        _check_times("restart.at", (at,), *span)
-        restart = (at, cfg["restart.t_final"], dt)
-        plan.append(_segment(cfg, "restart", None, _time_grid("restart.t_final", *restart)))
-        _check_times("restart.snapshots", cfg["restart.snapshots"], *restart)
-    _check_times("run.snapshots", cfg["run.snapshots"], *span)
-    snaps = [t for seg in plan for t in seg.snapshots]
-    if isinstance(cfg["wigner.times"], tuple):
+    time = _time_grid("run.t_final", t0, t_final, dt)
+    plan = []
+    if at is not None:  # before run.snapshots, so that an off-step restart.at is named
+        (start,) = _steps("restart.at", (at,), time)
+        restart = _time_grid("restart.t_final", at, cfg["restart.t_final"], dt)
+        plan.append(_segment(cfg, "restart", None, restart, start))
+    plan.insert(0, _segment(cfg, "run", initial, time))
+    if at is not None and start not in plan[0].snapshot_steps:
+        raise CliError("restart.at must match one of run.snapshots")
+    wanted = cfg["wigner.times"]
+    for t in wanted if isinstance(wanted, tuple) else ():
         # an explicit time must name a stored snapshot, or no map is written
-        for t in cfg["wigner.times"]:
-            if not any(abs(t - s) < 1e-6 for s in snaps):
-                raise CliError(
-                    f"wigner.times entry {t:g} matches no run.snapshots or "
-                    "restart.snapshots time"
-                )
+        matched = False
+        for seg in plan:
+            k = _step(t, seg.time)
+            if k in seg.snapshot_steps:
+                seg.wigner_steps += (k,)
+                matched = True
+        if not matched:
+            raise CliError(f"wigner.times entry {t:g} matches no run.snapshots or "
+                           "restart.snapshots time")
     return plan
-
-
-def _fmt_t(t: float) -> str:
-    return f"{t:g}"
 
 
 def _repr_rows(columns):
@@ -369,6 +381,17 @@ def _sha256(path) -> str:
         for chunk in iter(lambda: fh.read(1 << 16), b""):
             digest.update(chunk)
     return digest.hexdigest()
+
+
+def _parent(path: str, wf: WaveFunction) -> dict:
+    """The manifest's record of the snapshot a run or a transform starts
+    from, with the manifest.json beside it when there is one."""
+    path = os.path.abspath(path)
+    parent = {"snapshot": path, "sha256": _sha256(path), "t": wf.t}
+    sibling = os.path.join(os.path.dirname(path), "manifest.json")
+    if os.path.exists(sibling):
+        parent["manifest"] = sibling
+    return parent
 
 
 def _detect_landmarks(times: np.ndarray, abs2: np.ndarray) -> dict:
@@ -419,8 +442,9 @@ def _uses_ground(cfg: dict, plan) -> bool:
 class Pipeline:
     """One CLI invocation: lazy physics objects, staged emission, manifest."""
 
-    def __init__(self, cfg: dict, out_dir: str, recipe: str | None = None):
+    def __init__(self, cfg: dict, out_dir: str, recipe: str | None = None, plan=()):
         self.cfg = cfg
+        self.plan = plan  # validate_config's segments, which run_segment runs in turn
         self.out_dir = out_dir
         os.makedirs(out_dir, exist_ok=True)
         self.files: dict[str, str] = {}
@@ -436,7 +460,6 @@ class Pipeline:
             "status": "incomplete",
             "error": None,
         }
-        self.segments: list[RunSegment] = []
         # where `ground` gets the atomic state; execute may hand it to a forked child
         self.join_ground = self.solve_ground
 
@@ -556,55 +579,43 @@ class Pipeline:
 
     def _initial_state(self, seg: RunSegment) -> WaveFunction:
         """The segment's start: a named state, a stored snapshot (recorded as
-        the run's parent), or the primary's snapshot at t0 in the mode's frame."""
-        frame = FRAME_LAB if seg.mode == MODE_LAB else FRAME_KH
+        the run's parent), or the primary's snapshot at the restart's start
+        step in the mode's frame."""
+        frame = MODE_FRAMES[seg.mode]
         if seg.initial in NAMED_STATES:
             return self._named_state(seg.initial, frame)
         if seg.initial is not None:
-            path = seg.initial
-            wf = read_snapshot(path)
-            parent = {"snapshot": os.path.abspath(path), "sha256": _sha256(path), "t": wf.t}
-            sibling = os.path.join(os.path.dirname(os.path.abspath(path)), "manifest.json")
-            if os.path.exists(sibling):
-                parent["manifest"] = sibling
-            self.manifest["parent"] = parent
+            wf = read_snapshot(seg.initial)
+            self.manifest["parent"] = _parent(seg.initial, wf)
             return wf
-        t0 = seg.time.t0
-        wf = min(self.segments[0].result.snapshots, key=lambda s: abs(s.t - t0))
+        primary = self.plan[0]
+        wf = primary.result.snapshots[primary.snapshot_steps.index(seg.start_step)]
         if wf.frame != frame:
-            # explicit transform stage; the restart verb proper refuses instead
+            # explicit transform stage (lab to kh, the one pair the plan
+            # allows); the restart verb proper refuses instead
             wf = self.ctx.lab_to_kh(wf)
-            write_snapshot(self._path(f"snapshot_t{_fmt_t(t0)}_kh.snap"), wf)
+            write_snapshot(self._path(f"snapshot_t{seg.time.t0:g}_kh.snap"), wf)
         return wf
 
     def run_segment(self, seg: RunSegment) -> None:
-        label, mode = seg.label, seg.mode
+        label, mode, dt = seg.label, seg.mode, seg.time.dt
         initial = self._initial_state(seg)
         if mode == MODE_LAB:
             v = atomic_potential(self.grid.x)
-            recorder = Recorder(MODE_LAB, self.ground, self.pairs, self.ctx)
+            op = SplitOperator(self.grid, v, dt, mode, self.cache, seg.absorber)
+            recorder = Recorder(self.ground, self.pairs, self.ctx)
         else:
-            v = self.avg.samples
-            recorder = Recorder(MODE_KH, kh_pairs=self.pairs)
-        job = PropagationJob(
-            mode=mode,
-            initial=initial,
-            time=seg.time,
-            v=v,
-            cache=self.cache if mode == MODE_LAB else None,
-            use_absorber=seg.absorber,
-            snapshot_times=seg.snapshots,
-            observer=recorder,
-            observer_cadence=self.cfg["run.cadence"],
+            op = SplitOperator(self.grid, self.avg.samples, dt, mode, absorber=seg.absorber)
+            recorder = Recorder(kh_pairs=self.pairs)
+        seg.result = result = propagate(
+            op, initial, seg.time, seg.snapshot_steps, recorder, self.cfg["run.cadence"]
         )
-        seg.result = result = propagate(job)
         if mode == MODE_KH:  # field-free: the Rayleigh energy is conserved up to the splitting error
-            e0, e1 = (rayleigh_energy(v, wf) for wf in (initial, result.final))
+            e0, e1 = (rayleigh_energy(self.avg.samples, wf) for wf in (initial, result.final))
             self.manifest["residuals"][f"{label}energy_drift"] = abs((e1 - e0) / e0)
-        self.segments.append(seg)
         write_series(self._path(f"{label}observables.csv"), recorder)
         for snap in result.snapshots:
-            write_snapshot(self._path(f"{label}snapshot_t{_fmt_t(snap.t)}.snap"), snap)
+            write_snapshot(self._path(f"{label}snapshot_t{snap.t:g}.snap"), snap)
         if self.cfg["emit.densities"]:
             self._emit_segment_densities(seg)
         self.manifest["residuals"][f"{label}final_norm"] = float(result.final.norm())
@@ -617,7 +628,7 @@ class Pipeline:
         sel = np.abs(self.grid.x) <= EMIT_HALF_WIDTH
         xs = self.grid.x[sel]
         for snap in segment.result.snapshots:
-            stem = f"{segment.label}density_t{_fmt_t(snap.t)}"
+            stem = f"{segment.label}density_t{snap.t:g}"
             self._emit_table(f"{stem}_{snap.frame}.dat", (xs, snap.density()[sel]), "x density")
             if snap.frame == FRAME_LAB:
                 kh_view = self.ctx.lab_to_kh(snap)
@@ -682,16 +693,13 @@ class Pipeline:
         ])
 
     def export_run_wigners(self) -> None:
-        wanted = self.cfg["wigner.times"]
-        if wanted == "none":
-            return
         jobs = []
-        for segment in self.segments:
+        for segment in self.plan:
             clean = segment.mode == MODE_KH and segment.initial in NAMED_STATES
             mass_tol = 1e-3 if clean else LOOSE_MASS_TOL
-            for snap in segment.result.snapshots:
-                if wanted == "snapshots" or any(abs(snap.t - t) < 1e-6 for t in wanted):
-                    jobs.append((f"{segment.label}wigner_t{_fmt_t(snap.t)}", snap, mass_tol))
+            for k, snap in zip(segment.snapshot_steps, segment.result.snapshots):
+                if k in segment.wigner_steps:
+                    jobs.append((f"{segment.label}wigner_t{snap.t:g}", snap, mass_tol))
         self._export_wigners(jobs)
 
     def export_portrait(self) -> None:
@@ -740,7 +748,7 @@ class Pipeline:
 def execute(cfg: dict, out_dir: str, recipe: str | None = None) -> Pipeline:
     """The full pipeline: solves -> propagation -> transforms -> exports."""
     plan = validate_config(cfg)
-    pipe = Pipeline(cfg, out_dir, recipe)
+    pipe = Pipeline(cfg, out_dir, recipe, plan)
     uses_ground = _uses_ground(cfg, plan)
     with pipe.finalizing(), (_forked if uses_ground else nullcontext)(pipe.solve_ground) as join:
         pipe.join_ground = join
@@ -778,13 +786,12 @@ def _recipe_path(name: str) -> str:
     raise CliError(f"unknown recipe {name!r} (not a file, not a packaged recipe)")
 
 
-def _verb_config(args, **forced) -> dict:
-    return {**load_config(args.config, list(args.override)), **forced}
+def _verb_config(args) -> dict:
+    return load_config(args.config, list(args.override))
 
 
 def _cmd_plain(args, **forced) -> int:
-    cfg = _verb_config(args, **forced)
-    execute(cfg, args.out)
+    execute({**_verb_config(args), **forced}, args.out)
     return 0
 
 
@@ -801,11 +808,7 @@ def _cmd_transform(args) -> int:
     if wf.frame != FRAME_LAB:
         raise CliError(f"snapshot {args.snapshot} is already in the {wf.frame} frame")
     with Pipeline(cfg, args.out).finalizing() as pipe:
-        pipe.manifest["parent"] = {
-            "snapshot": os.path.abspath(args.snapshot),
-            "sha256": _sha256(args.snapshot),
-            "t": wf.t,
-        }
+        pipe.manifest["parent"] = _parent(args.snapshot, wf)
         stem = os.path.splitext(os.path.basename(args.snapshot))[0]
         write_snapshot(pipe._path(f"{stem}_kh.snap"), pipe.ctx.lab_to_kh(wf))
     return 0
@@ -832,7 +835,8 @@ def _cmd_restart(args) -> int:
     cfg = _verb_config(args)
     if cfg["restart.t_final"] is None:
         raise CliError("restart needs restart.t_final")
-    forced = {
+    execute({
+        **cfg,
         "run.enabled": True,
         "run.mode": cfg["restart.mode"],
         "run.initial": args.snapshot,
@@ -840,30 +844,41 @@ def _cmd_restart(args) -> int:
         "run.snapshots": cfg["restart.snapshots"],
         "run.absorber": cfg["restart.absorber"],
         "restart.at": None,
-    }
-    cfg = _verb_config(args, **forced)
-    execute(cfg, args.out)
+    }, args.out)
+    return 0
+
+
+def _cmd_observables(args) -> int:
+    # no snapshot but the one a restart starts from, and no map
+    cfg = _verb_config(args)
+    snapshots = () if cfg["restart.at"] is None else (cfg["restart.at"],)
+    execute({**cfg, "run.snapshots": snapshots, "restart.snapshots": (),
+             "wigner.times": "none"}, args.out)
     return 0
 
 
 def _cmd_portrait(args) -> int:
-    forced = {"run.enabled": False}
-    if _verb_config(args)["portrait.energies"] == "none":
-        forced["portrait.energies"] = "auto"
-    return _cmd_plain(args, **forced)
+    cfg = _verb_config(args)
+    energies = "auto" if cfg["portrait.energies"] == "none" else cfg["portrait.energies"]
+    execute({**cfg, "run.enabled": False, "portrait.energies": energies}, args.out)
+    return 0
 
 
+# verb: (handler, help, positional argument and its nargs)
 VERBS = {
-    "eigen": partial(_cmd_plain, **{"run.enabled": False, "emit.eigen": True}),
-    "potential": partial(_cmd_plain, **{"run.enabled": False, "emit.potential": True}),
-    "field": partial(_cmd_plain, **{"run.enabled": False, "emit.field": True}),
-    "propagate": _cmd_plain,
-    "observables": partial(_cmd_plain, **{"run.snapshots": (), "wigner.times": "none"}),
-    "portrait": _cmd_portrait,
-    "transform": _cmd_transform,
-    "wigner": _cmd_wigner,
-    "run": _cmd_run,
-    "restart": _cmd_restart,
+    "eigen": (partial(_cmd_plain, **{"run.enabled": False, "emit.eigen": True}),
+              "solve and emit the bound states", ()),
+    "potential": (partial(_cmd_plain, **{"run.enabled": False, "emit.potential": True}),
+                  "emit bare and averaged potentials", ()),
+    "field": (partial(_cmd_plain, **{"run.enabled": False, "emit.field": True}),
+              "emit the pulse field table", ()),
+    "propagate": (_cmd_plain, "propagate and store snapshots", ()),
+    "observables": (_cmd_observables, "propagate, observables only", ()),
+    "transform": (_cmd_transform, "convert a lab snapshot to the kh frame", ("snapshot", None)),
+    "wigner": (_cmd_wigner, "Wigner map of stored kh snapshots", ("snapshot", "+")),
+    "portrait": (_cmd_portrait, "emit equienergy curves", ()),
+    "run": (_cmd_run, "execute a figure recipe", ("recipe", None)),
+    "restart": (_cmd_restart, "continue from a stored snapshot", ("snapshot", None)),
 }
 
 
@@ -873,40 +888,24 @@ def _build_parser() -> argparse.ArgumentParser:
         description="1D strong-field dynamics in and out of the oscillating frame",
     )
     sub = parser.add_subparsers(dest="verb", required=True)
-
-    def common(sp):
+    for verb, (_, help_text, positional) in VERBS.items():
+        sp = sub.add_parser(verb, help=help_text)
+        if positional:
+            name, nargs = positional
+            sp.add_argument(name, nargs=nargs)
         sp.add_argument("--config", default=None, help="key = value config file")
         sp.add_argument("--out", default="khatom_out", help="output directory")
         sp.add_argument(
             "--override", action="append", default=[], metavar="KEY=VALUE",
             help="override one config key (repeatable)",
         )
-
-    common(sub.add_parser("eigen", help="solve and emit the bound states"))
-    common(sub.add_parser("potential", help="emit bare and averaged potentials"))
-    common(sub.add_parser("field", help="emit the pulse field table"))
-    common(sub.add_parser("propagate", help="propagate and store snapshots"))
-    common(sub.add_parser("observables", help="propagate, observables only"))
-    sp = sub.add_parser("transform", help="convert a lab snapshot to the kh frame")
-    sp.add_argument("snapshot")
-    common(sp)
-    sp = sub.add_parser("wigner", help="Wigner map of stored kh snapshots")
-    sp.add_argument("snapshot", nargs="+")
-    common(sp)
-    common(sub.add_parser("portrait", help="emit equienergy curves"))
-    sp = sub.add_parser("run", help="execute a figure recipe")
-    sp.add_argument("recipe")
-    common(sp)
-    sp = sub.add_parser("restart", help="continue from a stored snapshot")
-    sp.add_argument("snapshot")
-    common(sp)
     return parser
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return VERBS[args.verb](args)
+        return VERBS[args.verb][0](args)
     except KhatomError as err:
         print(f"khatom: [{err.module}] {err}", file=sys.stderr)
         return 1

@@ -86,15 +86,11 @@ class SpatialGrid:
 
 @dataclass(frozen=True)
 class TimeGrid:
+    """The times t0 + k*dt, k = 0..n_steps; the run plan checks dt and n_steps."""
+
     t0: float
     dt: float
     n_steps: int
-
-    def __post_init__(self):
-        if self.dt <= 0:
-            raise GridError(f"dt must be positive, got {self.dt}")
-        if self.n_steps < 0:
-            raise GridError("n_steps must be nonnegative")
 
     @property
     def t_end(self) -> float:

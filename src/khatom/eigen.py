@@ -83,15 +83,17 @@ def _real_multiply_p(mult: np.ndarray, block: np.ndarray) -> np.ndarray:
     return irfft(spec, len(block), axis=0, overwrite_x=True)
 
 
+def _energy_residual(v: np.ndarray, wf: WaveFunction) -> tuple[float, float]:
+    """<psi|H|psi> and ||H psi - E psi||, from one application of H."""
+    hpsi = _apply_h(v, wf.grid, wf.psi)
+    energy = float(np.real(inner_product(wf, WaveFunction(wf.grid, hpsi, wf.t, wf.frame))))
+    r = hpsi - energy * wf.psi
+    return energy, float(np.sqrt(wf.grid.dx * np.sum(np.abs(r) ** 2)))
+
+
 def rayleigh_energy(v: np.ndarray, wf: WaveFunction) -> float:
     """<psi|H|psi> with spectral kinetic energy and diagonal potential."""
-    hpsi = _apply_h(v, wf.grid, wf.psi)
-    return float(np.real(inner_product(wf, WaveFunction(wf.grid, hpsi, wf.t, wf.frame))))
-
-
-def _residual(v: np.ndarray, wf: WaveFunction, energy: float) -> float:
-    r = _apply_h(v, wf.grid, wf.psi) - energy * wf.psi
-    return float(np.sqrt(wf.grid.dx * np.sum(np.abs(r) ** 2)))
+    return _energy_residual(v, wf)[0]
 
 
 def parity_of(wf: WaveFunction, tol: float = PARITY_TOL) -> str:
@@ -176,13 +178,13 @@ def imaginary_time_ground_state(
         )
 
     wf = fix_global_phase(WaveFunction(grid, psi))
-    energy = rayleigh_energy(v, wf)
+    energy, residual = _energy_residual(v, wf)
     if energy >= min(v[0], v[-1]):
         raise EigenError(
             f"converged energy {energy:.6g} is not below the edge potential; "
             "no bound state found"
         )
-    return EigenPair(energy, wf, 0, parity_of(wf), _residual(v, wf, energy))
+    return EigenPair(energy, wf, 0, parity_of(wf), residual)
 
 
 def bound_states_fd(v: np.ndarray, grid: SpatialGrid) -> list[EigenPair]:
@@ -249,8 +251,7 @@ def bound_states(v: np.ndarray, grid: SpatialGrid) -> list[EigenPair]:
     pairs = []
     for k in range(len(seeds)):
         wf = fix_global_phase(WaveFunction(grid, vecs[:, k]))
-        energy = rayleigh_energy(v, wf)
-        residual = _residual(v, wf, energy)
+        energy, residual = _energy_residual(v, wf)
         if not residual <= LOBPCG_TOL:
             raise EigenError(
                 f"LOBPCG did not converge in {LOBPCG_MAXITER} iterations: state {k} "

@@ -9,7 +9,7 @@ interpolation during propagation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -103,13 +103,11 @@ def field_value(params: PulseParams, t):
 class FieldCache:
     """Dense uniform samples of eps, A, alpha, S = int A^2 over the pulse.
 
-    endpoint_residuals records (|A(t_final)|, |alpha(t_final)|/alpha0); a
-    value above ZERO_NET_TOL means the pulse failed the zero net momentum /
-    displacement check and warnings carries a message, but lookups still
-    work.
+    endpoint_residuals records (|A(t_final)|, |alpha(t_final)|/alpha0):
+    the zero net momentum / displacement check, which the run's manifest
+    carries.
     """
 
-    params: PulseParams
     dt_field: float
     times: np.ndarray
     eps: np.ndarray
@@ -117,9 +115,6 @@ class FieldCache:
     alpha: np.ndarray
     s: np.ndarray
     endpoint_residuals: tuple[float, float] = (0.0, 0.0)
-    warnings: list[str] = field(default_factory=list)
-
-    ZERO_NET_TOL = 1e-6
 
     def _lookup(self, series, t):
         return np.interp(t, self.times, series, left=0.0, right=series[-1])
@@ -182,10 +177,4 @@ def build_field_cache(params: PulseParams, dt_field: float) -> FieldCache:
     res_a = abs(a[-1])
     scale = params.alpha0 if params.alpha0 > 0 else 1.0
     res_alpha = abs(alpha[-1]) / scale
-    cache = FieldCache(params, dt_field, times, eps, a, alpha, s, (res_a, res_alpha))
-    if res_a > FieldCache.ZERO_NET_TOL or res_alpha > FieldCache.ZERO_NET_TOL:
-        cache.warnings.append(
-            "nonzero net transfer at pulse end: "
-            f"|A| = {res_a:.3e}, |alpha|/alpha0 = {res_alpha:.3e}"
-        )
-    return cache
+    return FieldCache(dt_field, times, eps, a, alpha, s, (res_a, res_alpha))

@@ -105,49 +105,34 @@ class Recorder:
     Each row is checked as it comes: times must increase, and every P_*
     population lie in [0, 1] (within 1e-9) unless it is nan.
 
-    For lab runs, pass the atomic ground pair and a frame context; the
-    dressed-state populations and oscillating-frame columns are then
-    computed on the transformed snapshot.  For kh runs, those transforms
-    are identities the state already lives in, and the lab-only columns
-    are nan.
+    Given a frame context, the Recorder records a lab run: P_b is taken
+    against the atomic ground pair, and the dressed-state populations and
+    oscillating-frame columns on the transformed snapshot.  Without one it
+    records a kh run: those transforms are identities the state already
+    lives in, and the lab-only columns are nan.
     """
 
     def __init__(
         self,
-        mode: str,
         ground_pair=None,
         kh_pairs=(),
         frame_ctx: FrameTransformContext | None = None,
     ):
-        from .propagator import MODE_KH, MODE_LAB  # local import, no cycle
-
-        if mode not in (MODE_LAB, MODE_KH):
-            raise ObservableError(f"unknown mode '{mode}'")
-        if mode == MODE_LAB and frame_ctx is None:
-            raise ObservableError("lab recording needs a frame context")
-        self._lab = mode == MODE_LAB
+        self._lab = frame_ctx is not None
         self.ground_pair = ground_pair
         self.kh_pairs = tuple(kh_pairs)
         self.frame_ctx = frame_ctx
         self.rows: list[tuple] = []
         self._ref_kh: WaveFunction | None = None
 
-    def _kh_view(self, wf: WaveFunction) -> WaveFunction:
-        if self._lab:
-            return self.frame_ctx.lab_to_kh(wf)
-        return wf
-
     def record(self, t: float, wf: WaveFunction) -> None:
         if self.rows and t <= self.rows[-1][0]:
             raise ObservableError(f"observable times must increase: {t} after {self.rows[-1][0]}")
-        kh = self._kh_view(wf)
+        kh = self.frame_ctx.lab_to_kh(wf) if self._lab else wf
         if self._ref_kh is None:
             self._ref_kh = kh
 
-        if self._lab and self.ground_pair is not None:
-            p_b = population(wf, self.ground_pair.state)
-        else:
-            p_b = np.nan
+        p_b = population(wf, self.ground_pair.state) if self._lab else np.nan
         pops = [population(kh, pair.state) for pair in self.kh_pairs]
         p0 = pops[0] if len(pops) > 0 else np.nan
         p1 = pops[1] if len(pops) > 1 else np.nan

@@ -23,6 +23,11 @@ with two CPUs, propagate hands the odd half to a forked partner process:
 the two meet at one spin barrier per step in shared memory and exchange
 their spectra there.  Elsewhere, and on grids below PARTNER_MIN_POINTS,
 one process steps both halves in turn, with the same bytes.
+
+``propagate(op, initial, time, snapshot_steps, observer, cadence)`` steps
+the SplitOperator its caller built (absorber included) over the time
+grid and keeps the states at the given step indices; it neither rounds
+nor compares times.
 """
 
 from __future__ import annotations
@@ -53,7 +58,7 @@ from .laser import FieldCache
 __all__ = [
     "MODE_LAB",
     "MODE_KH",
-    "PropagationJob",
+    "MODE_FRAMES",
     "PropagationResult",
     "PropagatorError",
     "SplitOperator",
@@ -65,6 +70,8 @@ __all__ = [
 
 MODE_LAB = "lab_full"
 MODE_KH = "kh_averaged"
+# the frame each mode's states live in
+MODE_FRAMES = {MODE_LAB: FRAME_LAB, MODE_KH: FRAME_KH}
 
 SNAPSHOT_MAGIC = "KHPS1"
 
@@ -95,8 +102,9 @@ class SplitOperator:
 
     forward and backward are the two stages of one half (0 even, 1 odd)
     of the step, as the module docstring sets out; propagate runs them in
-    one process or two.  The absorber mask, if any, is applied once at the
-    end of every step.
+    one process or two.  With absorber, the mask of build_absorber_mask
+    is applied once at the end of every step.  frame is the frame the
+    mode's states live in.
     """
 
     def __init__(
@@ -106,9 +114,9 @@ class SplitOperator:
         dt: float,
         mode: str = MODE_KH,
         cache: FieldCache | None = None,
-        mask: np.ndarray | None = None,
+        absorber: bool = False,
     ):
-        if mode not in (MODE_LAB, MODE_KH):
+        if mode not in MODE_FRAMES:
             raise PropagatorError(f"unknown mode '{mode}'")
         if mode == MODE_LAB and cache is None:
             raise PropagatorError("lab_full stepping needs a field cache")
@@ -118,10 +126,12 @@ class SplitOperator:
         self.grid = grid
         self.dt = dt
         self.mode = mode
+        self.frame = MODE_FRAMES[mode]
         self.cache = cache
         n = grid.n_points
         h = n // 2
         self._expv_half = tuple(np.exp(-0.5j * dt * v[i::2]) for i in (0, 1))
+        mask = build_absorber_mask(grid) if absorber else None
         self._mask = None if mask is None else tuple(mask[i::2].copy() for i in (0, 1))
         expt = np.exp(-0.5j * dt * grid.p**2)
         w = phase_ramp(0.0, -2.0 * np.pi / n, 0.0, 1.0, h)
@@ -172,88 +182,61 @@ def _in_place(transform, x: np.ndarray) -> None:
 
 
 @dataclass
-class PropagationJob:
-    mode: str
-    initial: WaveFunction
-    time: TimeGrid
-    v: np.ndarray
-    cache: FieldCache | None = None
-    use_absorber: bool = True
-    snapshot_times: tuple = ()
-    observer: object | None = None
-    observer_cadence: int = 20
-
-    def __post_init__(self):
-        if self.mode not in (MODE_LAB, MODE_KH):
-            raise PropagatorError(f"unknown mode '{self.mode}'")
-        want = FRAME_LAB if self.mode == MODE_LAB else FRAME_KH
-        if self.initial.frame != want:
-            raise PropagatorError(
-                f"mode {self.mode} needs a '{want}' frame initial state, "
-                f"got '{self.initial.frame}'"
-            )
-        if self.mode == MODE_LAB and self.cache is None:
-            raise PropagatorError("lab_full propagation needs a field cache")
-        t0, t1 = self.time.t0, self.time.t_end
-        for ts in self.snapshot_times:
-            if not (t0 - 1e-9 <= ts <= t1 + 1e-9):
-                raise PropagatorError(f"snapshot time {ts} outside [{t0}, {t1}]")
-
-
-@dataclass
 class PropagationResult:
     snapshots: list
     final: WaveFunction
     absorbed_norm: float
 
 
-def propagate(job: PropagationJob) -> PropagationResult:
-    """Iterate split steps over the job's time grid.
+def propagate(op: SplitOperator, initial: WaveFunction, time: TimeGrid, snapshot_steps=(),
+              observer=None, cadence: int = 20) -> PropagationResult:
+    """Iterate op's split steps over the time grid.
 
-    Snapshots are taken at the step nearest each requested time (the
-    actual time is recorded on the WaveFunction).  The observer, if any,
-    is called as observer.record(t, wf) every observer_cadence steps,
+    The state after each step in snapshot_steps (0 is the initial state)
+    is kept, stamped with time.time_at(k), in step order.  The observer,
+    if any, is called as observer.record(t, wf) every cadence steps,
     including step 0 and the final step.  Non-finite amplitudes, or an
     initial norm that overflows, abort with the offending step index.
     """
-    grid = job.initial.grid
-    tg = job.time
-    mask = build_absorber_mask(grid) if job.use_absorber else None
-    op = SplitOperator(grid, job.v, tg.dt, job.mode, job.cache, mask)
+    grid, frame = op.grid, op.frame
+    if initial.grid != grid:
+        raise PropagatorError("the initial state lies on another grid than the operator")
+    if initial.frame != frame:
+        raise PropagatorError(
+            f"mode {op.mode} needs a '{frame}' frame initial state, got '{initial.frame}'"
+        )
+    snap_steps = set(snapshot_steps)
+    for k in snap_steps:
+        if not 0 <= k <= time.n_steps:
+            raise PropagatorError(f"snapshot step {k} outside [0, {time.n_steps}]")
 
-    snap_steps = {}
-    for ts in job.snapshot_times:
-        k = int(round((ts - tg.t0) / tg.dt))
-        snap_steps.setdefault(min(max(k, 0), tg.n_steps), []).append(ts)
-
-    psi = job.initial.psi
+    psi = initial.psi
     with np.errstate(over="ignore"):
         initial_sq = grid.dx * float(np.sum(np.abs(psi) ** 2))
     if not np.isfinite(initial_sq):  # the observer would overflow on it at step 0
         raise PropagatorError("non-finite norm at step 0")
-    frame = job.initial.frame
     snapshots = []
 
     def observed(k):
-        return job.observer is not None and (k % job.observer_cadence == 0 or k == tg.n_steps)
+        return observer is not None and (k % cadence == 0 or k == time.n_steps)
 
     def wanted(k):
         return observed(k) or k in snap_steps
 
     def emit(k, psi):  # psi: a fresh array of the state after step k
-        t = tg.time_at(k)
+        t = time.time_at(k)
         wf = WaveFunction(grid, psi, t, frame)
         if k in snap_steps:
             snapshots.append(wf)
         if observed(k):
-            job.observer.record(t, wf)
+            observer.record(t, wf)
 
     if wanted(0):
         emit(0, psi.copy())
     run = _with_partner if _use_partner(grid.n_points) else _inline
-    psi = run(op, tg, psi, wanted, emit)
+    psi = run(op, time, psi, wanted, emit)
 
-    final = WaveFunction(grid, psi, tg.t_end, frame)
+    final = WaveFunction(grid, psi, time.t_end, frame)
     absorbed = initial_sq - grid.dx * float(np.sum(np.abs(psi) ** 2))
     return PropagationResult(snapshots, final, absorbed)
 

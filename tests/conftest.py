@@ -17,7 +17,7 @@ from khatom.frame import FrameTransformContext
 from khatom.laser import PulseParams, build_field_cache
 from khatom.observables import Recorder
 from khatom.potential import atomic_potential, kh_averaged_potential
-from khatom.propagator import MODE_KH, MODE_LAB, PropagationJob, propagate
+from khatom.propagator import MODE_KH, MODE_LAB, SplitOperator, propagate
 
 ALPHA0 = 10.23
 
@@ -86,17 +86,12 @@ def kh_beat_run(grid, averaged, kh_pairs, psi_coh, beat_period):
     the autocorrelation and half-line masses used by several tests.
     """
     t10 = beat_period
-    rec = Recorder(MODE_KH, kh_pairs=kh_pairs)
-    job = PropagationJob(
-        mode=MODE_KH,
-        initial=psi_coh,
-        time=TimeGrid(t0=0.0, dt=0.05, n_steps=int(round(2.0 * t10 / 0.05))),
-        v=averaged.samples,
-        use_absorber=False,
-        snapshot_times=[k * t10 / 4.0 for k in range(9)],
-        observer=rec,
-    )
-    return propagate(job), rec
+    rec = Recorder(kh_pairs=kh_pairs)
+    op = SplitOperator(grid, averaged.samples, 0.05, MODE_KH)
+    time = TimeGrid(t0=0.0, dt=0.05, n_steps=round(2.0 * t10 / 0.05))
+    # the steps nearest the quarter-period marks
+    steps = [round(k * t10 / 4.0 / 0.05) for k in range(9)]
+    return propagate(op, psi_coh, time, steps, rec), rec
 
 
 @pytest.fixture(scope="session")
@@ -115,22 +110,15 @@ def lab_ground_run(grid, v_atom, pulse, cache, ground_pair, kh_pairs):
     ground survival) come from this run.
     """
     rec = Recorder(
-        MODE_LAB,
         ground_pair=ground_pair,
         kh_pairs=kh_pairs,
         frame_ctx=FrameTransformContext(cache=cache, grid=grid),
     )
     wf0 = ground_pair.state.with_frame("lab")
-    job = PropagationJob(
-        mode=MODE_LAB,
-        initial=wf0,
-        time=TimeGrid(t0=0.0, dt=0.05, n_steps=int(round(pulse.t_final / 0.05))),
-        v=v_atom,
-        cache=cache,
-        snapshot_times=[625.0, pulse.t_final],
-        observer=rec,
-    )
-    return propagate(job), rec
+    op = SplitOperator(grid, v_atom, 0.05, MODE_LAB, cache, absorber=True)
+    time = TimeGrid(t0=0.0, dt=0.05, n_steps=round(pulse.t_final / 0.05))
+    steps = [round(625.0 / 0.05), time.n_steps]
+    return propagate(op, wf0, time, steps, rec), rec
 
 
 @pytest.fixture(scope="session")
@@ -142,22 +130,14 @@ def lab_ground_production(grid, v_atom, long_pulse, long_cache, ground_pair, kh_
     after one-cycle boxcar smoothing.
     """
     rec = Recorder(
-        MODE_LAB,
         ground_pair=ground_pair,
         kh_pairs=kh_pairs,
         frame_ctx=FrameTransformContext(cache=long_cache, grid=grid),
     )
-    job = PropagationJob(
-        mode=MODE_LAB,
-        initial=ground_pair.state.with_frame("lab"),
-        time=TimeGrid(t0=0.0, dt=0.1, n_steps=int(round(long_pulse.t_final / 0.1))),
-        v=v_atom,
-        cache=long_cache,
-        snapshot_times=[600.0, 1200.0, 1800.0, long_pulse.t_final],
-        observer=rec,
-        observer_cadence=5,
-    )
-    return propagate(job), rec
+    op = SplitOperator(grid, v_atom, 0.1, MODE_LAB, long_cache, absorber=True)
+    time = TimeGrid(t0=0.0, dt=0.1, n_steps=round(long_pulse.t_final / 0.1))
+    steps = [round(t / 0.1) for t in (600.0, 1200.0, 1800.0, long_pulse.t_final)]
+    return propagate(op, ground_pair.state.with_frame("lab"), time, steps, rec, cadence=5), rec
 
 
 @pytest.fixture(scope="session")
@@ -169,7 +149,6 @@ def lab_coh_run(grid, v_atom, long_pulse, long_cache, ground_pair, kh_pairs, psi
     late-time window centers where the sloshing is inspected.
     """
     rec = Recorder(
-        MODE_LAB,
         ground_pair=ground_pair,
         kh_pairs=kh_pairs,
         frame_ctx=FrameTransformContext(cache=long_cache, grid=grid),
@@ -177,16 +156,9 @@ def lab_coh_run(grid, v_atom, long_pulse, long_cache, ground_pair, kh_pairs, psi
     wf0 = psi_coh.with_frame("lab")
     centers = (720.0, 1520.0, 2198.0)
     snaps = sorted(c + d for c in centers for d in (-80.0, -60.0, -40.0, -20.0, 0.0))
-    job = PropagationJob(
-        mode=MODE_LAB,
-        initial=wf0,
-        time=TimeGrid(t0=0.0, dt=0.05, n_steps=int(round(long_pulse.t_final / 0.05))),
-        v=v_atom,
-        cache=long_cache,
-        snapshot_times=snaps,
-        observer=rec,
-    )
-    return propagate(job), rec
+    op = SplitOperator(grid, v_atom, 0.05, MODE_LAB, long_cache, absorber=True)
+    time = TimeGrid(t0=0.0, dt=0.05, n_steps=round(long_pulse.t_final / 0.05))
+    return propagate(op, wf0, time, [round(t / 0.05) for t in snaps], rec), rec
 
 
 def pytest_terminal_summary(terminalreporter):

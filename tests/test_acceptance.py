@@ -29,7 +29,7 @@ from khatom.phasespace import (
     wigner_marginals,
 )
 from khatom.potential import DEFAULT_MODEL, kh_averaged_potential
-from khatom.propagator import MODE_KH, MODE_LAB, PropagationJob, propagate
+from khatom.propagator import MODE_KH, MODE_LAB, SplitOperator, propagate
 from oracles import harmonic_amplitude, kh_fourier_harmonic
 
 ALPHA0 = 10.23
@@ -196,16 +196,10 @@ def test_beat_autocorrelation(kh_beat_run, kh_pairs):
 
 def test_eigenstate_autocorrelation(kh_pairs, averaged):
     t10 = 2.0 * np.pi / (kh_pairs[1].energy - kh_pairs[0].energy)
-    rec = Recorder(MODE_KH, kh_pairs=kh_pairs)
-    propagate(PropagationJob(
-        mode=MODE_KH,
-        initial=kh_pairs[0].state,
-        time=TimeGrid(t0=0.0, dt=0.1, n_steps=int(round(2.0 * t10 / 0.1))),
-        v=averaged.samples,
-        use_absorber=False,
-        observer=rec,
-        observer_cadence=50,
-    ))
+    rec = Recorder(kh_pairs=kh_pairs)
+    op = SplitOperator(averaged.grid, averaged.samples, 0.1, MODE_KH)
+    time = TimeGrid(t0=0.0, dt=0.1, n_steps=round(2.0 * t10 / 0.1))
+    propagate(op, kh_pairs[0].state, time, observer=rec, cadence=50)
     dev = float(np.abs(rec.column("autocorr_abs2") - 1.0).max())
     ok = dev < 1e-8
     detail = _verdict("4b", ok, f"max||C|^2-1|={dev:.2e} over [0,2T10] (tol 1e-8)")
@@ -250,14 +244,8 @@ def test_wigner_beat_match(beat_wigners, kh_pairs):
 
 
 def test_unitarity_drift(ground_pair, v_atom, long_cache):
-    res = propagate(PropagationJob(
-        mode=MODE_LAB,
-        initial=ground_pair.state.with_frame("lab"),
-        time=TimeGrid(t0=0.0, dt=0.1, n_steps=10000),
-        v=v_atom,
-        cache=long_cache,
-        use_absorber=False,
-    ))
+    op = SplitOperator(ground_pair.state.grid, v_atom, 0.1, MODE_LAB, long_cache)
+    res = propagate(op, ground_pair.state.with_frame("lab"), TimeGrid(t0=0.0, dt=0.1, n_steps=10000))
     drift = abs(res.final.norm() - 1.0)
     ok = drift < 1e-10
     detail = _verdict("6a", ok, f"|norm-1|={drift:.2e} after 1e4 absorber-free steps (tol 1e-10)")
@@ -267,14 +255,9 @@ def test_unitarity_drift(ground_pair, v_atom, long_cache):
 def test_dt_halving_overlap(ground_pair, v_atom, long_cache):
     finals = []
     for dt in (0.1, 0.05):
-        res = propagate(PropagationJob(
-            mode=MODE_LAB,
-            initial=ground_pair.state.with_frame("lab"),
-            time=TimeGrid(t0=0.0, dt=dt, n_steps=int(round(100.0 / dt))),
-            v=v_atom,
-            cache=long_cache,
-            use_absorber=False,
-        ))
+        op = SplitOperator(ground_pair.state.grid, v_atom, dt, MODE_LAB, long_cache)
+        time = TimeGrid(t0=0.0, dt=dt, n_steps=round(100.0 / dt))
+        res = propagate(op, ground_pair.state.with_frame("lab"), time)
         finals.append(res.final)
     ov = abs(autocorrelation(finals[0], finals[1]))
     ok = ov >= 1.0 - 1e-6

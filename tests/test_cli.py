@@ -14,7 +14,7 @@ import pytest
 
 from khatom import cli, propagator
 from khatom.cli import CliError, load_config, validate_config
-from khatom.core import WaveFunction
+from khatom.core import TimeGrid, WaveFunction
 from khatom.eigen import EigenError
 from khatom.observables import read_series
 from khatom.phasespace import REALITY_TOL, PhaseSpaceError, read_wigner
@@ -221,6 +221,38 @@ def test_off_step_times_fail_before_any_solve(tmp_path, capsys):
         assert not out.exists()
     # a time within 1e-6 of a step passes: it is stored at that step
     validate_config(load_config(overrides=base + ["run.snapshots=12.3500001"]))
+
+
+def test_plan_resolves_times_to_steps():
+    # each configured time becomes a step of its segment once, in the plan
+    run, restart = validate_config(load_config(overrides=[
+        "run.mode=kh_averaged", "run.initial=kh_coherent", "run.t_final=30",
+        "run.snapshots=30, 15, 15.0000004", "restart.at=15", "restart.t_final=45",
+        "restart.snapshots=45, 30", "wigner.times=15, 45",
+    ]))
+    assert run.time == TimeGrid(0.0, 0.05, 600) and run.start_step is None
+    assert run.snapshot_steps == (300, 600) and run.wigner_steps == (300,)
+    assert restart.time == TimeGrid(15.0, 0.05, 600) and restart.start_step == 300
+    assert restart.snapshot_steps == (300, 600) and restart.wigner_steps == (600,)
+
+
+def test_lab_restart_of_a_kh_run_fails_before_any_solve(tmp_path, capsys):
+    # only a lab state is carried into the other frame: a lab_full restart of
+    # a kh_averaged run used to fail only after the whole primary run
+    overrides = ["grid.n_points=1024", "run.mode=kh_averaged", "run.initial=kh_coherent",
+                 "run.t_final=10", "run.snapshots=5", "restart.at=5", "restart.t_final=10",
+                 "restart.mode=lab_full"]
+    message = "restart.mode lab_full cannot continue a kh_averaged run"
+    with pytest.raises(CliError, match=message):
+        validate_config(load_config(overrides=overrides))
+    validate_config(load_config(overrides=overrides + ["run.mode=lab_full"]))
+    out = tmp_path / "out"
+    argv = ["propagate", "--out", str(out)]
+    for item in overrides:
+        argv += ["--override", item]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err.startswith(f"khatom: [cli] {message}")
+    assert not out.exists()
 
 
 def test_emit_table_bytes_match_repr_loop(tmp_path):
@@ -564,6 +596,42 @@ def test_transform_then_restart(tmp_path, kh_pairs):
     assert manifest["parent"]["t"] == 625.0
     series = read_series(out / "observables.csv")
     assert series["t"][0] == 625.0
+
+
+def test_observables_verb_runs_a_restart(mini_cfg_path, mini_run, tmp_path):
+    # the verb keeps the one snapshot the restart starts from, and writes the
+    # series of both segments as the full run does
+    out = tmp_path / "obs"
+    assert cli.main(["observables", "--config", mini_cfg_path, "--out", str(out)]) == 0
+    files = set(json.loads((out / "manifest.json").read_text())["files"])
+    assert {"observables.csv", "restart_observables.csv", "snapshot_t15.snap"} <= files
+    assert not any(name.startswith(("restart_snapshot", "wigner", "restart_wigner"))
+                   for name in files)
+    for name in ("observables.csv", "restart_observables.csv"):
+        assert filecmp.cmp(out / name, mini_run / name, shallow=False)
+
+
+def test_transform_records_the_parent_run(tmp_path, kh_pairs):
+    # transform and restart record their snapshot's parent the same way,
+    # with the manifest.json of the run directory the snapshot sits in
+    run_dir = tmp_path / "run"
+    assert cli.main(["field", "--out", str(run_dir)]) == 0
+    snap = run_dir / "lab.snap"
+    write_snapshot(snap, WaveFunction(kh_pairs[0].state.grid, kh_pairs[0].state.psi, 625.0, "lab"))
+    out = tmp_path / "t"
+    assert cli.main(["transform", str(snap), "--out", str(out)]) == 0
+    assert json.loads((out / "manifest.json").read_text())["parent"] == {
+        "snapshot": str(snap),
+        "sha256": hashlib.sha256(snap.read_bytes()).hexdigest(),
+        "t": 625.0,
+        "manifest": str(run_dir / "manifest.json"),
+    }
+    kh_snap = out / "lab_kh.snap"
+    continued = tmp_path / "continued"
+    assert cli.main(["restart", str(kh_snap), "--out", str(continued),
+                     "--override", "restart.t_final=626"]) == 0
+    parent = json.loads((continued / "manifest.json").read_text())["parent"]
+    assert parent["snapshot"] == str(kh_snap) and parent["manifest"] == str(out / "manifest.json")
 
 
 def test_transform_and_wigner_plan_no_run(mini_run, tmp_path, kh_pairs):

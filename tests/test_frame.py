@@ -54,22 +54,15 @@ def test_free_quiver_static_in_kh(ctx, grid, cache):
     the direction of the shift against the driven propagator; every
     other check in this file is blind to a global sign flip.
     """
-    from khatom.propagator import MODE_LAB, PropagationJob, propagate
+    from khatom.propagator import MODE_LAB, SplitOperator, propagate
     from khatom.core import TimeGrid
 
     t0 = 600.0  # field node on the flat top: alpha(t0) = 0, A(t0) != 0
     a0 = cache.a_at(t0)
     assert abs(a0) > 0.5
     wf0 = lab_gaussian(grid, x0=-15.0, width=20.0, p0=-a0, t=t0)
-    job = PropagationJob(
-        mode=MODE_LAB,
-        initial=wf0,
-        time=TimeGrid(t0=t0, dt=0.05, n_steps=500),
-        v=np.zeros(grid.n_points),
-        cache=cache,
-        use_absorber=False,
-    )
-    fin = propagate(job).final
+    op = SplitOperator(grid, np.zeros(grid.n_points), 0.05, MODE_LAB, cache)
+    fin = propagate(op, wf0, TimeGrid(t0=t0, dt=0.05, n_steps=500)).final
     alpha = cache.alpha_at(fin.t)
     assert abs(alpha) > 10.0  # quarter cycle later: quiver extremum
     assert mean_x(fin) == pytest.approx(-15.0 - alpha, abs=0.05)

@@ -3,7 +3,6 @@ import pytest
 
 from khatom.laser import (
     INTENSITY_AU,
-    FieldCache,
     LaserError,
     PulseParams,
     build_field_cache,
@@ -81,10 +80,10 @@ def test_cache_zero_start_and_endpoints(cache, params):
     assert cache.a[0] == 0.0
     assert cache.alpha[0] == 0.0
     assert cache.s[0] == 0.0
+    # the pulse transfers no net momentum or displacement
     res_a, res_alpha = cache.endpoint_residuals
-    assert res_a < FieldCache.ZERO_NET_TOL
-    assert res_alpha < FieldCache.ZERO_NET_TOL
-    assert cache.warnings == []
+    assert res_a < 1e-6
+    assert res_alpha < 1e-6
 
 
 def test_cache_flat_top_amplitudes(cache, params):

@@ -16,7 +16,7 @@ from khatom.observables import (
     write_series,
 )
 from khatom.observables import _half_line_masses, _window_moments
-from khatom.propagator import MODE_KH, PropagationJob, propagate
+from khatom.propagator import MODE_KH, SplitOperator, propagate
 from oracles import harmonic_amplitude, two_level_density
 
 
@@ -146,16 +146,9 @@ def test_beat_density_reconstruction(kh_beat_run, kh_pairs):
 
 
 def test_single_eigenstate_autocorrelation_flat(grid, averaged, kh_pairs):
-    rec = Recorder(MODE_KH, kh_pairs=kh_pairs)
-    job = PropagationJob(
-        mode=MODE_KH,
-        initial=kh_pairs[0].state,
-        time=TimeGrid(t0=0.0, dt=0.05, n_steps=4000),
-        v=averaged.samples,
-        use_absorber=False,
-        observer=rec,
-    )
-    propagate(job)
+    rec = Recorder(kh_pairs=kh_pairs)
+    op = SplitOperator(grid, averaged.samples, 0.05, MODE_KH)
+    propagate(op, kh_pairs[0].state, TimeGrid(t0=0.0, dt=0.05, n_steps=4000), observer=rec)
     c2 = rec.column("autocorr_abs2")
     assert np.max(np.abs(c2 - 1.0)) < 1e-8
 
@@ -164,7 +157,7 @@ def test_series_validation(kh_pairs):
     # each record is checked as it comes: increasing times, populations in
     # [0, 1] within 1e-9; the nan P_b of a kh run passes
     phi = kh_pairs[0].state
-    rec = Recorder(MODE_KH, kh_pairs=kh_pairs)
+    rec = Recorder(kh_pairs=kh_pairs)
     rec.record(0.0, phi)
     with pytest.raises(ObservableError, match="times must increase"):
         rec.record(0.0, phi)

@@ -13,9 +13,9 @@ from khatom.laser import PulseParams, build_field_cache
 from khatom.propagator import (
     MODE_KH,
     MODE_LAB,
-    PropagationJob,
     PropagationResult,
     PropagatorError,
+    SplitOperator,
     _use_partner,
     build_absorber_mask,
     propagate,
@@ -38,9 +38,8 @@ def kh_wf(grid, psi, t=0.0):
 
 def final_state(mode, initial, t0, dt, n_steps, v, cache=None, use_absorber=False):
     """The amplitudes propagate leaves after n_steps steps of dt from t0."""
-    job = PropagationJob(mode, initial, TimeGrid(t0, dt, n_steps), v, cache,
-                         use_absorber=use_absorber)
-    return propagate(job).final.psi
+    op = SplitOperator(initial.grid, v, dt, mode, cache, use_absorber)
+    return propagate(op, initial, TimeGrid(t0, dt, n_steps)).final.psi
 
 
 def by_executor(monkeypatch, n_points, run):
@@ -166,11 +165,9 @@ def test_absorber_reflection(p0):
                 self.norms.append(g.dx * np.sum(np.abs(wf.psi[inside]) ** 2))
 
     rec = Returned()
-    job = PropagationJob(
-        MODE_KH, kh_wf(g, psi).normalized(), TimeGrid(0.0, 0.05, int(round(450.0 / p0 / 0.05))),
-        np.zeros(g.n_points), observer=rec, observer_cadence=100,
-    )
-    propagate(job)
+    op = SplitOperator(g, np.zeros(g.n_points), 0.05, MODE_KH, absorber=True)
+    time = TimeGrid(0.0, 0.05, round(450.0 / p0 / 0.05))
+    propagate(op, kh_wf(g, psi).normalized(), time, observer=rec, cadence=100)
     assert len(rec.norms) > 5 and max(rec.norms) < 1e-11
 
 
@@ -178,7 +175,7 @@ _PARTNER_SCRIPT = """
 import os
 import numpy as np
 from khatom.core import SpatialGrid, TimeGrid, WaveFunction
-from khatom.propagator import MODE_KH, PropagationJob, propagate
+from khatom.propagator import MODE_KH, SplitOperator, propagate
 
 real_fork = os.fork
 def fork():
@@ -194,10 +191,9 @@ class Started:
             print("stepping", flush=True)
 
 g = SpatialGrid()
-job = PropagationJob(MODE_KH, WaveFunction(g, np.exp(-g.x**2 / 8.0) + 0j, 0.0, "kh"),
-                     TimeGrid(0.0, 0.05, 10**6), np.zeros(g.n_points), use_absorber=False,
-                     observer=Started())
-propagate(job)
+propagate(SplitOperator(g, np.zeros(g.n_points), 0.05, MODE_KH),
+          WaveFunction(g, np.exp(-g.x**2 / 8.0) + 0j, 0.0, "kh"),
+          TimeGrid(0.0, 0.05, 10**6), observer=Started())
 """
 
 
@@ -247,9 +243,8 @@ def test_partner_matches_inline_under_load(monkeypatch):
 
     def run():
         rec = _Copies()
-        job = PropagationJob(MODE_KH, kh_wf(g, psi), TimeGrid(0.0, 0.05, 800), 0.01 * g.x**2,
-                             snapshot_times=(12.35, 30.0), observer=rec, observer_cadence=7)
-        result = propagate(job)
+        op = SplitOperator(g, 0.01 * g.x**2, 0.05, MODE_KH, absorber=True)
+        result = propagate(op, kh_wf(g, psi), TimeGrid(0.0, 0.05, 800), (247, 600), rec, 7)
         return rec.states + [s.psi for s in result.snapshots] + [result.final.psi]
 
     burners = [subprocess.Popen([sys.executable, "-c", "while True: pass"])
@@ -273,38 +268,36 @@ def test_absorber_config_validation():
         build_absorber_mask(g)
 
 
-def test_job_validation(grid, averaged, psi_coh, ground_pair):
+def test_propagate_validation(grid, averaged, psi_coh, ground_pair):
+    # SplitOperator owns the mode rules; propagate checks that the state
+    # fits the operator and that each snapshot step lies on the time grid
     tg = TimeGrid(0.0, 0.05, 100)
-    with pytest.raises(PropagatorError, match="frame"):
-        PropagationJob(MODE_KH, ground_pair.state, tg, averaged.samples)
-    with pytest.raises(PropagatorError, match="cache"):
-        PropagationJob(MODE_LAB, ground_pair.state, tg, averaged.samples)
-    with pytest.raises(PropagatorError, match="snapshot"):
-        PropagationJob(
-            MODE_KH, psi_coh, tg, averaged.samples, snapshot_times=(90.0,)
-        )
     with pytest.raises(PropagatorError, match="mode"):
-        PropagationJob("sideways", psi_coh, tg, averaged.samples)
+        SplitOperator(grid, averaged.samples, 0.05, "sideways")
+    with pytest.raises(PropagatorError, match="cache"):
+        SplitOperator(grid, averaged.samples, 0.05, MODE_LAB)
+    with pytest.raises(PropagatorError, match="potential samples"):
+        SplitOperator(grid, averaged.samples[:-1], 0.05, MODE_KH)
+    op = SplitOperator(grid, averaged.samples, 0.05, MODE_KH)
+    with pytest.raises(PropagatorError, match="needs a 'kh' frame initial state, got 'lab'"):
+        propagate(op, ground_pair.state, tg)
+    small = SpatialGrid(grid.x_min, grid.x_max, grid.n_points // 2)
+    with pytest.raises(PropagatorError, match="another grid"):
+        propagate(op, WaveFunction(small, np.ones(small.n_points), 0.0, FRAME_KH), tg)
+    for step in (-1, 101):
+        with pytest.raises(PropagatorError, match=rf"snapshot step {step} outside \[0, 100\]"):
+            propagate(op, psi_coh, tg, snapshot_steps=(0, step))
 
 
 def test_propagate_snapshots_and_observer(grid, averaged, psi_coh):
     tg = TimeGrid(0.0, 0.05, 200)
     rec = NormRecorder()
-    job = PropagationJob(
-        MODE_KH,
-        psi_coh,
-        tg,
-        averaged.samples,
-        snapshot_times=(0.0, 3.02, 10.0),
-        observer=rec,
-        observer_cadence=20,
-    )
-    res = propagate(job)
+    op = SplitOperator(grid, averaged.samples, 0.05, MODE_KH, absorber=True)
+    res = propagate(op, psi_coh, tg, (200, 0, 60, 60), rec, cadence=20)
     assert isinstance(res, PropagationResult)
-    assert len(res.snapshots) == 3
-    # nearest-step placement records the actual step time
-    assert res.snapshots[1].t == pytest.approx(3.0)
-    assert res.snapshots[2].t == pytest.approx(10.0)
+    # one snapshot per distinct step, in step order, stamped time_at(k)
+    assert [s.t for s in res.snapshots] == [tg.time_at(k) for k in (0, 60, 200)]
+    assert np.array_equal(res.snapshots[0].psi, psi_coh.psi)
     assert res.final.t == pytest.approx(10.0)
     # observer: step 0, every 20 steps, final step (200 is on cadence)
     assert len(rec.rows) == 11
@@ -314,10 +307,9 @@ def test_propagate_snapshots_and_observer(grid, averaged, psi_coh):
 
 def test_propagate_aborts_on_overflow(grid, psi_coh):
     tg = TimeGrid(0.0, 0.05, 10)
-    v = np.full(grid.n_points, np.inf)
-    job = PropagationJob(MODE_KH, psi_coh, tg, v, use_absorber=False)
+    op = SplitOperator(grid, np.full(grid.n_points, np.inf), 0.05, MODE_KH)
     with pytest.raises(PropagatorError, match="step 1"):
-        propagate(job)
+        propagate(op, psi_coh, tg)
 
 
 def test_kh_energy_conservation(grid, averaged, psi_coh):
