@@ -36,6 +36,7 @@ from .frame import FrameTransformContext
 from .laser import PulseParams, build_field_cache
 from .observables import Recorder, write_series
 from .phasespace import (
+    check_windows,
     momentum_tail_fraction,
     phase_portrait,
     separatrix_energy,
@@ -48,6 +49,7 @@ from .propagator import (
     MODE_KH,
     MODE_LAB,
     SplitOperator,
+    check_absorber,
     propagate,
     read_snapshot,
     write_snapshot,
@@ -314,7 +316,19 @@ def _segment(cfg: dict, section: str, initial, time: TimeGrid, start=None) -> Ru
 def validate_config(cfg: dict) -> list[RunSegment]:
     """Plans the propagation: the primary segment and its restart, each
     checked against the other keys, and each configured time resolved to a
-    step of its segment; [] when there is no run."""
+    step of its segment; [] when there is no run.  The grid must hold the
+    absorber of each segment that has it on, and the Wigner window when any
+    map is planned; each check raises its own module's error."""
+    plan = _plan(cfg)
+    grid = _config_grid(cfg)
+    if any(seg.absorber for seg in plan):
+        check_absorber(grid)
+    if cfg["wigner.states"] or any(seg.wigner_steps for seg in plan):
+        check_windows(grid)
+    return plan
+
+
+def _plan(cfg: dict) -> list[RunSegment]:
     initial = cfg["run.initial"]
     if initial not in NAMED_STATES and not os.path.exists(initial):
         raise CliError(f"initial-state snapshot file not found: {initial}")
@@ -598,17 +612,17 @@ class Pipeline:
         return wf
 
     def run_segment(self, seg: RunSegment) -> None:
-        label, mode, dt = seg.label, seg.mode, seg.time.dt
+        label, mode = seg.label, seg.mode
         initial = self._initial_state(seg)
         if mode == MODE_LAB:
             v = atomic_potential(self.grid.x)
-            op = SplitOperator(self.grid, v, dt, mode, self.cache, seg.absorber)
+            op = SplitOperator(self.grid, v, seg.time, mode, self.cache, seg.absorber)
             recorder = Recorder(self.ground, self.pairs, self.ctx)
         else:
-            op = SplitOperator(self.grid, self.avg.samples, dt, mode, absorber=seg.absorber)
+            op = SplitOperator(self.grid, self.avg.samples, seg.time, mode, absorber=seg.absorber)
             recorder = Recorder(kh_pairs=self.pairs)
         seg.result = result = propagate(
-            op, initial, seg.time, seg.snapshot_steps, recorder, self.cfg["run.cadence"]
+            op, initial, seg.snapshot_steps, recorder, self.cfg["run.cadence"]
         )
         if mode == MODE_KH:  # field-free: the Rayleigh energy is conserved up to the splitting error
             e0, e1 = (rayleigh_energy(self.avg.samples, wf) for wf in (initial, result.final))
@@ -659,7 +673,7 @@ class Pipeline:
             "t": float(w.t),
             "frame": w.frame,
             "mass_deficit": abs(mass - window_norm),
-            "high_p_fraction": float(momentum_tail_fraction(w, 0.25)),
+            "high_p_fraction": float(momentum_tail_fraction(w)),
             "imag_residue": w.imag_residue,
         }
 
@@ -790,9 +804,21 @@ def _verb_config(args) -> dict:
     return load_config(args.config, list(args.override))
 
 
+# every output key off: each single-output verb starts from these values and
+# turns its own output back on
+_NO_OUTPUT = {"emit.potential": False, "emit.field": False, "emit.eigen": False,
+              "emit.densities": False, "wigner.states": (), "wigner.times": "none",
+              "portrait.energies": "none"}
+
+
 def _cmd_plain(args, **forced) -> int:
     execute({**_verb_config(args), **forced}, args.out)
     return 0
+
+
+def _emit_only(key: str):
+    """The verb that plans no run and writes only the output that key turns on."""
+    return partial(_cmd_plain, **{**_NO_OUTPUT, "run.enabled": False, key: True})
 
 
 def _cmd_run(args) -> int:
@@ -824,6 +850,7 @@ def _cmd_wigner(args) -> int:
                 f"snapshot {path} is in the {wf.frame} frame; apply lab_to_kh "
                 "first (khatom transform)"
             )
+        check_windows(wf.grid)
         stem = os.path.splitext(os.path.basename(path))[0]
         jobs.append((f"wigner_{stem}", wf, LOOSE_MASS_TOL))
     with Pipeline(cfg, args.out).finalizing() as pipe:
@@ -849,29 +876,27 @@ def _cmd_restart(args) -> int:
 
 
 def _cmd_observables(args) -> int:
-    # no snapshot but the one a restart starts from, and no map
+    # no snapshot but the one a restart starts from, and no other output
     cfg = _verb_config(args)
     snapshots = () if cfg["restart.at"] is None else (cfg["restart.at"],)
-    execute({**cfg, "run.snapshots": snapshots, "restart.snapshots": (),
-             "wigner.times": "none"}, args.out)
+    execute({**cfg, **_NO_OUTPUT, "run.snapshots": snapshots, "restart.snapshots": ()},
+            args.out)
     return 0
 
 
 def _cmd_portrait(args) -> int:
     cfg = _verb_config(args)
     energies = "auto" if cfg["portrait.energies"] == "none" else cfg["portrait.energies"]
-    execute({**cfg, "run.enabled": False, "portrait.energies": energies}, args.out)
+    execute({**cfg, **_NO_OUTPUT, "run.enabled": False, "portrait.energies": energies},
+            args.out)
     return 0
 
 
 # verb: (handler, help, positional argument and its nargs)
 VERBS = {
-    "eigen": (partial(_cmd_plain, **{"run.enabled": False, "emit.eigen": True}),
-              "solve and emit the bound states", ()),
-    "potential": (partial(_cmd_plain, **{"run.enabled": False, "emit.potential": True}),
-                  "emit bare and averaged potentials", ()),
-    "field": (partial(_cmd_plain, **{"run.enabled": False, "emit.field": True}),
-              "emit the pulse field table", ()),
+    "eigen": (_emit_only("emit.eigen"), "solve and emit the bound states", ()),
+    "potential": (_emit_only("emit.potential"), "emit bare and averaged potentials", ()),
+    "field": (_emit_only("emit.field"), "emit the pulse field table", ()),
     "propagate": (_cmd_plain, "propagate and store snapshots", ()),
     "observables": (_cmd_observables, "propagate, observables only", ()),
     "transform": (_cmd_transform, "convert a lab snapshot to the kh frame", ("snapshot", None)),

@@ -59,7 +59,6 @@ class EigenError(KhatomError):
 class EigenPair:
     energy: float
     state: WaveFunction
-    index: int
     parity: str  # "even", "odd" or "none"
     residual: float = float("nan")  # ||H psi - E psi||; nan where not measured
 
@@ -96,12 +95,12 @@ def rayleigh_energy(v: np.ndarray, wf: WaveFunction) -> float:
     return _energy_residual(v, wf)[0]
 
 
-def parity_of(wf: WaveFunction, tol: float = PARITY_TOL) -> str:
-    """'even' or 'odd' when psi(-x) = +-psi(x) to within tol, else 'none'."""
+def parity_of(wf: WaveFunction) -> str:
+    """'even' or 'odd' when psi(-x) = +-psi(x) to within PARITY_TOL, else 'none'."""
     # psi(x) -+ psi(-x) is twice the odd / even part
-    if 2.0 * np.max(np.abs(parity_project(wf.grid, wf.psi, "odd"))) < tol:
+    if 2.0 * np.max(np.abs(parity_project(wf.grid, wf.psi, "odd"))) < PARITY_TOL:
         return "even"
-    if 2.0 * np.max(np.abs(parity_project(wf.grid, wf.psi, "even"))) < tol:
+    if 2.0 * np.max(np.abs(parity_project(wf.grid, wf.psi, "even"))) < PARITY_TOL:
         return "odd"
     return "none"
 
@@ -184,7 +183,7 @@ def imaginary_time_ground_state(
             f"converged energy {energy:.6g} is not below the edge potential; "
             "no bound state found"
         )
-    return EigenPair(energy, wf, 0, parity_of(wf), residual)
+    return EigenPair(energy, wf, parity_of(wf), residual)
 
 
 def bound_states_fd(v: np.ndarray, grid: SpatialGrid) -> list[EigenPair]:
@@ -219,7 +218,7 @@ def bound_states_fd(v: np.ndarray, grid: SpatialGrid) -> list[EigenPair]:
                 "use a wider grid"
             )
         wf = fix_global_phase(WaveFunction(grid, psi.astype(complex)))
-        pairs.append(EigenPair(float(e), wf, len(pairs), parity_of(wf)))
+        pairs.append(EigenPair(float(e), wf, parity_of(wf)))
     return pairs
 
 
@@ -257,7 +256,7 @@ def bound_states(v: np.ndarray, grid: SpatialGrid) -> list[EigenPair]:
                 f"LOBPCG did not converge in {LOBPCG_MAXITER} iterations: state {k} "
                 f"has ||H psi - E psi|| = {residual:.2e} > {LOBPCG_TOL}"
             )
-        pairs.append(EigenPair(energy, wf, k, parity_of(wf), residual))
+        pairs.append(EigenPair(energy, wf, parity_of(wf), residual))
     return pairs
 
 
@@ -273,17 +272,13 @@ def kh_bound_states(averaged: AveragedPotential) -> list[EigenPair]:
     ]
 
 
-def coherent_superposition(
-    a: EigenPair, b: EigenPair, weights: tuple[float, float] | None = None
-) -> WaveFunction:
-    """Normalized weighted sum of two eigenstates (equal weights default)."""
+def coherent_superposition(a: EigenPair, b: EigenPair) -> WaveFunction:
+    """Normalized equal-weight sum of two eigenstates."""
     if a.state.grid != b.state.grid:
         raise EigenError("eigenstates live on different grids")
     if a.state.frame != b.state.frame:
         raise EigenError("eigenstates carry different frame tags")
-    if weights is None:
-        weights = (1.0 / np.sqrt(2.0), 1.0 / np.sqrt(2.0))
-    wa, wb = weights
-    psi = wa * a.state.psi + wb * b.state.psi
+    w = 1.0 / np.sqrt(2.0)
+    psi = w * a.state.psi + w * b.state.psi
     wf = WaveFunction(a.state.grid, psi, a.state.t, a.state.frame)
     return wf.normalized()

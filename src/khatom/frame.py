@@ -32,6 +32,10 @@ from .laser import FieldCache
 
 __all__ = ["FrameTransformContext", "FrameTransformError", "density_relation_residual"]
 
+# density_relation_residual compares the densities over |x| <= this, the
+# region inside the absorber
+RESIDUAL_HALF_WIDTH = 600.0
+
 
 class FrameTransformError(KhatomError):
     module = "frame"
@@ -51,22 +55,20 @@ class FrameTransformContext:
         g = self.grid
         return phase_ramp(sign * (0.5 * s - a * alpha), sign * a, g.x_min, g.dx, g.n_points)
 
-    def lab_to_kh(self, wf: WaveFunction, t: float | None = None) -> WaveFunction:
-        """Shift against alpha(t), then apply the phase; retags to 'kh'."""
+    def lab_to_kh(self, wf: WaveFunction) -> WaveFunction:
+        """Shift against alpha(wf.t), then apply the phase; retags to 'kh'."""
         if wf.frame != FRAME_LAB:
             raise FrameTransformError(
                 f"lab_to_kh needs a '{FRAME_LAB}' state, got '{wf.frame}'"
             )
         if wf.grid != self.grid:
             raise FrameTransformError("wave function grid differs from context grid")
-        if t is None:
-            t = wf.t
-        a, alpha, s = self._field_values(t)
+        a, alpha, s = self._field_values(wf.t)
         shifted = shift_samples(self.grid, wf.psi, alpha)  # psi_L(x - alpha)
         shifted *= self._boost(1.0, a, alpha, s)
-        return WaveFunction(self.grid, shifted, t, FRAME_KH)
+        return WaveFunction(self.grid, shifted, wf.t, FRAME_KH)
 
-    def kh_to_lab(self, wf: WaveFunction, t: float | None = None) -> WaveFunction:
+    def kh_to_lab(self, wf: WaveFunction) -> WaveFunction:
         """Exact inverse of lab_to_kh."""
         if wf.frame != FRAME_KH:
             raise FrameTransformError(
@@ -74,20 +76,15 @@ class FrameTransformContext:
             )
         if wf.grid != self.grid:
             raise FrameTransformError("wave function grid differs from context grid")
-        if t is None:
-            t = wf.t
-        a, alpha, s = self._field_values(t)
+        a, alpha, s = self._field_values(wf.t)
         shifted = shift_samples(self.grid, self._boost(-1.0, a, alpha, s) * wf.psi, -alpha)
-        return WaveFunction(self.grid, shifted, t, FRAME_LAB)
+        return WaveFunction(self.grid, shifted, wf.t, FRAME_LAB)
 
 
 def density_relation_residual(
-    ctx: FrameTransformContext,
-    psi_lab: WaveFunction,
-    psi_kh: WaveFunction,
-    half_width: float = 600.0,
+    ctx: FrameTransformContext, psi_lab: WaveFunction, psi_kh: WaveFunction
 ) -> float:
-    """sup |  |psi_KH(x)|^2 - |psi_L(x - alpha)|^2  | over |x| <= half_width.
+    """sup |  |psi_KH(x)|^2 - |psi_L(x - alpha)|^2  | over |x| <= RESIDUAL_HALF_WIDTH.
 
     The reference shift goes through the direct periodic kernel, not the
     FFT used by the transform itself, so the check is independent.
@@ -98,6 +95,6 @@ def density_relation_residual(
         raise FrameTransformError("states are from different times")
     alpha = ctx.cache.alpha_at(psi_lab.t)
     ref = periodic_sinc_shift(ctx.grid, psi_lab.psi, alpha)
-    window = np.abs(ctx.grid.x) <= half_width
+    window = np.abs(ctx.grid.x) <= RESIDUAL_HALF_WIDTH
     diff = np.abs(psi_kh.density() - np.abs(ref) ** 2)
     return float(diff[window].max())

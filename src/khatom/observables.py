@@ -21,7 +21,6 @@ __all__ = [
     "Recorder",
     "population",
     "trapped_width",
-    "autocorrelation",
     "write_series",
     "read_series",
 ]
@@ -82,14 +81,9 @@ def _window_moments(grid, den: np.ndarray, window: tuple) -> tuple[float, float,
     return float(w), float(mean), float(np.sqrt(max(mean2 - mean**2, 0.0)))
 
 
-def trapped_width(psi: WaveFunction, window: tuple = WINDOW) -> float:
-    """Standard deviation of position over the window, renormalized there."""
-    return _window_moments(psi.grid, psi.density(), window)[2]
-
-
-def autocorrelation(psi0: WaveFunction, psit: WaveFunction) -> complex:
-    """<psi0|psit>; same grid and frame required."""
-    return inner_product(psi0, psit)
+def trapped_width(psi: WaveFunction) -> float:
+    """Standard deviation of position over WINDOW, renormalized there."""
+    return _window_moments(psi.grid, psi.density(), WINDOW)[2]
 
 
 def _half_line_masses(grid, den: np.ndarray) -> tuple[float, float]:
@@ -154,7 +148,7 @@ class Recorder:
                 mean_lab = mean_wf if self._lab else np.nan
             except ObservableError:
                 mean_lab = mean_kh = np.nan
-        c = autocorrelation(self._ref_kh, kh)
+        c = inner_product(self._ref_kh, kh)
         left, right = _half_line_masses(g, den_kh)
         self.rows.append(
             (

@@ -30,6 +30,7 @@ __all__ = [
     "wigner_marginals",
     "superposition_wigner_analytic",
     "momentum_tail_fraction",
+    "check_windows",
     "equienergy_curve",
     "separatrix_energy",
     "phase_portrait",
@@ -39,11 +40,15 @@ __all__ = [
 
 WIGNER_MAGIC = "KHPSW1"
 PURE_STATE_BOUND = 1.0 / np.pi
-DEFAULT_X_WINDOW = (-60.0, 60.0)
-DEFAULT_P_WINDOW = (-0.6, 0.6)
-DEFAULT_N_X = 241
-DEFAULT_N_P = 201
-DEFAULT_XI_MAX = 240.0
+# the phase-space window of every map: 241 positions over +-60 a.u., 201
+# momenta over +-0.6 a.u., and lags xi out to XI_MAX; the equienergy curves
+# span the same positions
+X_AXIS = np.linspace(-60.0, 60.0, 241)
+P_AXIS = np.linspace(-0.6, 0.6, 201)
+X_AXIS.flags.writeable = P_AXIS.flags.writeable = False
+XI_MAX = 240.0
+# momentum_tail_fraction counts the mass beyond this trapping scale
+TAIL_P = 0.25
 REALITY_TOL = 1e-10
 # Taylor order of the sub-sample shift exp(i p h t): the padded spectrum lives
 # in |p h| <= pi/2 and |t| <= 1/2, so the remainder is at most
@@ -94,17 +99,6 @@ class PhasePortrait:
     e_sep: float
 
 
-def _axes(x_window, p_window, n_x, n_p):
-    if n_x < 2 or n_p < 2:
-        raise PhaseSpaceError("need at least 2 points per phase-space axis")
-    if not (x_window[0] < x_window[1] and p_window[0] < p_window[1]):
-        raise PhaseSpaceError("windows must be increasing (lo, hi) pairs")
-    return (
-        np.linspace(x_window[0], x_window[1], n_x),
-        np.linspace(p_window[0], p_window[1], n_p),
-    )
-
-
 def _sample_matrix(wf: WaveFunction, x_out: np.ndarray, m_max: int) -> np.ndarray:
     """Rows of band-limited samples psi(x_j + m*h), m in [-M, M], h = dx/2.
 
@@ -132,7 +126,7 @@ def _sample_matrix(wf: WaveFunction, x_out: np.ndarray, m_max: int) -> np.ndarra
     start = i - m_max - lo
     out = np.empty((len(x_out), width), dtype=np.complex128)
     # one matrix product per block of rows over the union of their windows,
-    # which on the default axes is about 3% wider than one window
+    # which on X_AXIS is about 3% wider than one window
     for b in range(0, len(x_out), _LAG_ROWS):
         a = start[b : b + _LAG_ROWS]
         a_lo = int(a.min())
@@ -184,14 +178,15 @@ def _lag_transform(s_a: np.ndarray, s_b: np.ndarray, p_out: np.ndarray, d_xi: fl
     return out * (d_xi / (2.0 * np.pi))
 
 
-def _check_windows(grid: SpatialGrid, x_out, p_out, xi_max):
+def check_windows(grid: SpatialGrid) -> None:
+    """Raises unless the grid resolves P_AXIS and holds X_AXIS plus half the lag reach."""
     p_lim = np.pi / grid.dx
-    if np.max(np.abs(p_out)) > p_lim:
+    if np.max(np.abs(P_AXIS)) > p_lim:
         raise PhaseSpaceError(
             f"momentum window exceeds the resolvable range |p| <= {p_lim:.3f}"
         )
-    reach = max(abs(x_out[0]), abs(x_out[-1])) + 0.5 * xi_max
-    if reach > grid.x_max:
+    half = 0.5 * XI_MAX
+    if X_AXIS[0] - half < grid.x_min or X_AXIS[-1] + half > grid.x_max:
         raise PhaseSpaceError("position window plus correlation reach exceeds the grid")
 
 
@@ -203,29 +198,21 @@ def _take_real(w_complex: np.ndarray) -> tuple[np.ndarray, float]:
     return np.ascontiguousarray(w_complex.real), resid
 
 
-def wigner(
-    wf: WaveFunction,
-    x_window=DEFAULT_X_WINDOW,
-    p_window=DEFAULT_P_WINDOW,
-    n_x: int = DEFAULT_N_X,
-    n_p: int = DEFAULT_N_P,
-    xi_max: float = DEFAULT_XI_MAX,
-    mass_tol: float = 1e-3,
-) -> WignerGrid:
-    """Wigner distribution of a state over a rectangular phase-space window.
+def wigner(wf: WaveFunction, mass_tol: float = 1e-3) -> WignerGrid:
+    """Wigner distribution of a state on the X_AXIS x P_AXIS window.
 
     The integrated mass is checked against the window-restricted norm to
     mass_tol.  That identity presumes the state's momentum content fits
     the p window; callers feeding states with fast flux transiting the
     window (full-potential snapshots) must widen mass_tol accordingly.
     """
-    x_out, p_out = _axes(x_window, p_window, n_x, n_p)
-    _check_windows(wf.grid, x_out, p_out, xi_max)
-    m_max = int(xi_max / wf.grid.dx)
+    x_out, p_out = X_AXIS, P_AXIS
+    check_windows(wf.grid)
+    m_max = int(XI_MAX / wf.grid.dx)
     s = _sample_matrix(wf, x_out, m_max)
     values, resid = _take_real(_lag_transform(s, s, p_out, wf.grid.dx))
 
-    sel = (wf.grid.x >= x_window[0]) & (wf.grid.x <= x_window[1])
+    sel = (wf.grid.x >= x_out[0]) & (wf.grid.x <= x_out[-1])
     window_norm = float(wf.grid.dx * np.sum(wf.density()[sel]))
     total = float(np.trapezoid(np.trapezoid(values, p_out, axis=1), x_out))
     if abs(total - window_norm) > mass_tol:
@@ -268,16 +255,7 @@ def wigner_marginals(w: WignerGrid, wf: WaveFunction) -> tuple[float, float]:
     return r_x, r_p
 
 
-def superposition_wigner_analytic(
-    pair0,
-    pair1,
-    t: float,
-    x_window=DEFAULT_X_WINDOW,
-    p_window=DEFAULT_P_WINDOW,
-    n_x: int = DEFAULT_N_X,
-    n_p: int = DEFAULT_N_P,
-    xi_max: float = DEFAULT_XI_MAX,
-) -> WignerGrid:
+def superposition_wigner_analytic(pair0, pair1, t: float) -> WignerGrid:
     """Closed-form Wigner evolution of the equal-weight two-state superposition.
 
     W(t) = (W0 + W1)/2 + Re[e^{-i w10 t} C] with C the cross transform of
@@ -289,9 +267,9 @@ def superposition_wigner_analytic(
     phi0, phi1 = pair0.state, pair1.state
     if phi0.grid != phi1.grid or phi0.frame != phi1.frame:
         raise PhaseSpaceError("eigenstates must share a grid and frame")
-    x_out, p_out = _axes(x_window, p_window, n_x, n_p)
-    _check_windows(phi0.grid, x_out, p_out, xi_max)
-    m_max = int(xi_max / phi0.grid.dx)
+    x_out, p_out = X_AXIS, P_AXIS
+    check_windows(phi0.grid)
+    m_max = int(XI_MAX / phi0.grid.dx)
     d_xi = phi0.grid.dx
 
     s0 = _sample_matrix(phi0, x_out, m_max)
@@ -309,8 +287,8 @@ def superposition_wigner_analytic(
     return WignerGrid(x_out, p_out, values, t, phi0.frame)
 
 
-def momentum_tail_fraction(w: WignerGrid, p_cut: float = 0.25) -> float:
-    """Fraction of the distribution's probability mass at |p| > p_cut.
+def momentum_tail_fraction(w: WignerGrid) -> float:
+    """Fraction of the distribution's probability mass at |p| > TAIL_P.
 
     Signed sum, not sum of |W|: integrating the map over x first reduces
     it to the momentum marginal, so oscillatory interference fringes that
@@ -320,18 +298,18 @@ def momentum_tail_fraction(w: WignerGrid, p_cut: float = 0.25) -> float:
     total = float(np.sum(marginal))
     if total <= 0.0:
         return 0.0
-    tail = float(np.sum(marginal[np.abs(w.p) > p_cut]))
+    tail = float(np.sum(marginal[np.abs(w.p) > TAIL_P]))
     return tail / total
 
 
-def equienergy_curve(energy: float, avg: AveragedPotential, x_window=DEFAULT_X_WINDOW) -> list:
-    """Branches of p = +-sqrt(2(E - V0(x))) inside the window.
+def equienergy_curve(energy: float, avg: AveragedPotential) -> list:
+    """Branches of p = +-sqrt(2(E - V0(x))) over the span of X_AXIS.
 
     Returns a list of (x, p) point arrays, one per connected branch;
     empty where the energy lies below the potential everywhere.
     """
     g = avg.grid
-    sel = np.where((g.x >= x_window[0]) & (g.x <= x_window[1]))[0]
+    sel = np.where((g.x >= X_AXIS[0]) & (g.x <= X_AXIS[-1]))[0]
     radicand = 2.0 * (energy - avg.samples[sel])
     ok = radicand >= 0.0
     branches = []
@@ -359,8 +337,8 @@ def separatrix_energy(avg: AveragedPotential) -> float:
     return float(np.max(avg.samples[i_lo : i_hi + 1]))
 
 
-def phase_portrait(avg: AveragedPotential, energies, x_window=DEFAULT_X_WINDOW) -> PhasePortrait:
-    curves = [equienergy_curve(e, avg, x_window) for e in energies]
+def phase_portrait(avg: AveragedPotential, energies) -> PhasePortrait:
+    curves = [equienergy_curve(e, avg) for e in energies]
     return PhasePortrait(tuple(energies), curves, separatrix_energy(avg))
 
 

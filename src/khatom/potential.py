@@ -15,13 +15,19 @@ import numpy as np
 from .core import KhatomError, SpatialGrid
 
 __all__ = [
-    "PotentialModel",
     "AveragedPotential",
     "PotentialError",
     "atomic_potential",
     "kh_averaged_potential",
     "local_minima_positions",
 ]
+
+# the binding potential: DEPTH is the (negative) prefactor; EXP_SOFTENING
+# sits inside the square root in the exponent, DENOM_WIDTH inside the one
+# in the denominator
+DEPTH = -24.856
+EXP_SOFTENING = 16.0
+DENOM_WIDTH = 6.27
 
 # minimum number of phase nodes accepted for the cycle average
 MIN_QUADRATURE_N = 256
@@ -35,34 +41,10 @@ class PotentialError(KhatomError):
     module = "potential"
 
 
-@dataclass(frozen=True)
-class PotentialModel:
-    """Parameters of the model binding potential.
-
-    depth is the (negative) prefactor; exp_softening sits inside the
-    square root in the exponent, denom_width inside the one in the
-    denominator.
-    """
-
-    depth: float = -24.856
-    exp_softening: float = 16.0
-    denom_width: float = 6.27
-
-    def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        return (
-            self.depth
-            * np.exp(-np.sqrt(x * x + self.exp_softening))
-            / np.sqrt(x * x + self.denom_width**2)
-        )
-
-
-DEFAULT_MODEL = PotentialModel()
-
-
-def atomic_potential(x, model: PotentialModel = DEFAULT_MODEL):
+def atomic_potential(x):
     """Binding potential V(x); even in x, negative everywhere, short range."""
-    return model(x)
+    x = np.asarray(x, dtype=float)
+    return DEPTH * np.exp(-np.sqrt(x * x + EXP_SOFTENING)) / np.sqrt(x * x + DENOM_WIDTH**2)
 
 
 @dataclass(frozen=True)
@@ -70,9 +52,7 @@ class AveragedPotential:
     """Cycle average of the displaced binding potential on a grid."""
 
     grid: SpatialGrid
-    alpha0: float
     samples: np.ndarray
-    quadrature_n: int
 
     def __post_init__(self):
         if len(self.samples) != self.grid.n_points:
@@ -83,7 +63,7 @@ def kh_averaged_potential(
     grid: SpatialGrid,
     alpha0: float,
     quadrature_n: int = DEFAULT_QUADRATURE_N,
-    model: PotentialModel = DEFAULT_MODEL,
+    model=atomic_potential,
 ) -> AveragedPotential:
     """Average model(x + alpha0*sin(theta)) over theta in [0, 2pi).
 
@@ -95,12 +75,13 @@ def kh_averaged_potential(
     |x| of the grid and mapped back, which makes it exactly even on a
     symmetric grid.
 
-    The model decreases in |y|.  For |x| >= alpha0 the nearest term of a
-    row sits at the displacement -alpha0, exactly (sin(fl(pi/2)) = 1), so
-    where model(|x| - alpha0) is zero every term of the row is a signed
-    zero.  Those rows, about half of the default grid, where
-    exp(-sqrt(...)) underflows, are set to the +0.0 their sum gives without
-    evaluating them.  The other rows are summed _GRID_CHUNK at a time, each
+    model is atomic_potential; any even potential that decreases in |y|
+    can stand in for it.  For |x| >= alpha0 the nearest term of a row sits
+    at the displacement -alpha0, exactly (sin(fl(pi/2)) = 1), so where
+    model(|x| - alpha0) is zero every term of the row is a signed zero.
+    Those rows, about half of the default grid, where exp(-sqrt(...))
+    underflows, are set to the +0.0 their sum gives without evaluating
+    them.  The other rows are summed _GRID_CHUNK at a time, each
     with the same operations as a full evaluation, so V0 does not depend on
     the chunking.
     """
@@ -127,7 +108,7 @@ def kh_averaged_potential(
         sums[lo:hi] = (model(rows[lo:hi, None] + disp[None, :]) * weights).sum(axis=1)
     folded = np.zeros(len(ax))
     folded[live] = sums
-    return AveragedPotential(grid, alpha0, folded[where], quadrature_n)
+    return AveragedPotential(grid, folded[where])
 
 
 def local_minima_positions(avg: AveragedPotential) -> np.ndarray:

@@ -24,10 +24,10 @@ the two meet at one spin barrier per step in shared memory and exchange
 their spectra there.  Elsewhere, and on grids below PARTNER_MIN_POINTS,
 one process steps both halves in turn, with the same bytes.
 
-``propagate(op, initial, time, snapshot_steps, observer, cadence)`` steps
-the SplitOperator its caller built (absorber included) over the time
-grid and keeps the states at the given step indices; it neither rounds
-nor compares times.
+``propagate(op, initial, snapshot_steps, observer, cadence)`` steps the
+SplitOperator its caller built (time grid and absorber included) and
+keeps the states at the given step indices; it neither rounds nor
+compares times.
 """
 
 from __future__ import annotations
@@ -63,6 +63,7 @@ __all__ = [
     "PropagatorError",
     "SplitOperator",
     "build_absorber_mask",
+    "check_absorber",
     "propagate",
     "write_snapshot",
     "read_snapshot",
@@ -85,11 +86,16 @@ class PropagatorError(KhatomError):
     module = "propagator"
 
 
+def check_absorber(grid: SpatialGrid) -> None:
+    """Raises unless the grid reaches past the absorber's inner width on both sides."""
+    if min(grid.x_max, -grid.x_min) <= ABSORBER_HALF_WIDTH:
+        raise PropagatorError("absorber inner width reaches the grid edge")
+
+
 def build_absorber_mask(grid: SpatialGrid) -> np.ndarray:
+    check_absorber(grid)
     a = ABSORBER_HALF_WIDTH
     guard = grid.x_max - a
-    if guard <= 0:
-        raise PropagatorError("absorber inner width reaches the grid edge")
     ax = np.abs(grid.x)
     mask = np.ones(grid.n_points)
     out = ax > a
@@ -98,7 +104,7 @@ def build_absorber_mask(grid: SpatialGrid) -> np.ndarray:
 
 
 class SplitOperator:
-    """Precomputed split-step factors for one (grid, potential, dt, mode).
+    """Precomputed split-step factors for one (grid, potential, time grid, mode).
 
     forward and backward are the two stages of one half (0 even, 1 odd)
     of the step, as the module docstring sets out; propagate runs them in
@@ -111,7 +117,7 @@ class SplitOperator:
         self,
         grid: SpatialGrid,
         v: np.ndarray,
-        dt: float,
+        time: TimeGrid,
         mode: str = MODE_KH,
         cache: FieldCache | None = None,
         absorber: bool = False,
@@ -124,11 +130,11 @@ class SplitOperator:
         if len(v) != grid.n_points:
             raise PropagatorError("potential samples do not match the grid")
         self.grid = grid
-        self.dt = dt
+        self.time = time
         self.mode = mode
         self.frame = MODE_FRAMES[mode]
         self.cache = cache
-        n = grid.n_points
+        n, dt = grid.n_points, time.dt
         h = n // 2
         self._expv_half = tuple(np.exp(-0.5j * dt * v[i::2]) for i in (0, 1))
         mask = build_absorber_mask(grid) if absorber else None
@@ -146,11 +152,12 @@ class SplitOperator:
         """spec = fft of the half's potential half-phase times x; returns that phase."""
         expv = self._expv_half[half]
         if self.mode == MODE_LAB:
-            eps_mid = self.cache.eps_at(t + 0.5 * self.dt)
+            dt = self.time.dt
+            eps_mid = self.cache.eps_at(t + 0.5 * dt)
             if eps_mid != 0.0:
                 # V_eff = V - x*eps; the -x*eps part contributes exp(+i x eps dt/2)
                 g = self.grid
-                ramp = phase_ramp(0.0, 0.5 * self.dt * eps_mid, g.x_min + half * g.dx,
+                ramp = phase_ramp(0.0, 0.5 * dt * eps_mid, g.x_min + half * g.dx,
                                   2.0 * g.dx, len(expv), self._expv[half])
                 ramp *= expv
                 expv = ramp
@@ -188,17 +195,17 @@ class PropagationResult:
     absorbed_norm: float
 
 
-def propagate(op: SplitOperator, initial: WaveFunction, time: TimeGrid, snapshot_steps=(),
-              observer=None, cadence: int = 20) -> PropagationResult:
-    """Iterate op's split steps over the time grid.
+def propagate(op: SplitOperator, initial: WaveFunction, snapshot_steps=(), observer=None,
+              cadence: int = 20) -> PropagationResult:
+    """Iterate op's split steps over its time grid.
 
     The state after each step in snapshot_steps (0 is the initial state)
-    is kept, stamped with time.time_at(k), in step order.  The observer,
+    is kept, stamped with op.time.time_at(k), in step order.  The observer,
     if any, is called as observer.record(t, wf) every cadence steps,
     including step 0 and the final step.  Non-finite amplitudes, or an
     initial norm that overflows, abort with the offending step index.
     """
-    grid, frame = op.grid, op.frame
+    grid, frame, time = op.grid, op.frame, op.time
     if initial.grid != grid:
         raise PropagatorError("the initial state lies on another grid than the operator")
     if initial.frame != frame:
@@ -234,7 +241,7 @@ def propagate(op: SplitOperator, initial: WaveFunction, time: TimeGrid, snapshot
     if wanted(0):
         emit(0, psi.copy())
     run = _with_partner if _use_partner(grid.n_points) else _inline
-    psi = run(op, time, psi, wanted, emit)
+    psi = run(op, psi, wanted, emit)
 
     final = WaveFunction(grid, psi, time.t_end, frame)
     absorbed = initial_sq - grid.dx * float(np.sum(np.abs(psi) ** 2))
@@ -267,13 +274,14 @@ def _use_partner(n_points: int) -> bool:
     )
 
 
-def _steps(op, tg, halves, spectra, state, exchange, emit) -> None:
-    """Steps the given halves of state, shape (2, n/2), in place through the
+def _steps(op, halves, spectra, state, exchange, emit) -> None:
+    """Steps the given halves of state, shape (2, n/2), in place through op's
     time grid; the spectra of step k go to spectra[k % len(spectra)].
 
     exchange(k) returns once the other halves' spectra of step k are in
     place; emit(k, state) follows each step.
     """
+    tg = op.time
     for k in range(1, tg.n_steps + 1):
         spec = spectra[k % len(spectra)]
         t = tg.time_at(k - 1)
@@ -285,7 +293,7 @@ def _steps(op, tg, halves, spectra, state, exchange, emit) -> None:
         emit(k, state)
 
 
-def _inline(op, tg, psi, wanted, emit) -> np.ndarray:
+def _inline(op, psi, wanted, emit) -> np.ndarray:
     """Both halves in this process; returns the final state."""
     spectra = np.empty((1, 2, len(psi) // 2), dtype=np.complex128)
     state = psi.reshape(-1, 2).T.copy()
@@ -294,11 +302,11 @@ def _inline(op, tg, psi, wanted, emit) -> np.ndarray:
         if wanted(k):
             emit(k, state.ravel(order="F"))
 
-    _steps(op, tg, (0, 1), spectra, state, lambda k: None, emit_full)
+    _steps(op, (0, 1), spectra, state, lambda k: None, emit_full)
     return state.ravel(order="F")
 
 
-def _with_partner(op, tg, psi, wanted, emit) -> np.ndarray:
+def _with_partner(op, psi, wanted, emit) -> np.ndarray:
     """The even half here and the odd half in a forked partner, in lockstep.
 
     Each process posts its step counter once its spectrum of that step is
@@ -327,7 +335,7 @@ def _with_partner(op, tg, psi, wanted, emit) -> np.ndarray:
         def done(k, state):
             counters[_PARTNER_DONE] = k
 
-        _steps(op, tg, (1,), spectra, state,
+        _steps(op, (1,), spectra, state,
                partial(_exchange, counters, _PARTNER, _PARENT, parent_alive), done)
 
     with forked(partner, PropagatorError) as join:
@@ -343,9 +351,9 @@ def _with_partner(op, tg, psi, wanted, emit) -> np.ndarray:
                 _wait(counters, _PARTNER_DONE, k, partner_alive)
                 emit(k, state.ravel(order="F"))
 
-        _steps(op, tg, (0,), spectra, state,
+        _steps(op, (0,), spectra, state,
                partial(_exchange, counters, _PARENT, _PARTNER, partner_alive), emit_full)
-        _wait(counters, _PARTNER_DONE, tg.n_steps, partner_alive)
+        _wait(counters, _PARTNER_DONE, op.time.n_steps, partner_alive)
         join()
     return state.ravel(order="F")
 

@@ -87,11 +87,11 @@ def kh_beat_run(grid, averaged, kh_pairs, psi_coh, beat_period):
     """
     t10 = beat_period
     rec = Recorder(kh_pairs=kh_pairs)
-    op = SplitOperator(grid, averaged.samples, 0.05, MODE_KH)
     time = TimeGrid(t0=0.0, dt=0.05, n_steps=round(2.0 * t10 / 0.05))
+    op = SplitOperator(grid, averaged.samples, time, MODE_KH)
     # the steps nearest the quarter-period marks
     steps = [round(k * t10 / 4.0 / 0.05) for k in range(9)]
-    return propagate(op, psi_coh, time, steps, rec), rec
+    return propagate(op, psi_coh, steps, rec), rec
 
 
 @pytest.fixture(scope="session")
@@ -115,10 +115,10 @@ def lab_ground_run(grid, v_atom, pulse, cache, ground_pair, kh_pairs):
         frame_ctx=FrameTransformContext(cache=cache, grid=grid),
     )
     wf0 = ground_pair.state.with_frame("lab")
-    op = SplitOperator(grid, v_atom, 0.05, MODE_LAB, cache, absorber=True)
     time = TimeGrid(t0=0.0, dt=0.05, n_steps=round(pulse.t_final / 0.05))
+    op = SplitOperator(grid, v_atom, time, MODE_LAB, cache, absorber=True)
     steps = [round(625.0 / 0.05), time.n_steps]
-    return propagate(op, wf0, time, steps, rec), rec
+    return propagate(op, wf0, steps, rec), rec
 
 
 @pytest.fixture(scope="session")
@@ -134,10 +134,10 @@ def lab_ground_production(grid, v_atom, long_pulse, long_cache, ground_pair, kh_
         kh_pairs=kh_pairs,
         frame_ctx=FrameTransformContext(cache=long_cache, grid=grid),
     )
-    op = SplitOperator(grid, v_atom, 0.1, MODE_LAB, long_cache, absorber=True)
     time = TimeGrid(t0=0.0, dt=0.1, n_steps=round(long_pulse.t_final / 0.1))
+    op = SplitOperator(grid, v_atom, time, MODE_LAB, long_cache, absorber=True)
     steps = [round(t / 0.1) for t in (600.0, 1200.0, 1800.0, long_pulse.t_final)]
-    return propagate(op, ground_pair.state.with_frame("lab"), time, steps, rec, cadence=5), rec
+    return propagate(op, ground_pair.state.with_frame("lab"), steps, rec, cadence=5), rec
 
 
 @pytest.fixture(scope="session")
@@ -156,9 +156,9 @@ def lab_coh_run(grid, v_atom, long_pulse, long_cache, ground_pair, kh_pairs, psi
     wf0 = psi_coh.with_frame("lab")
     centers = (720.0, 1520.0, 2198.0)
     snaps = sorted(c + d for c in centers for d in (-80.0, -60.0, -40.0, -20.0, 0.0))
-    op = SplitOperator(grid, v_atom, 0.05, MODE_LAB, long_cache, absorber=True)
     time = TimeGrid(t0=0.0, dt=0.05, n_steps=round(long_pulse.t_final / 0.05))
-    return propagate(op, wf0, time, [round(t / 0.05) for t in snaps], rec), rec
+    op = SplitOperator(grid, v_atom, time, MODE_LAB, long_cache, absorber=True)
+    return propagate(op, wf0, [round(t / 0.05) for t in snaps], rec), rec
 
 
 def pytest_terminal_summary(terminalreporter):

@@ -6,27 +6,28 @@ its plainest form, off the code paths under test.
 
 import numpy as np
 
-from khatom.potential import DEFAULT_MODEL, PotentialError
+from khatom.potential import PotentialError, atomic_potential
 
 MAX_HARMONIC = 64
+HARMONIC_NODES = 2048
 
 
-def kh_fourier_harmonic(n, grid, alpha0, quadrature_n=2048, model=DEFAULT_MODEL):
-    """nth Fourier coefficient in theta of model(x + alpha0 sin(theta)) over one period.
+def kh_fourier_harmonic(n, grid, alpha0):
+    """nth Fourier coefficient in theta of V(x + alpha0 sin(theta)) over one period.
 
     n = 0 is the cycle average; coefficients obey V_{-n} = conj(V_n), and
     for the sin-quiver they are purely real (n even) or purely imaginary
-    (n odd).  A plain mean over quadrature_n uniform nodes, one grid row
+    (n odd).  A plain mean over HARMONIC_NODES uniform nodes, one grid row
     at a time.
     """
     if abs(n) > MAX_HARMONIC:
         raise PotentialError(f"|n| = {abs(n)} exceeds maximum harmonic {MAX_HARMONIC}")
-    theta = 2.0 * np.pi * np.arange(quadrature_n) / quadrature_n
+    theta = 2.0 * np.pi * np.arange(HARMONIC_NODES) / HARMONIC_NODES
     disp = alpha0 * np.sin(theta)
-    phase = np.exp(-1j * n * theta) / quadrature_n
+    phase = np.exp(-1j * n * theta) / HARMONIC_NODES
     out = np.empty(grid.n_points, dtype=complex)
     for lo in range(0, grid.n_points, 16):
-        out[lo : lo + 16] = model(grid.x[lo : lo + 16, None] + disp[None, :]) @ phase
+        out[lo : lo + 16] = atomic_potential(grid.x[lo : lo + 16, None] + disp[None, :]) @ phase
     return out
 
 

@@ -18,17 +18,17 @@ import pytest
 from scipy.integrate import quad
 from scipy.optimize import minimize_scalar
 
-from khatom.core import SpatialGrid, TimeGrid
+from khatom.core import SpatialGrid, TimeGrid, inner_product
 from khatom.eigen import bound_states_fd
 from khatom.frame import FrameTransformContext, density_relation_residual
-from khatom.observables import Recorder, autocorrelation, trapped_width
+from khatom.observables import Recorder, trapped_width
 from khatom.phasespace import (
     momentum_tail_fraction,
     superposition_wigner_analytic,
     wigner,
     wigner_marginals,
 )
-from khatom.potential import DEFAULT_MODEL, kh_averaged_potential
+from khatom.potential import atomic_potential, kh_averaged_potential
 from khatom.propagator import MODE_KH, MODE_LAB, SplitOperator, propagate
 from oracles import harmonic_amplitude, kh_fourier_harmonic
 
@@ -74,7 +74,7 @@ def _quadrature_minimum() -> float:
     kh_averaged_potential uses.
     """
     def v0(x):
-        return quad(lambda th: DEFAULT_MODEL(x + ALPHA0 * np.sin(th)), 0.0, 2.0 * np.pi,
+        return quad(lambda th: atomic_potential(x + ALPHA0 * np.sin(th)), 0.0, 2.0 * np.pi,
                     limit=200)[0] / (2.0 * np.pi)
 
     return float(minimize_scalar(v0, bounds=(0.0, ALPHA0), method="bounded",
@@ -163,7 +163,7 @@ def test_averaged_well_positions(averaged, grid):
     left, right = _grid_minima(grid.x, averaged.samples)
     x_quad = _quadrature_minimum()
     core = _core_grid(grid)
-    narrow = kh_averaged_potential(core, ALPHA0, model=lambda x: DEFAULT_MODEL(x / NARROW_SCALE))
+    narrow = kh_averaged_potential(core, ALPHA0, model=lambda x: atomic_potential(x / NARROW_SCALE))
     n_left, n_right = _grid_minima(core.x, narrow.samples)
     dx = grid.dx
     ok = (
@@ -197,9 +197,9 @@ def test_beat_autocorrelation(kh_beat_run, kh_pairs):
 def test_eigenstate_autocorrelation(kh_pairs, averaged):
     t10 = 2.0 * np.pi / (kh_pairs[1].energy - kh_pairs[0].energy)
     rec = Recorder(kh_pairs=kh_pairs)
-    op = SplitOperator(averaged.grid, averaged.samples, 0.1, MODE_KH)
     time = TimeGrid(t0=0.0, dt=0.1, n_steps=round(2.0 * t10 / 0.1))
-    propagate(op, kh_pairs[0].state, time, observer=rec, cadence=50)
+    op = SplitOperator(averaged.grid, averaged.samples, time, MODE_KH)
+    propagate(op, kh_pairs[0].state, observer=rec, cadence=50)
     dev = float(np.abs(rec.column("autocorr_abs2") - 1.0).max())
     ok = dev < 1e-8
     detail = _verdict("4b", ok, f"max||C|^2-1|={dev:.2e} over [0,2T10] (tol 1e-8)")
@@ -244,8 +244,9 @@ def test_wigner_beat_match(beat_wigners, kh_pairs):
 
 
 def test_unitarity_drift(ground_pair, v_atom, long_cache):
-    op = SplitOperator(ground_pair.state.grid, v_atom, 0.1, MODE_LAB, long_cache)
-    res = propagate(op, ground_pair.state.with_frame("lab"), TimeGrid(t0=0.0, dt=0.1, n_steps=10000))
+    time = TimeGrid(t0=0.0, dt=0.1, n_steps=10000)
+    op = SplitOperator(ground_pair.state.grid, v_atom, time, MODE_LAB, long_cache)
+    res = propagate(op, ground_pair.state.with_frame("lab"))
     drift = abs(res.final.norm() - 1.0)
     ok = drift < 1e-10
     detail = _verdict("6a", ok, f"|norm-1|={drift:.2e} after 1e4 absorber-free steps (tol 1e-10)")
@@ -255,11 +256,11 @@ def test_unitarity_drift(ground_pair, v_atom, long_cache):
 def test_dt_halving_overlap(ground_pair, v_atom, long_cache):
     finals = []
     for dt in (0.1, 0.05):
-        op = SplitOperator(ground_pair.state.grid, v_atom, dt, MODE_LAB, long_cache)
         time = TimeGrid(t0=0.0, dt=dt, n_steps=round(100.0 / dt))
-        res = propagate(op, ground_pair.state.with_frame("lab"), time)
+        op = SplitOperator(ground_pair.state.grid, v_atom, time, MODE_LAB, long_cache)
+        res = propagate(op, ground_pair.state.with_frame("lab"))
         finals.append(res.final)
-    ov = abs(autocorrelation(finals[0], finals[1]))
+    ov = abs(inner_product(finals[0], finals[1]))
     ok = ov >= 1.0 - 1e-6
     detail = _verdict("6b", ok, f"dt 0.1 vs 0.05 final-state overlap 1-{1-ov:.2e} (tol 1e-6)")
     assert ok, detail
@@ -344,7 +345,7 @@ def test_slosh_and_tail_trend(lab_coh_run, long_cache, grid):
         # flux-bearing snapshots: the in-window marginal identity is loose
         w = wigner(ctx.lab_to_kh(snap), mass_tol=0.5)
         center = next(c for c in (720.0, 1520.0, 2198.0) if snap.t <= c + 1e-6)
-        tails.setdefault(center, []).append(momentum_tail_fraction(w, 0.25))
+        tails.setdefault(center, []).append(momentum_tail_fraction(w))
     means = [float(np.mean(tails[c])) for c in (720.0, 1520.0, 2198.0)]
     decreasing = means[0] > means[1] > means[2]
 

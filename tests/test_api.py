@@ -7,6 +7,10 @@ caller when code in src/khatom other than its own definition loads it,
 as a plain name or as an attribute.  Code that only tests call goes, or
 moves to tests/; ALLOWED lists the independent oracles and the readers
 of run-directory files, which the package keeps for its users.
+
+Likewise every defaulted parameter of a public function, method or
+constructor is set by some call in src/khatom, by name or by position;
+an option that no caller sets becomes a constant of its module.
 """
 
 import ast
@@ -67,3 +71,86 @@ def test_public_names_have_a_caller():
         if name not in loaded and name not in ALLOWED
     ]
     assert not uncalled, "public names that no code in src/khatom calls: " + ", ".join(uncalled)
+
+
+# defaulted parameters that no call in src/khatom sets, kept on purpose:
+# the command line's argv, the imaginary-time controls (the function goes
+# with the single eigensolver), and the stand-in model of the averaged
+# potential that the zero-range check uses
+UNSET_ALLOWED = frozenset({
+    "main(argv)",
+    "imaginary_time_ground_state(dt_imag)",
+    "imaginary_time_ground_state(tol)",
+    "imaginary_time_ground_state(max_steps)",
+    "kh_averaged_potential(model)",
+})
+
+
+def _defaulted(fn: ast.FunctionDef, method: bool):
+    """(position, name) of each defaulted parameter; the position counts the
+    caller's arguments (self excluded) and is None for a keyword-only one."""
+    params = (fn.args.posonlyargs + fn.args.args)[1 if method else 0 :]
+    first = len(params) - len(fn.args.defaults)
+    out = [(i, p.arg) for i, p in enumerate(params) if i >= first]
+    out += [(None, p.arg) for p, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults) if d is not None]
+    return out
+
+
+def _checked_functions(tree: ast.Module):
+    """(name its callers use, definition, is method) of each public function,
+    public method and constructor: an __init__ is called by its class name.
+    The oracle functions on ALLOWED are left out, since only the checks call
+    them; dataclass fields are not checked."""
+    names = set(_public_names(tree)) - ALLOWED
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and node.name in names:
+            yield node.name, node, False
+        elif isinstance(node, ast.ClassDef) and node.name in names:
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and item.name == "__init__":
+                    yield node.name, item, True
+                elif isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                    yield item.name, item, True
+
+
+def _calls(tree: ast.Module):
+    """(callee name, positional count, keyword names, takes *args, takes **kwargs)
+    of each call; partial(f, ...) counts as a call of f."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func, args = node.func, node.args
+        if isinstance(func, ast.Name) and func.id == "partial" and args:
+            func, args = args[0], args[1:]
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        yield (
+            name,
+            len(args),
+            {kw.arg for kw in node.keywords if kw.arg is not None},
+            any(isinstance(a, ast.Starred) for a in args),
+            any(kw.arg is None for kw in node.keywords),
+        )
+
+
+def test_defaulted_parameters_are_set():
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    calls = {}
+    for tree in trees.values():
+        for name, *call in _calls(tree):
+            calls.setdefault(name, []).append(call)
+
+    def is_set(callee, position, param):
+        return any(
+            param in keywords or double_star
+            or (position is not None and (n_pos > position or star))
+            for n_pos, keywords, star, double_star in calls.get(callee, ())
+        )
+
+    unset = [
+        f"{module}: {name}({param})"
+        for module, tree in trees.items()
+        for name, fn, method in _checked_functions(tree)
+        for position, param in _defaulted(fn, method)
+        if not is_set(name, position, param) and f"{name}({param})" not in UNSET_ALLOWED
+    ]
+    assert not unset, "defaulted parameters that no call in src/khatom sets: " + ", ".join(unset)

@@ -14,7 +14,7 @@ import pytest
 
 from khatom import cli, propagator
 from khatom.cli import CliError, load_config, validate_config
-from khatom.core import TimeGrid, WaveFunction
+from khatom.core import SpatialGrid, TimeGrid, WaveFunction
 from khatom.eigen import EigenError
 from khatom.observables import read_series
 from khatom.phasespace import REALITY_TOL, PhaseSpaceError, read_wigner
@@ -196,29 +196,48 @@ def test_off_step_times_fail_before_any_solve(tmp_path, capsys):
     # from it failed only after the whole primary run
     base = ["grid.n_points=1024", "run.mode=kh_averaged", "run.initial=kh_coherent",
             "run.t_final=30", "run.absorber=off"]
+    restart = ["run.snapshots=15", "restart.at=15", "restart.t_final=30"]
+    small = ["grid.x_min=-150", "grid.x_max=150"]
     cases = [
         (["run.snapshots=12.34", "wigner.times=12.34"],
-         "run.snapshots time 12.34 is not a whole number of run.dt = 0.05 steps from 0"),
+         "cli", "run.snapshots time 12.34 is not a whole number of run.dt = 0.05 steps from 0"),
         (["run.snapshots=12.34", "restart.at=12.34", "restart.t_final=20"],
-         "restart.at time 12.34 is not a whole number of run.dt = 0.05 steps from 0"),
+         "cli", "restart.at time 12.34 is not a whole number of run.dt = 0.05 steps from 0"),
         (["run.snapshots=15", "restart.at=15", "restart.t_final=30.01"],
-         "restart.t_final time 30.01 is not a whole number of run.dt = 0.05 steps from 15"),
+         "cli", "restart.t_final time 30.01 is not a whole number of run.dt = 0.05 steps from 15"),
         # a span with no step used to fail after the solves, as did the
         # grid and pulse rules that SpatialGrid and PulseParams own
-        (["run.t_final=0"], "run.t_final 0 leaves no run.dt = 0.05 step after 0"),
+        (["run.t_final=0"], "cli", "run.t_final 0 leaves no run.dt = 0.05 step after 0"),
         (["run.mode=lab_full", "pulse.ramp_cycles=30"],
-         "bad pulse.* values: need 0 < ramp < flat_end < total cycles"),
+         "cli", "bad pulse.* values: need 0 < ramp < flat_end < total cycles"),
         (["grid.n_points=1000"],
-         "bad grid.* values: n_points must be a power of two >= 2, got 1000"),
+         "cli", "bad grid.* values: n_points must be a power of two >= 2, got 1000"),
+        # a grid too small for a segment's absorber or for a planned map
+        # used to fail after the solves and the propagation
+        (["run.mode=lab_full", "run.absorber=auto", "grid.x_min=-500", "grid.x_max=500"],
+         "propagator", "absorber inner width reaches the grid edge"),
+        (restart + ["restart.absorber=on", "grid.x_min=-500", "grid.x_max=500"],
+         "propagator", "absorber inner width reaches the grid edge"),
+        (["run.absorber=on", "grid.x_min=-500"],
+         "propagator", "absorber inner width reaches the grid edge"),
+        (small + ["run.snapshots=15", "wigner.times=snapshots"],
+         "phasespace", "position window plus correlation reach exceeds the grid"),
+        (small + ["run.enabled=false", "wigner.states=kh_ground"],
+         "phasespace", "position window plus correlation reach exceeds the grid"),
+        (["grid.x_min=-150", "run.enabled=false", "wigner.states=kh_ground"],
+         "phasespace", "position window plus correlation reach exceeds the grid"),
     ]
-    for extra, message in cases:
+    for extra, module, message in cases:
         out = tmp_path / "out"
         argv = ["propagate", "--out", str(out)]
         for item in base + extra:
             argv += ["--override", item]
         assert cli.main(argv) == 1
-        assert f"khatom: [cli] {message}" in capsys.readouterr().err
+        assert f"khatom: [{module}] {message}" in capsys.readouterr().err
         assert not out.exists()
+    # the same grids pass where nothing needs the absorber or a map
+    validate_config(load_config(overrides=base + small + ["run.snapshots=15"]))
+    validate_config(load_config(overrides=base + restart + ["grid.x_min=-500", "grid.x_max=500"]))
     # a time within 1e-6 of a step passes: it is stored at that step
     validate_config(load_config(overrides=base + ["run.snapshots=12.3500001"]))
 
@@ -292,8 +311,21 @@ def test_all_recipes_load_and_validate():
         validate_config(cfg)
 
 
+def _written(out) -> set:
+    """The files a verb wrote, as its manifest lists them; nothing else is there."""
+    files = set(json.loads((out / "manifest.json").read_text())["files"])
+    assert set(os.listdir(out)) == files | {"manifest.json"}
+    return files
+
+
+def _verb(verb, recipe, out):
+    """Runs a single-output verb on a recipe's config, which sets other outputs too."""
+    return cli.main([verb, "--config", cli._recipe_path(recipe), "--out", str(out)])
+
+
 def test_potential_verb(tmp_path):
-    assert cli.main(["potential", "--out", str(tmp_path)]) == 0
+    assert _verb("potential", "fig3", tmp_path) == 0
+    assert _written(tmp_path) == {"potential_bare.dat", "potential_averaged.dat"}
     bare = np.loadtxt(tmp_path / "potential_bare.dat")
     avg = np.loadtxt(tmp_path / "potential_averaged.dat")
     assert bare.shape == avg.shape and bare.shape[1] == 2
@@ -304,7 +336,8 @@ def test_potential_verb(tmp_path):
 
 
 def test_field_verb(tmp_path):
-    assert cli.main(["field", "--out", str(tmp_path)]) == 0
+    assert _verb("field", "fig3", tmp_path) == 0
+    assert _written(tmp_path) == {"field.dat"}
     table = np.loadtxt(tmp_path / "field.dat")
     assert table.shape[1] == 4
     assert table[0, 0] == 0.0 and abs(table[-1, 0] - 1200.0) < 1.0
@@ -314,7 +347,11 @@ def test_field_verb(tmp_path):
 
 
 def test_eigen_verb(tmp_path):
-    assert cli.main(["eigen", "--out", str(tmp_path)]) == 0
+    # fig3 also asks for three maps and a portrait
+    assert _verb("eigen", "fig3", tmp_path) == 0
+    assert _written(tmp_path) == {
+        "atomic_ground.dat", "kh_state_0.dat", "kh_state_1.dat", "eigen_energies.txt",
+    }
     text = (tmp_path / "eigen_energies.txt").read_text()
     table = dict(line.split(" = ") for line in text.strip().splitlines())
     assert abs(float(table["e_atomic"]) + 0.0277) < 5e-4
@@ -325,7 +362,9 @@ def test_eigen_verb(tmp_path):
 
 
 def test_portrait_verb(tmp_path):
-    assert cli.main(["portrait", "--out", str(tmp_path)]) == 0
+    # fig1 also asks for the potentials and the bound states
+    assert _verb("portrait", "fig1", tmp_path) == 0
+    assert _written(tmp_path) == {"portrait.dat"}
     lines = (tmp_path / "portrait.dat").read_text().splitlines()
     kinds = {ln.split("kind=")[1] for ln in lines if "kind=" in ln}
     assert kinds == {"separatrix", "regular"}
@@ -600,13 +639,11 @@ def test_transform_then_restart(tmp_path, kh_pairs):
 
 def test_observables_verb_runs_a_restart(mini_cfg_path, mini_run, tmp_path):
     # the verb keeps the one snapshot the restart starts from, and writes the
-    # series of both segments as the full run does
+    # series of both segments as the full run does; the recipe's maps,
+    # portrait, potentials and bound states are left out
     out = tmp_path / "obs"
     assert cli.main(["observables", "--config", mini_cfg_path, "--out", str(out)]) == 0
-    files = set(json.loads((out / "manifest.json").read_text())["files"])
-    assert {"observables.csv", "restart_observables.csv", "snapshot_t15.snap"} <= files
-    assert not any(name.startswith(("restart_snapshot", "wigner", "restart_wigner"))
-                   for name in files)
+    assert _written(out) == {"observables.csv", "restart_observables.csv", "snapshot_t15.snap"}
     for name in ("observables.csv", "restart_observables.csv"):
         assert filecmp.cmp(out / name, mini_run / name, shallow=False)
 
@@ -657,6 +694,17 @@ def test_wigner_verb_rejects_lab_snapshot(tmp_path, kh_pairs, capsys):
     assert cli.main(["wigner", str(snap), "--out", str(tmp_path / "w")]) == 1
     assert "transform" in capsys.readouterr().err
     assert not (tmp_path / "w").exists()  # every snapshot is checked before any map
+
+
+def test_wigner_verb_checks_the_grid_before_any_map(tmp_path, capsys):
+    # +-150 a.u. cannot hold the +-60 window plus half the 240 a.u. lag
+    g = SpatialGrid(-150.0, 150.0, 1024)
+    snap = tmp_path / "small.snap"
+    write_snapshot(snap, WaveFunction(g, np.exp(-g.x**2) + 0j, 0.0, "kh"))
+    assert cli.main(["wigner", str(snap), "--out", str(tmp_path / "w")]) == 1
+    assert capsys.readouterr().err == (
+        "khatom: [phasespace] position window plus correlation reach exceeds the grid\n")
+    assert not (tmp_path / "w").exists()
 
 
 def test_start_snapshot_is_checked_before_any_solve(tmp_path, kh_pairs, capsys):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.fft import fft, ifft
@@ -243,15 +245,11 @@ def test_coherent_superposition_localizes(psi_coh):
     assert left > right  # the +,+ sign convention picks the left well
 
 
-def test_coherent_superposition_degenerate_weights(kh_pairs):
-    wf = coherent_superposition(kh_pairs[0], kh_pairs[1], weights=(1.0, 0.0))
-    # re-normalizing is not bit-idempotent: allow a few ulp of the peak
-    ulp = np.spacing(np.max(np.abs(kh_pairs[0].state.psi)))
-    assert np.max(np.abs(wf.psi - kh_pairs[0].state.psi)) <= 4 * ulp
-
-
 def test_coherent_superposition_mirror(kh_pairs, psi_coh):
-    minus = coherent_superposition(kh_pairs[0], kh_pairs[1], weights=(2 **-0.5, -(2 **-0.5)))
+    # the odd state with its sign flipped puts the packet in the other well
+    odd = kh_pairs[1].state
+    flipped = replace(kh_pairs[1], state=WaveFunction(odd.grid, -odd.psi, odd.t, odd.frame))
+    minus = coherent_superposition(kh_pairs[0], flipped)
     lp, rp = half_masses(psi_coh)
     lm, rm = half_masses(minus)
     assert lp == pytest.approx(rm, abs=1e-8)

@@ -61,8 +61,9 @@ def test_free_quiver_static_in_kh(ctx, grid, cache):
     a0 = cache.a_at(t0)
     assert abs(a0) > 0.5
     wf0 = lab_gaussian(grid, x0=-15.0, width=20.0, p0=-a0, t=t0)
-    op = SplitOperator(grid, np.zeros(grid.n_points), 0.05, MODE_LAB, cache)
-    fin = propagate(op, wf0, TimeGrid(t0=t0, dt=0.05, n_steps=500)).final
+    op = SplitOperator(grid, np.zeros(grid.n_points), TimeGrid(t0=t0, dt=0.05, n_steps=500),
+                       MODE_LAB, cache)
+    fin = propagate(op, wf0).final
     alpha = cache.alpha_at(fin.t)
     assert abs(alpha) > 10.0  # quarter cycle later: quiver extremum
     assert mean_x(fin) == pytest.approx(-15.0 - alpha, abs=0.05)
@@ -133,10 +134,14 @@ def test_frame_tag_enforcement(ctx, grid):
         ctx.lab_to_kh(khwf)
 
 
-def test_explicit_time_overrides_state_time(ctx, grid, cache):
-    wf = lab_gaussian(grid, t=650.0)
-    out_at_0 = ctx.lab_to_kh(wf, t=-1.0)
-    assert np.max(np.abs(out_at_0.psi - wf.psi)) < 1e-12
+def test_identity_just_before_pulse(ctx, grid):
+    # the transform reads the state's own time: one a.u. before the pulse
+    # both directions leave the amplitudes as they are
+    wf = lab_gaussian(grid, t=-1.0)
+    out = ctx.lab_to_kh(wf)
+    assert out.t == -1.0 and np.max(np.abs(out.psi - wf.psi)) < 1e-12
+    back = ctx.kh_to_lab(wf.with_frame(FRAME_KH))
+    assert back.t == -1.0 and np.max(np.abs(back.psi - wf.psi)) < 1e-12
 
 
 def test_grid_mismatch_rejected(ctx):

@@ -3,13 +3,12 @@
 import numpy as np
 import pytest
 
-from khatom.core import FRAME_KH, FrameError, TimeGrid, WaveFunction, shift_samples
+from khatom.core import FRAME_KH, FrameError, TimeGrid, WaveFunction, inner_product, shift_samples
 from khatom.observables import (
     CSV_COLUMNS,
     WINDOW,
     ObservableError,
     Recorder,
-    autocorrelation,
     population,
     read_series,
     trapped_width,
@@ -94,7 +93,7 @@ def test_half_line_masses_superposition(psi_coh):
 
 
 def test_autocorrelation_initial(psi_coh):
-    assert abs(autocorrelation(psi_coh, psi_coh) - 1.0) < 1e-12
+    assert abs(inner_product(psi_coh, psi_coh) - 1.0) < 1e-12
 
 
 def test_beat_autocorrelation_matches_two_level_formula(kh_beat_run, kh_pairs):
@@ -147,8 +146,8 @@ def test_beat_density_reconstruction(kh_beat_run, kh_pairs):
 
 def test_single_eigenstate_autocorrelation_flat(grid, averaged, kh_pairs):
     rec = Recorder(kh_pairs=kh_pairs)
-    op = SplitOperator(grid, averaged.samples, 0.05, MODE_KH)
-    propagate(op, kh_pairs[0].state, TimeGrid(t0=0.0, dt=0.05, n_steps=4000), observer=rec)
+    op = SplitOperator(grid, averaged.samples, TimeGrid(t0=0.0, dt=0.05, n_steps=4000), MODE_KH)
+    propagate(op, kh_pairs[0].state, observer=rec)
     c2 = rec.column("autocorr_abs2")
     assert np.max(np.abs(c2 - 1.0)) < 1e-8
 

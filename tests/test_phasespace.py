@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from khatom import phasespace
 from khatom.core import FRAME_KH, SpatialGrid, WaveFunction
 from khatom.frame import FrameTransformContext
 from khatom.phasespace import (
@@ -89,8 +90,10 @@ def test_sample_rows_match_band_limited_oracle(psi_coh):
     assert np.max(np.abs(rows[:, cols] - oracle)) < 1e-12
 
 
-def test_wigner_gaussian_oracle(gaussian):
-    w = wigner(gaussian, x_window=(-6, 6), p_window=(-3, 3), n_x=121, n_p=121)
+def test_wigner_gaussian_oracle(gaussian, monkeypatch):
+    monkeypatch.setattr(phasespace, "X_AXIS", np.linspace(-6.0, 6.0, 121))
+    monkeypatch.setattr(phasespace, "P_AXIS", np.linspace(-3.0, 3.0, 121))
+    w = wigner(gaussian)
     X, P = np.meshgrid(w.x, w.p, indexing="ij")
     exact = np.exp(-(X**2) - P**2) / np.pi
     assert np.max(np.abs(w.values - exact)) < 1e-10
@@ -145,7 +148,7 @@ def test_marginals_zero_state(grid):
     assert wigner_marginals(w, zero) == (0.0, 0.0)
 
 
-def test_marginals_frame_invariance(psi_coh, cache, grid):
+def test_marginals_frame_invariance(psi_coh, cache, grid, monkeypatch):
     # Same trapped state viewed in both frames at a vector-potential zero,
     # where the two frames differ by a pure quiver displacement.  A clean
     # bound packet keeps escaping flux out of the comparison so the residuals
@@ -155,17 +158,18 @@ def test_marginals_frame_invariance(psi_coh, cache, grid):
     snap_lab = ctx.kh_to_lab(snap_kh)
     # window wide enough that the exponential tails are inside it in both
     # frames; otherwise the truncated tail mass is itself frame dependent
-    win = (-120.0, 120.0)
-    r_lab = wigner_marginals(wigner(snap_lab, x_window=win), snap_lab)
-    r_kh = wigner_marginals(wigner(snap_kh, x_window=win), snap_kh)
+    monkeypatch.setattr(phasespace, "X_AXIS", np.linspace(-120.0, 120.0, 241))
+    r_lab = wigner_marginals(wigner(snap_lab), snap_lab)
+    r_kh = wigner_marginals(wigner(snap_kh), snap_kh)
     assert abs(r_lab[0] - r_kh[0]) < 1e-3
     assert abs(r_lab[1] - r_kh[1]) < 1e-3
 
 
-def test_wigner_rejects_wide_momentum_window(kh_pairs):
+def test_wigner_rejects_wide_momentum_window(kh_pairs, monkeypatch):
     g = kh_pairs[0].state.grid
-    with pytest.raises(PhaseSpaceError):
-        wigner(kh_pairs[0].state, p_window=(-np.pi / g.dx - 1, np.pi / g.dx + 1))
+    monkeypatch.setattr(phasespace, "P_AXIS", np.linspace(-np.pi / g.dx - 1, np.pi / g.dx + 1, 201))
+    with pytest.raises(PhaseSpaceError, match="momentum window"):
+        wigner(kh_pairs[0].state)
 
 
 def test_wigner_grid_validation():
@@ -224,12 +228,11 @@ def test_lag_transform_matches_direct_sum():
 
 
 def test_cross_transform_magnitudes(kh_pairs):
-    # the cross term of superposition_wigner_analytic, on the default axes
+    # the cross term of superposition_wigner_analytic, on the map's axes
     phi0, phi1 = kh_pairs[0].state, kh_pairs[1].state
-    m_max = int(240.0 / phi0.grid.dx)
-    x, p = np.linspace(-60.0, 60.0, 241), np.linspace(-0.6, 0.6, 201)
-    s0, s1 = (_sample_matrix(phi, x, m_max) for phi in (phi0, phi1))
-    c = _lag_transform(s0, s1, p, phi0.grid.dx)
+    m_max = int(phasespace.XI_MAX / phi0.grid.dx)
+    s0, s1 = (_sample_matrix(phi, phasespace.X_AXIS, m_max) for phi in (phi0, phi1))
+    c = _lag_transform(s0, s1, phasespace.P_AXIS, phi0.grid.dx)
     assert np.max(np.abs(c.real)) > 0.1
     assert np.max(np.abs(c.imag)) > 0.1
 
@@ -252,7 +255,7 @@ def test_momentum_confinement_over_beat(beat_wigners):
         tail = np.abs(w.p) > 0.25
         signed = w.values[:, tail].sum() / w.values.sum()
         assert 0.0 < signed < 0.01
-        assert abs(momentum_tail_fraction(w, 0.25) - signed) < 1e-12
+        assert abs(momentum_tail_fraction(w) - signed) < 1e-12
 
 
 def test_equienergy_single_band(averaged):
@@ -303,7 +306,7 @@ def test_phase_portrait_bundle(averaged):
 
 
 def test_wigner_file_roundtrip(tmp_path, kh_pairs):
-    w = wigner(kh_pairs[0].state, n_x=61, n_p=41)
+    w = wigner(kh_pairs[0].state)
     path = tmp_path / "state.wig"
     write_wigner(path, w)
     back = read_wigner(path)

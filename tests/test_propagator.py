@@ -38,8 +38,8 @@ def kh_wf(grid, psi, t=0.0):
 
 def final_state(mode, initial, t0, dt, n_steps, v, cache=None, use_absorber=False):
     """The amplitudes propagate leaves after n_steps steps of dt from t0."""
-    op = SplitOperator(initial.grid, v, dt, mode, cache, use_absorber)
-    return propagate(op, initial, TimeGrid(t0, dt, n_steps)).final.psi
+    op = SplitOperator(initial.grid, v, TimeGrid(t0, dt, n_steps), mode, cache, use_absorber)
+    return propagate(op, initial).final.psi
 
 
 def by_executor(monkeypatch, n_points, run):
@@ -165,9 +165,9 @@ def test_absorber_reflection(p0):
                 self.norms.append(g.dx * np.sum(np.abs(wf.psi[inside]) ** 2))
 
     rec = Returned()
-    op = SplitOperator(g, np.zeros(g.n_points), 0.05, MODE_KH, absorber=True)
     time = TimeGrid(0.0, 0.05, round(450.0 / p0 / 0.05))
-    propagate(op, kh_wf(g, psi).normalized(), time, observer=rec, cadence=100)
+    op = SplitOperator(g, np.zeros(g.n_points), time, MODE_KH, absorber=True)
+    propagate(op, kh_wf(g, psi).normalized(), observer=rec, cadence=100)
     assert len(rec.norms) > 5 and max(rec.norms) < 1e-11
 
 
@@ -191,9 +191,8 @@ class Started:
             print("stepping", flush=True)
 
 g = SpatialGrid()
-propagate(SplitOperator(g, np.zeros(g.n_points), 0.05, MODE_KH),
-          WaveFunction(g, np.exp(-g.x**2 / 8.0) + 0j, 0.0, "kh"),
-          TimeGrid(0.0, 0.05, 10**6), observer=Started())
+propagate(SplitOperator(g, np.zeros(g.n_points), TimeGrid(0.0, 0.05, 10**6), MODE_KH),
+          WaveFunction(g, np.exp(-g.x**2 / 8.0) + 0j, 0.0, "kh"), observer=Started())
 """
 
 
@@ -243,8 +242,8 @@ def test_partner_matches_inline_under_load(monkeypatch):
 
     def run():
         rec = _Copies()
-        op = SplitOperator(g, 0.01 * g.x**2, 0.05, MODE_KH, absorber=True)
-        result = propagate(op, kh_wf(g, psi), TimeGrid(0.0, 0.05, 800), (247, 600), rec, 7)
+        op = SplitOperator(g, 0.01 * g.x**2, TimeGrid(0.0, 0.05, 800), MODE_KH, absorber=True)
+        result = propagate(op, kh_wf(g, psi), (247, 600), rec, 7)
         return rec.states + [s.psi for s in result.snapshots] + [result.final.psi]
 
     burners = [subprocess.Popen([sys.executable, "-c", "while True: pass"])
@@ -273,27 +272,27 @@ def test_propagate_validation(grid, averaged, psi_coh, ground_pair):
     # fits the operator and that each snapshot step lies on the time grid
     tg = TimeGrid(0.0, 0.05, 100)
     with pytest.raises(PropagatorError, match="mode"):
-        SplitOperator(grid, averaged.samples, 0.05, "sideways")
+        SplitOperator(grid, averaged.samples, tg, "sideways")
     with pytest.raises(PropagatorError, match="cache"):
-        SplitOperator(grid, averaged.samples, 0.05, MODE_LAB)
+        SplitOperator(grid, averaged.samples, tg, MODE_LAB)
     with pytest.raises(PropagatorError, match="potential samples"):
-        SplitOperator(grid, averaged.samples[:-1], 0.05, MODE_KH)
-    op = SplitOperator(grid, averaged.samples, 0.05, MODE_KH)
+        SplitOperator(grid, averaged.samples[:-1], tg, MODE_KH)
+    op = SplitOperator(grid, averaged.samples, tg, MODE_KH)
     with pytest.raises(PropagatorError, match="needs a 'kh' frame initial state, got 'lab'"):
-        propagate(op, ground_pair.state, tg)
+        propagate(op, ground_pair.state)
     small = SpatialGrid(grid.x_min, grid.x_max, grid.n_points // 2)
     with pytest.raises(PropagatorError, match="another grid"):
-        propagate(op, WaveFunction(small, np.ones(small.n_points), 0.0, FRAME_KH), tg)
+        propagate(op, WaveFunction(small, np.ones(small.n_points), 0.0, FRAME_KH))
     for step in (-1, 101):
         with pytest.raises(PropagatorError, match=rf"snapshot step {step} outside \[0, 100\]"):
-            propagate(op, psi_coh, tg, snapshot_steps=(0, step))
+            propagate(op, psi_coh, snapshot_steps=(0, step))
 
 
 def test_propagate_snapshots_and_observer(grid, averaged, psi_coh):
     tg = TimeGrid(0.0, 0.05, 200)
     rec = NormRecorder()
-    op = SplitOperator(grid, averaged.samples, 0.05, MODE_KH, absorber=True)
-    res = propagate(op, psi_coh, tg, (200, 0, 60, 60), rec, cadence=20)
+    op = SplitOperator(grid, averaged.samples, tg, MODE_KH, absorber=True)
+    res = propagate(op, psi_coh, (200, 0, 60, 60), rec, cadence=20)
     assert isinstance(res, PropagationResult)
     # one snapshot per distinct step, in step order, stamped time_at(k)
     assert [s.t for s in res.snapshots] == [tg.time_at(k) for k in (0, 60, 200)]
@@ -307,9 +306,9 @@ def test_propagate_snapshots_and_observer(grid, averaged, psi_coh):
 
 def test_propagate_aborts_on_overflow(grid, psi_coh):
     tg = TimeGrid(0.0, 0.05, 10)
-    op = SplitOperator(grid, np.full(grid.n_points, np.inf), 0.05, MODE_KH)
+    op = SplitOperator(grid, np.full(grid.n_points, np.inf), tg, MODE_KH)
     with pytest.raises(PropagatorError, match="step 1"):
-        propagate(op, psi_coh, tg)
+        propagate(op, psi_coh)
 
 
 def test_kh_energy_conservation(grid, averaged, psi_coh):
