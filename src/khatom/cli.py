@@ -33,7 +33,7 @@ from .eigen import (
     rayleigh_energy,
 )
 from .frame import FrameTransformContext
-from .laser import PulseParams, build_field_cache
+from .laser import PulseParams, build_field_cache, check_field_step
 from .observables import Recorder, write_series
 from .phasespace import (
     check_windows,
@@ -213,6 +213,11 @@ def _config_pulse(cfg: dict) -> PulseParams:
     )
 
 
+def _field_step(cfg: dict) -> float:
+    """The field cache's node spacing: half of run.dt, so step midpoints are nodes."""
+    return 0.5 * cfg["run.dt"]
+
+
 def load_config(path=None, overrides=()) -> dict:
     """The defaults, then the file, then the overrides, each value parsed and
     checked; the grid.* and pulse.* keys are checked by building their objects."""
@@ -318,9 +323,13 @@ def validate_config(cfg: dict) -> list[RunSegment]:
     checked against the other keys, and each configured time resolved to a
     step of its segment; [] when there is no run.  The grid must hold the
     absorber of each segment that has it on, and the Wigner window when any
-    map is planned; each check raises its own module's error."""
+    map is planned; half of run.dt must divide the pulse when a lab_full
+    segment or emit.field uses the field.  Each check raises its own
+    module's error."""
     plan = _plan(cfg)
     grid = _config_grid(cfg)
+    if cfg["emit.field"] or any(seg.mode == MODE_LAB for seg in plan):
+        check_field_step(_config_pulse(cfg), _field_step(cfg))
     if any(seg.absorber for seg in plan):
         check_absorber(grid)
     if cfg["wigner.states"] or any(seg.wigner_steps for seg in plan):
@@ -494,7 +503,7 @@ class Pipeline:
 
     @cached_property
     def cache(self):
-        cache = build_field_cache(self.params, dt_field=0.5 * self.cfg["run.dt"])
+        cache = build_field_cache(self.params, _field_step(self.cfg))
         res_a, res_alpha = cache.endpoint_residuals
         self.manifest["residuals"]["field_endpoint_a"] = float(res_a)
         self.manifest["residuals"]["field_endpoint_alpha"] = float(res_alpha)
@@ -517,6 +526,9 @@ class Pipeline:
         pairs = kh_bound_states(self.avg)
         for k, pair in enumerate(pairs):
             self.manifest["residuals"][f"eigen_residual_kh_{k}"] = pair.residual
+        if len(pairs) < 2:
+            raise CliError(f"the averaged potential at kh.alpha0 = {self.cfg['kh.alpha0']:g} "
+                           f"binds {len(pairs)} state(s); the KH pair needs two")
         e0, e1 = (p.energy for p in pairs[:2])
         der = self.manifest["derived"]
         der["e_kh_0"] = float(e0)
@@ -547,13 +559,16 @@ class Pipeline:
             fh.write(f"# {header}\n")
             fh.writelines(_repr_rows(columns))
 
+    def _emit_window(self, name: str, values: np.ndarray, column: str) -> None:
+        """The table "x column" of values on the grid points with |x| <= EMIT_HALF_WIDTH."""
+        sel = np.abs(self.grid.x) <= EMIT_HALF_WIDTH
+        self._emit_table(name, (self.grid.x[sel], values[sel]), f"x {column}")
+
     # ---- stages ------------------------------------------------------------
 
     def emit_potential(self) -> None:
-        sel = np.abs(self.grid.x) <= EMIT_HALF_WIDTH
-        xs = self.grid.x[sel]
-        self._emit_table("potential_bare.dat", (xs, atomic_potential(xs)), "x v")
-        self._emit_table("potential_averaged.dat", (xs, self.avg.samples[sel]), "x v0")
+        self._emit_window("potential_bare.dat", atomic_potential(self.grid.x), "v")
+        self._emit_window("potential_averaged.dat", self.avg.samples, "v0")
 
     def emit_field(self) -> None:
         cache = self.cache
@@ -566,15 +581,9 @@ class Pipeline:
         )
 
     def emit_eigen(self) -> None:
-        sel = np.abs(self.grid.x) <= EMIT_HALF_WIDTH
-        xs = self.grid.x[sel]
-        self._emit_table(
-            "atomic_ground.dat", (xs, self.ground.state.density()[sel]), "x density"
-        )
+        self._emit_window("atomic_ground.dat", self.ground.state.density(), "density")
         for k, pair in enumerate(self.pairs):
-            self._emit_table(
-                f"kh_state_{k}.dat", (xs, pair.state.density()[sel]), "x density"
-            )
+            self._emit_window(f"kh_state_{k}.dat", pair.state.density(), "density")
         der = self.manifest["derived"]
         with open(self._path("eigen_energies.txt"), "w") as fh:
             for key in ("e_atomic", "e_kh_0", "e_kh_1", "omega_10", "t_10", "alpha0"):
@@ -639,14 +648,12 @@ class Pipeline:
         )
 
     def _emit_segment_densities(self, segment: RunSegment) -> None:
-        sel = np.abs(self.grid.x) <= EMIT_HALF_WIDTH
-        xs = self.grid.x[sel]
         for snap in segment.result.snapshots:
             stem = f"{segment.label}density_t{snap.t:g}"
-            self._emit_table(f"{stem}_{snap.frame}.dat", (xs, snap.density()[sel]), "x density")
+            self._emit_window(f"{stem}_{snap.frame}.dat", snap.density(), "density")
             if snap.frame == FRAME_LAB:
                 kh_view = self.ctx.lab_to_kh(snap)
-                self._emit_table(f"{stem}_kh.dat", (xs, kh_view.density()[sel]), "x density")
+                self._emit_window(f"{stem}_kh.dat", kh_view.density(), "density")
 
     def _export_wigner(self, stem: str, wf: WaveFunction, mass_tol: float) -> None:
         view = wf if wf.frame == FRAME_KH else self.ctx.lab_to_kh(wf)
@@ -664,15 +671,10 @@ class Pipeline:
                 x_col = f"{x:.6f}"
                 fh.write((x_col + x_col.join(cells)) % tuple(row))
                 fh.write("\n")
-        dp = w.p[1] - w.p[0]
-        mass = float(np.trapezoid(np.trapezoid(w.values, dx=dp, axis=1), x=w.x))
-        gx = view.grid.x
-        sel = (gx >= w.x[0]) & (gx <= w.x[-1])
-        window_norm = float(np.trapezoid(view.density()[sel], gx[sel]))
         self.manifest["wigner"][f"{stem}.wig"] = {
             "t": float(w.t),
             "frame": w.frame,
-            "mass_deficit": abs(mass - window_norm),
+            "mass_deficit": w.mass_deficit,
             "high_p_fraction": float(momentum_tail_fraction(w)),
             "imag_residue": w.imag_residue,
         }
@@ -720,12 +722,13 @@ class Pipeline:
         choice = self.cfg["portrait.energies"]
         if choice == "none":
             return
-        energies = (separatrix_energy(self.avg), _OVERLAY_ENERGY) if choice == "auto" else choice
-        portrait = phase_portrait(self.avg, energies)
+        avg = self.avg  # which records the separatrix energy once
+        e_sep = self.manifest["derived"]["e_separatrix"]
+        energies = (e_sep, _OVERLAY_ENERGY) if choice == "auto" else choice
         with open(self._path("portrait.dat"), "w") as fh:
             fh.write("# equienergy curves of p^2/2 + v0(x); blocks: x p\n")
-            for energy, branches in zip(portrait.energies, portrait.curves):
-                tag = "separatrix" if abs(energy - portrait.e_sep) < 1e-12 else "regular"
+            for energy, branches in zip(energies, phase_portrait(avg, energies)):
+                tag = "separatrix" if abs(energy - e_sep) < 1e-12 else "regular"
                 for k, (xs, ps) in enumerate(branches):
                     fh.write(f"# E={float(energy)!r} branch={k} kind={tag}\n")
                     fh.writelines(_repr_rows((xs, ps)))
@@ -833,6 +836,7 @@ def _cmd_transform(args) -> int:
     wf = _read_on_grid(cfg, args.snapshot)
     if wf.frame != FRAME_LAB:
         raise CliError(f"snapshot {args.snapshot} is already in the {wf.frame} frame")
+    check_field_step(_config_pulse(cfg), _field_step(cfg))
     with Pipeline(cfg, args.out).finalizing() as pipe:
         pipe.manifest["parent"] = _parent(args.snapshot, wf)
         stem = os.path.splitext(os.path.basename(args.snapshot))[0]

@@ -249,19 +249,12 @@ def padded_spectrum(grid: SpatialGrid, arr: np.ndarray) -> np.ndarray:
     return out
 
 
-def parity_project(grid: SpatialGrid, arr: np.ndarray, parity: str) -> np.ndarray:
-    """Project onto the even or odd sector about x = 0.
-
-    The mirror pairs index j with (n - j) mod n; requires a grid symmetric
-    about 0 (x = 0 on the grid), which holds for the standard [-L, L) layout.
-    """
-    arr = np.asarray(arr)
-    rev = np.concatenate((arr[:1], arr[:0:-1]))
-    if parity == "even":
-        return 0.5 * (arr + rev)
-    if parity == "odd":
-        return 0.5 * (arr - rev)
-    raise GridError(f"parity must be 'even' or 'odd', got {parity!r}")
+def write_container(path, magic: str, counts, reals, frame: str, payload: np.ndarray) -> None:
+    """Writes the header line and the <f8 payload that read_container reads back."""
+    fields = [magic, *(str(int(c)) for c in counts), *(repr(float(v)) for v in reals), frame]
+    with open(path, "wb") as fh:
+        fh.write((" ".join(fields) + "\n").encode("ascii"))
+        fh.write(np.ascontiguousarray(payload, dtype="<f8").tobytes())
 
 
 def read_container(path, magic: str, n_counts: int, n_reals: int, item_bytes: int,

@@ -24,7 +24,7 @@ from scipy.fft import fft, ifft, irfft, rfft
 from scipy.linalg import eigh_tridiagonal
 from scipy.sparse.linalg import lobpcg
 
-from .core import FRAME_KH, SpatialGrid, WaveFunction, KhatomError, inner_product, parity_project
+from .core import FRAME_KH, SpatialGrid, WaveFunction, KhatomError, inner_product
 from .potential import AveragedPotential
 
 __all__ = [
@@ -37,12 +37,10 @@ __all__ = [
     "coherent_superposition",
     "rayleigh_energy",
     "fix_global_phase",
-    "parity_of",
 ]
 
 log = logging.getLogger(__name__)
 
-PARITY_TOL = 1e-6
 ANTINODE_FLOOR = 1e-3
 EDGE_AMP_TOL = 1e-6
 NEAR_ZERO_DISCARD = -1e-6
@@ -59,7 +57,6 @@ class EigenError(KhatomError):
 class EigenPair:
     energy: float
     state: WaveFunction
-    parity: str  # "even", "odd" or "none"
     residual: float = float("nan")  # ||H psi - E psi||; nan where not measured
 
 
@@ -93,16 +90,6 @@ def _energy_residual(v: np.ndarray, wf: WaveFunction) -> tuple[float, float]:
 def rayleigh_energy(v: np.ndarray, wf: WaveFunction) -> float:
     """<psi|H|psi> with spectral kinetic energy and diagonal potential."""
     return _energy_residual(v, wf)[0]
-
-
-def parity_of(wf: WaveFunction) -> str:
-    """'even' or 'odd' when psi(-x) = +-psi(x) to within PARITY_TOL, else 'none'."""
-    # psi(x) -+ psi(-x) is twice the odd / even part
-    if 2.0 * np.max(np.abs(parity_project(wf.grid, wf.psi, "odd"))) < PARITY_TOL:
-        return "even"
-    if 2.0 * np.max(np.abs(parity_project(wf.grid, wf.psi, "even"))) < PARITY_TOL:
-        return "odd"
-    return "none"
 
 
 def fix_global_phase(wf: WaveFunction) -> WaveFunction:
@@ -183,7 +170,7 @@ def imaginary_time_ground_state(
             f"converged energy {energy:.6g} is not below the edge potential; "
             "no bound state found"
         )
-    return EigenPair(energy, wf, parity_of(wf), residual)
+    return EigenPair(energy, wf, residual)
 
 
 def bound_states_fd(v: np.ndarray, grid: SpatialGrid) -> list[EigenPair]:
@@ -218,7 +205,7 @@ def bound_states_fd(v: np.ndarray, grid: SpatialGrid) -> list[EigenPair]:
                 "use a wider grid"
             )
         wf = fix_global_phase(WaveFunction(grid, psi.astype(complex)))
-        pairs.append(EigenPair(float(e), wf, parity_of(wf)))
+        pairs.append(EigenPair(float(e), wf))
     return pairs
 
 
@@ -256,7 +243,7 @@ def bound_states(v: np.ndarray, grid: SpatialGrid) -> list[EigenPair]:
                 f"LOBPCG did not converge in {LOBPCG_MAXITER} iterations: state {k} "
                 f"has ||H psi - E psi|| = {residual:.2e} > {LOBPCG_TOL}"
             )
-        pairs.append(EigenPair(energy, wf, parity_of(wf), residual))
+        pairs.append(EigenPair(energy, wf, residual))
     return pairs
 
 

@@ -22,6 +22,7 @@ __all__ = [
     "envelope",
     "field_value",
     "build_field_cache",
+    "check_field_step",
     "INTENSITY_AU",
 ]
 
@@ -156,12 +157,9 @@ def _cumulative_simpson(y: np.ndarray, dx: float) -> np.ndarray:
     return out
 
 
-def build_field_cache(params: PulseParams, dt_field: float) -> FieldCache:
-    """Integrate eps -> A -> alpha and A^2 -> S on a dense uniform grid.
-
-    Composite Simpson, cumulative; the node spacing should divide the
-    propagation step so step midpoints land exactly on cache nodes.
-    """
+def check_field_step(params: PulseParams, dt_field: float) -> int:
+    """The number of dt_field intervals in the pulse; raises unless dt_field
+    is positive, divides the pulse duration and leaves at least two."""
     if dt_field <= 0:
         raise LaserError("dt_field must be positive")
     n = int(round(params.t_final / dt_field))
@@ -169,6 +167,16 @@ def build_field_cache(params: PulseParams, dt_field: float) -> FieldCache:
         raise LaserError("dt_field must divide the pulse duration")
     if n < 2:
         raise LaserError("dt_field must leave at least two intervals in the pulse")
+    return n
+
+
+def build_field_cache(params: PulseParams, dt_field: float) -> FieldCache:
+    """Integrate eps -> A -> alpha and A^2 -> S on a dense uniform grid.
+
+    Composite Simpson, cumulative; the node spacing should divide the
+    propagation step so step midpoints land exactly on cache nodes.
+    """
+    n = check_field_step(params, dt_field)
     times = np.arange(n + 1) * dt_field
     eps = field_value(params, times)
     a = -_cumulative_simpson(eps, dt_field)

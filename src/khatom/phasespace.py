@@ -19,13 +19,13 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.fft import ifft
 
-from .core import KhatomError, SpatialGrid, WaveFunction, padded_spectrum, read_container
+from .core import KhatomError, SpatialGrid, WaveFunction, padded_spectrum
+from .core import read_container, write_container
 from .potential import AveragedPotential, local_minima_positions
 
 __all__ = [
     "PhaseSpaceError",
     "WignerGrid",
-    "PhasePortrait",
     "wigner",
     "wigner_marginals",
     "superposition_wigner_analytic",
@@ -70,9 +70,11 @@ class WignerGrid:
     values: np.ndarray
     t: float
     frame: str
-    # largest |Im| of the complex transform the values were taken from;
-    # None where they came from elsewhere (a file, a closed form)
+    # largest |Im| of the complex transform the values were taken from, and
+    # |map mass - window norm|; None where the values came from elsewhere
+    # (a file, a closed form)
     imag_residue: float | None = None
+    mass_deficit: float | None = None
 
     def __post_init__(self):
         self.x = np.asarray(self.x, dtype=float)
@@ -90,13 +92,6 @@ class WignerGrid:
             raise PhaseSpaceError(
                 f"|W| reaches {peak:.4f}, beyond the pure-state bound 1/pi"
             )
-
-
-@dataclass
-class PhasePortrait:
-    energies: tuple
-    curves: list
-    e_sep: float
 
 
 def _sample_matrix(wf: WaveFunction, x_out: np.ndarray, m_max: int) -> np.ndarray:
@@ -202,9 +197,10 @@ def wigner(wf: WaveFunction, mass_tol: float = 1e-3) -> WignerGrid:
     """Wigner distribution of a state on the X_AXIS x P_AXIS window.
 
     The integrated mass is checked against the window-restricted norm to
-    mass_tol.  That identity presumes the state's momentum content fits
-    the p window; callers feeding states with fast flux transiting the
-    window (full-potential snapshots) must widen mass_tol accordingly.
+    mass_tol; their difference is the map's mass_deficit.  That identity
+    presumes the state's momentum content fits the p window; callers
+    feeding states with fast flux transiting the window (full-potential
+    snapshots) must widen mass_tol accordingly.
     """
     x_out, p_out = X_AXIS, P_AXIS
     check_windows(wf.grid)
@@ -212,14 +208,18 @@ def wigner(wf: WaveFunction, mass_tol: float = 1e-3) -> WignerGrid:
     s = _sample_matrix(wf, x_out, m_max)
     values, resid = _take_real(_lag_transform(s, s, p_out, wf.grid.dx))
 
-    sel = (wf.grid.x >= x_out[0]) & (wf.grid.x <= x_out[-1])
-    window_norm = float(wf.grid.dx * np.sum(wf.density()[sel]))
-    total = float(np.trapezoid(np.trapezoid(values, p_out, axis=1), x_out))
-    if abs(total - window_norm) > mass_tol:
+    # trapezoids in x and p, of the map and of the window's density: the one
+    # mass_deficit that is checked here and that the manifest records
+    mass = float(np.trapezoid(np.trapezoid(values, dx=p_out[1] - p_out[0], axis=1), x=x_out))
+    gx = wf.grid.x
+    sel = (gx >= x_out[0]) & (gx <= x_out[-1])
+    window_norm = float(np.trapezoid(wf.density()[sel], gx[sel]))
+    deficit = abs(mass - window_norm)
+    if deficit > mass_tol:
         raise PhaseSpaceError(
-            f"Wigner mass {total:.6f} disagrees with window norm {window_norm:.6f}"
+            f"Wigner mass {mass:.6f} disagrees with window norm {window_norm:.6f}"
         )
-    return WignerGrid(x_out, p_out, values, wf.t, wf.frame, resid)
+    return WignerGrid(x_out, p_out, values, wf.t, wf.frame, resid, deficit)
 
 
 def _eval_positions(wf: WaveFunction, xs: np.ndarray) -> np.ndarray:
@@ -337,20 +337,14 @@ def separatrix_energy(avg: AveragedPotential) -> float:
     return float(np.max(avg.samples[i_lo : i_hi + 1]))
 
 
-def phase_portrait(avg: AveragedPotential, energies) -> PhasePortrait:
-    curves = [equienergy_curve(e, avg) for e in energies]
-    return PhasePortrait(tuple(energies), curves, separatrix_energy(avg))
+def phase_portrait(avg: AveragedPotential, energies) -> list:
+    """The equienergy_curve branches of each energy, in order."""
+    return [equienergy_curve(e, avg) for e in energies]
 
 
 def write_wigner(path, w: WignerGrid) -> None:
-    header = (
-        f"{WIGNER_MAGIC} {len(w.x)} {len(w.p)} "
-        f"{float(w.x[0])!r} {float(w.x[-1])!r} {float(w.p[0])!r} {float(w.p[-1])!r} "
-        f"{float(w.t)!r} {w.frame}\n"
-    )
-    with open(path, "wb") as fh:
-        fh.write(header.encode("ascii"))
-        fh.write(np.ascontiguousarray(w.values, dtype="<f8").tobytes())
+    write_container(path, WIGNER_MAGIC, (len(w.x), len(w.p)),
+                    (w.x[0], w.x[-1], w.p[0], w.p[-1], w.t), w.frame, w.values)
 
 
 def read_wigner(path) -> WignerGrid:

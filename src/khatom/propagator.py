@@ -52,6 +52,7 @@ from .core import (
     forked,
     phase_ramp,
     read_container,
+    write_container,
 )
 from .laser import FieldCache
 
@@ -93,13 +94,14 @@ def check_absorber(grid: SpatialGrid) -> None:
 
 
 def build_absorber_mask(grid: SpatialGrid) -> np.ndarray:
+    """Each side rolls off over its own width, from the inner width to its edge."""
     check_absorber(grid)
     a = ABSORBER_HALF_WIDTH
-    guard = grid.x_max - a
-    ax = np.abs(grid.x)
+    x = grid.x
     mask = np.ones(grid.n_points)
-    out = ax > a
-    mask[out] = np.cos(0.5 * np.pi * (ax[out] - a) / guard) ** ABSORBER_POWER
+    for depth, guard in ((x - a, grid.x_max - a), (-x - a, -grid.x_min - a)):
+        out = depth > 0
+        mask[out] = np.cos(0.5 * np.pi * depth[out] / guard) ** ABSORBER_POWER
     return mask
 
 
@@ -377,15 +379,9 @@ def _wait(counters, slot: int, k: int, alive) -> None:
 
 def write_snapshot(path, wf: WaveFunction) -> None:
     g = wf.grid
-    header = (
-        f"{SNAPSHOT_MAGIC} {g.n_points} {g.x_min!r} {g.x_max!r} {wf.t!r} {wf.frame}\n"
-    )
-    payload = np.empty((g.n_points, 2))
-    payload[:, 0] = wf.psi.real
-    payload[:, 1] = wf.psi.imag
-    with open(path, "wb") as fh:
-        fh.write(header.encode("ascii"))
-        fh.write(payload.astype("<f8").tobytes())
+    # the complex amplitudes as interleaved (real, imag) pairs
+    write_container(path, SNAPSHOT_MAGIC, (g.n_points,), (g.x_min, g.x_max, wf.t), wf.frame,
+                    np.ascontiguousarray(wf.psi).view(float))
 
 
 def read_snapshot(path) -> WaveFunction:

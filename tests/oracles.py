@@ -10,6 +10,7 @@ from khatom.potential import PotentialError, atomic_potential
 
 MAX_HARMONIC = 64
 HARMONIC_NODES = 2048
+PARITY_TOL = 1e-6
 
 
 def kh_fourier_harmonic(n, grid, alpha0):
@@ -52,3 +53,28 @@ def two_level_density(pair0, pair1, t):
         0.5 * (np.abs(f0) ** 2 + np.abs(f1) ** 2)
         + np.real(f1 * np.conj(f0)) * np.cos(w10 * t)
     )
+
+
+def parity_project(arr, parity):
+    """The even or odd part of samples about x = 0.
+
+    The mirror pairs index j with (n - j) mod n, which is x -> -x on a grid
+    symmetric about 0 (x = 0 on the grid), as the standard [-L, L) layout is.
+    """
+    arr = np.asarray(arr)
+    rev = np.concatenate((arr[:1], arr[:0:-1]))
+    if parity == "even":
+        return 0.5 * (arr + rev)
+    if parity == "odd":
+        return 0.5 * (arr - rev)
+    raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")
+
+
+def parity_of(wf):
+    """'even' or 'odd' when psi(-x) = +-psi(x) to within PARITY_TOL, else 'none'."""
+    # psi(x) -+ psi(-x) is twice the odd / even part
+    if 2.0 * np.max(np.abs(parity_project(wf.psi, "odd"))) < PARITY_TOL:
+        return "even"
+    if 2.0 * np.max(np.abs(parity_project(wf.psi, "even"))) < PARITY_TOL:
+        return "odd"
+    return "none"

@@ -2,11 +2,13 @@
 
 A module's public names are its __all__, or, where it has none, its
 top-level definitions whose names do not start with "_"; the public
-methods and properties of its public classes count too.  A name has a
-caller when code in src/khatom other than its own definition loads it,
-as a plain name or as an attribute.  Code that only tests call goes, or
-moves to tests/; ALLOWED lists the independent oracles and the readers
-of run-directory files, which the package keeps for its users.
+methods and properties of its public classes count too, and so do the
+fields of its public dataclasses.  A name has a caller when code in
+src/khatom other than its own definition loads it, as a plain name or as
+an attribute; a field must be loaded as an attribute, since one that is
+filled and never read is computed in vain.  Code that only tests call
+goes, or moves to tests/; ALLOWED lists the independent oracles and the
+readers of run-directory files, which the package keeps for its users.
 
 Likewise every defaulted parameter of a public function, method or
 constructor is set by some call in src/khatom, by name or by position;
@@ -44,21 +46,45 @@ def _public_names(tree: ast.Module) -> list[str]:
         names = [elt.value for elt in defined["__all__"].value.elts]
     else:
         names = [name for name in defined if not name.startswith("_")]
+    classes = [defined[name] for name in names if isinstance(defined.get(name), ast.ClassDef)]
     methods = [
         item.name
-        for name in names if isinstance(defined.get(name), ast.ClassDef)
-        for item in defined[name].body
+        for cls in classes
+        for item in cls.body
         if isinstance(item, ast.FunctionDef) and not item.name.startswith("_")
     ]
-    return names + methods
+    fields = [
+        f"{cls.name}.{item.target.id}"
+        for cls in classes if _is_dataclass(cls)
+        for item in cls.body
+        if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+    ]
+    return names + methods + fields
+
+
+def _is_dataclass(cls: ast.ClassDef) -> bool:
+    """Decorated @dataclass or @dataclass(...)."""
+    return any(
+        getattr(dec.func if isinstance(dec, ast.Call) else dec, "id", None) == "dataclass"
+        for dec in cls.decorator_list
+    )
 
 
 def _loaded_names(tree: ast.Module):
+    """Each loaded plain name, and each loaded attribute as itself and as
+    ".attr", which is how a dataclass field is read."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             yield node.id
-        elif isinstance(node, ast.Attribute):
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
             yield node.attr
+            yield "." + node.attr
+
+
+def _read_as(name: str) -> str:
+    """How code loads a public name: a dataclass field "Class.f" as ".f"."""
+    _, dot, field = name.partition(".")
+    return dot + field if dot else name
 
 
 def test_public_names_have_a_caller():
@@ -68,7 +94,7 @@ def test_public_names_have_a_caller():
         f"{module}: {name}"
         for module, tree in trees.items()
         for name in _public_names(tree)
-        if name not in loaded and name not in ALLOWED
+        if _read_as(name) not in loaded and name not in ALLOWED
     ]
     assert not uncalled, "public names that no code in src/khatom calls: " + ", ".join(uncalled)
 

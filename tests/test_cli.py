@@ -226,6 +226,12 @@ def test_off_step_times_fail_before_any_solve(tmp_path, capsys):
          "phasespace", "position window plus correlation reach exceeds the grid"),
         (["grid.x_min=-150", "run.enabled=false", "wigner.states=kh_ground"],
          "phasespace", "position window plus correlation reach exceeds the grid"),
+        # a field step (half of run.dt) that does not divide the pulse used
+        # to fail after the solves, where the field cache was built
+        (["run.mode=lab_full", "run.dt=0.07", "run.t_final=700"],
+         "laser", "dt_field must divide the pulse duration"),
+        (["emit.field=true", "run.dt=0.07", "run.t_final=700"],
+         "laser", "dt_field must divide the pulse duration"),
     ]
     for extra, module, message in cases:
         out = tmp_path / "out"
@@ -235,7 +241,19 @@ def test_off_step_times_fail_before_any_solve(tmp_path, capsys):
         assert cli.main(argv) == 1
         assert f"khatom: [{module}] {message}" in capsys.readouterr().err
         assert not out.exists()
-    # the same grids pass where nothing needs the absorber or a map
+    # the transform verb checks the field step before its directory too
+    g = SpatialGrid(n_points=1024)
+    snap = tmp_path / "lab.snap"
+    write_snapshot(snap, WaveFunction(g, np.exp(-g.x**2 / 50.0), 10.0, "lab"))
+    argv = ["transform", str(snap), "--out", str(tmp_path / "out")]
+    for item in ("grid.n_points=1024", "run.dt=0.07"):
+        argv += ["--override", item]
+    assert cli.main(argv) == 1
+    assert "khatom: [laser] dt_field must divide the pulse duration" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+    # the same grids pass where nothing needs the absorber or a map, and the
+    # same run.dt where nothing needs the field
+    validate_config(load_config(overrides=base + ["run.dt=0.07", "run.t_final=700"]))
     validate_config(load_config(overrides=base + small + ["run.snapshots=15"]))
     validate_config(load_config(overrides=base + restart + ["grid.x_min=-500", "grid.x_max=500"]))
     # a time within 1e-6 of a step passes: it is stored at that step
@@ -373,6 +391,38 @@ def test_portrait_verb(tmp_path):
     )
     assert np.max(np.abs(rows[:, 0])) <= 60.0
     assert np.max(np.abs(rows[:, 1])) < 0.3
+
+
+def test_single_bound_state_fails_with_a_manifest(tmp_path, capsys):
+    # at kh.alpha0 = 4.5 the averaged double well binds one state; the run
+    # used to end in a ValueError traceback, with no manifest
+    argv = ["eigen", "--out", str(tmp_path), "--override", "kh.alpha0=4.5",
+            "--override", "grid.n_points=4096"]
+    assert cli.main(argv) == 1
+    message = "the averaged potential at kh.alpha0 = 4.5 binds 1 state(s)"
+    assert capsys.readouterr().err.startswith(f"khatom: [cli] {message}")
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["status"] == "incomplete" and manifest["error"].startswith(f"cli: {message}")
+    assert manifest["files"] == {}
+
+
+def test_detected_times_of_a_beat():
+    # |c|^2 = cos^2(pi t / T): maxima at multiples of T, minima at odd
+    # multiples of T/2, the 0.5 crossings at odd multiples of T/4
+    period, dt = 200.0, 0.5
+    times = dt * np.arange(2001)
+    found = cli._detect_landmarks(times, np.cos(np.pi * times / period) ** 2)
+    # the smoothing window's width is left out at each end
+    inner = (times[0] + 101 * dt, times[-1] - 101 * dt)
+    for key, first, spacing in (("left_well", 0.0, period), ("right_well", period / 2, period),
+                                ("midpoint", period / 4, period / 2)):
+        expected = np.arange(first, times[-1], spacing)
+        expected = expected[(expected >= inner[0]) & (expected < inner[1])]
+        assert len(found[key]) == len(expected) > 0, key
+        assert np.max(np.abs(np.array(found[key]) - expected)) <= 3 * dt, key
+    # too short a series to smooth gives no landmarks
+    assert cli._detect_landmarks(times[:15], np.ones(15)) == {
+        "left_well": [], "right_well": [], "midpoint": []}
 
 
 def test_mini_run_outputs(mini_run, grid):

@@ -10,7 +10,6 @@ from khatom.core import (
     inner_product,
     momentum_ramp,
     padded_spectrum,
-    parity_project,
     periodic_sinc_shift,
     phase_ramp,
     shift_samples,
@@ -237,21 +236,6 @@ def test_spectral_upsample_band_limited_exact():
     # original samples preserved, interleaved ones match the analytic profile
     assert np.max(np.abs(up[::2] - f(g.x))) < 1e-12
     assert np.max(np.abs(up[1::2] - f(fine_x[1::2]))) < 1e-10
-
-
-def test_parity_project():
-    g = small_grid()
-    rng = np.random.default_rng(5)
-    arr = rng.normal(size=g.n_points)
-    even = parity_project(g, arr, "even")
-    odd = parity_project(g, arr, "odd")
-    rev_even = np.concatenate((even[:1], even[:0:-1]))
-    rev_odd = np.concatenate((odd[:1], odd[:0:-1]))
-    assert np.max(np.abs(even - rev_even)) == 0.0
-    assert np.max(np.abs(odd + rev_odd)) == 0.0
-    assert np.max(np.abs(even + odd - arr)) < 1e-15
-    with pytest.raises(GridError):
-        parity_project(g, arr, "sideways")
 
 
 def test_wavefunction_length_mismatch_rejected():

@@ -15,9 +15,9 @@ from khatom.eigen import (
     fix_global_phase,
     imaginary_time_ground_state,
     kh_bound_states,
-    parity_of,
     rayleigh_energy,
 )
+from oracles import parity_of, parity_project
 
 E_SEP = -0.0115
 
@@ -30,7 +30,7 @@ def test_harmonic_self_test():
     g = SpatialGrid(-20.0, 20.0, 512)
     pair = imaginary_time_ground_state(0.5 * g.x**2, g, dt_imag=0.05, tol=1e-12)
     assert pair.energy == pytest.approx(0.5, abs=1e-6)
-    assert pair.parity == "even"
+    assert parity_of(pair.state) == "even"
     # state carries an O(dt_imag^2) splitting bias; energy is quadratic in it
     target = np.pi**-0.25 * np.exp(-g.x**2 / 2)
     assert np.max(np.abs(pair.state.psi - target)) < 1e-4
@@ -109,7 +109,7 @@ def test_bound_states_poeschl_teller():
     assert len(pairs) == 2
     assert pairs[0].energy == pytest.approx(-2.0, abs=1e-12)
     assert pairs[1].energy == pytest.approx(-0.5, abs=1e-12)
-    assert [p.parity for p in pairs] == ["even", "odd"]
+    assert [parity_of(p.state) for p in pairs] == ["even", "odd"]
     assert abs(inner_product(pairs[0].state, pairs[1].state)) < 1e-12
     for p in pairs:
         assert p.residual <= eigen.LOBPCG_TOL
@@ -151,8 +151,8 @@ def test_fd_poeschl_teller():
     assert len(pairs) == 2
     assert pairs[0].energy == pytest.approx(-2.0, abs=5e-3)
     assert pairs[1].energy == pytest.approx(-0.5, abs=5e-3)
-    assert pairs[0].parity == "even"
-    assert pairs[1].parity == "odd"
+    assert parity_of(pairs[0].state) == "even"
+    assert parity_of(pairs[1].state) == "odd"
     for p in pairs:
         assert np.max(np.abs(p.state.psi.imag)) == 0.0
     s01 = inner_product(pairs[0].state, pairs[1].state)
@@ -178,9 +178,23 @@ def test_fix_global_phase_sign_convention():
     assert np.max(np.abs(wf2.psi - wf.psi)) < 1e-12
 
 
+def test_parity_project():
+    rng = np.random.default_rng(5)
+    arr = rng.normal(size=1024)
+    even = parity_project(arr, "even")
+    odd = parity_project(arr, "odd")
+    rev_even = np.concatenate((even[:1], even[:0:-1]))
+    rev_odd = np.concatenate((odd[:1], odd[:0:-1]))
+    assert np.max(np.abs(even - rev_even)) == 0.0
+    assert np.max(np.abs(odd + rev_odd)) == 0.0
+    assert np.max(np.abs(even + odd - arr)) < 1e-15
+    with pytest.raises(ValueError):
+        parity_project(arr, "sideways")
+
+
 def test_atomic_ground_state(ground_pair):
     assert ground_pair.energy == pytest.approx(-0.0276, abs=5e-4)
-    assert ground_pair.parity == "even"
+    assert parity_of(ground_pair.state) == "even"
     assert np.max(np.abs(ground_pair.state.psi.imag)) == 0.0
 
 
@@ -205,8 +219,8 @@ def test_kh_spectrum(kh_pairs, averaged):
     i0 = np.argmin(np.abs(averaged.grid.x))
     barrier = averaged.samples[i0]
     assert e0 > barrier and e1 > barrier
-    assert kh_pairs[0].parity == "even"
-    assert kh_pairs[1].parity == "odd"
+    assert parity_of(kh_pairs[0].state) == "even"
+    assert parity_of(kh_pairs[1].state) == "odd"
 
 
 def test_kh_pairs_orthonormal_and_consistent(kh_pairs, averaged):
@@ -219,7 +233,6 @@ def test_kh_pairs_orthonormal_and_consistent(kh_pairs, averaged):
         psi = p.state.psi
         r = np.fft.ifft(0.5 * g.p**2 * np.fft.fft(psi)) + (averaged.samples - p.energy) * psi
         assert np.sqrt(g.dx * np.sum(np.abs(r) ** 2)) <= 1e-8
-        assert parity_of(p.state) == p.parity
 
 
 def test_kh_grid_convergence():

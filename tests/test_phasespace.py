@@ -299,10 +299,22 @@ def test_separatrix_single_well_rejected(grid):
 
 
 def test_phase_portrait_bundle(averaged):
-    port = phase_portrait(averaged, [E_CURVE, -0.005])
-    assert port.energies == (E_CURVE, -0.005)
-    assert len(port.curves) == 2
-    assert abs(port.e_sep - separatrix_energy(averaged)) < 1e-15
+    curves = phase_portrait(averaged, [E_CURVE, -0.005])
+    assert len(curves) == 2
+    for energy, branches in zip((E_CURVE, -0.005), curves):
+        expected = equienergy_curve(energy, averaged)
+        assert len(branches) == len(expected) > 0
+        for (xs, ps), (x_ref, p_ref) in zip(branches, expected):
+            np.testing.assert_array_equal(xs, x_ref)
+            np.testing.assert_array_equal(ps, p_ref)
+
+
+def test_wigner_mass_deficit_is_the_checked_value(kh_pairs):
+    # the deficit the map carries is the one mass_tol is held against
+    w = wigner(kh_pairs[0].state)
+    assert 0.0 < w.mass_deficit < 1e-3
+    with pytest.raises(PhaseSpaceError, match="disagrees with window norm"):
+        wigner(kh_pairs[0].state, mass_tol=0.5 * w.mass_deficit)
 
 
 def test_wigner_file_roundtrip(tmp_path, kh_pairs):

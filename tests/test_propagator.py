@@ -137,6 +137,24 @@ def test_absorber_mask_shape(grid):
     assert np.all(np.diff(right) <= 1e-15)
 
 
+def test_absorber_mask_per_side():
+    # each side rolls off over its own width, so the short side of an
+    # asymmetric grid also falls toward 0 at its edge (it was 0.967 at
+    # x = -1000 when both sides took the right side's width)
+    g = SpatialGrid(-1000.0, 1500.0, 4096)
+    mask = build_absorber_mask(g)
+    left, right = g.x < -600.0, g.x > 600.0
+    np.testing.assert_allclose(
+        mask[left], np.cos(0.5 * np.pi * (-g.x[left] - 600.0) / 400.0) ** 0.125, rtol=1e-14)
+    np.testing.assert_allclose(
+        mask[right], np.cos(0.5 * np.pi * (g.x[right] - 600.0) / 900.0) ** 0.125, rtol=1e-14)
+    assert mask[0] < 0.01 and mask[-1] < 0.5
+    assert np.all(mask[~(left | right)] == 1.0)
+    # on a symmetric grid the two sides mirror each other
+    sym = build_absorber_mask(SpatialGrid(-1000.0, 1000.0, 4096))
+    assert np.array_equal(sym[1:], sym[:0:-1])
+
+
 def test_absorber_removes_outgoing_packet():
     g = SpatialGrid(-1500.0, 1500.0, 8192)
     # fast packet starting near the absorber edge, heading right
