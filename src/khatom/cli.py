@@ -43,7 +43,7 @@ from .phasespace import (
     wigner,
     write_wigner,
 )
-from .potential import atomic_potential, kh_averaged_potential
+from .potential import DEFAULT_QUADRATURE_N, atomic_potential, kh_averaged_potential
 from .propagator import (
     MODE_FRAMES,
     MODE_KH,
@@ -143,7 +143,7 @@ CONFIG_SPEC = {
     "pulse.flat_end_cycles": (_count, 10),
     "pulse.total_cycles": (_count, 12),
     "kh.alpha0": (_number, 10.23),
-    "kh.quadrature_n": (_count, 2048),
+    "kh.quadrature_n": (_count, DEFAULT_QUADRATURE_N),
     # run.*, restart.* and wigner.times spans and times are resolved to steps
     # by the plan (validate_config)
     "run.enabled": (_parse_bool, True),
@@ -515,11 +515,9 @@ class Pipeline:
 
     @cached_property
     def avg(self):
-        avg = kh_averaged_potential(
+        return kh_averaged_potential(
             self.grid, self.cfg["kh.alpha0"], quadrature_n=self.cfg["kh.quadrature_n"]
         )
-        self.manifest["derived"]["e_separatrix"] = float(separatrix_energy(avg))
-        return avg
 
     @cached_property
     def pairs(self):
@@ -722,12 +720,11 @@ class Pipeline:
         choice = self.cfg["portrait.energies"]
         if choice == "none":
             return
-        avg = self.avg  # which records the separatrix energy once
-        e_sep = self.manifest["derived"]["e_separatrix"]
+        e_sep = self.manifest["derived"]["e_separatrix"] = float(separatrix_energy(self.avg))
         energies = (e_sep, _OVERLAY_ENERGY) if choice == "auto" else choice
         with open(self._path("portrait.dat"), "w") as fh:
             fh.write("# equienergy curves of p^2/2 + v0(x); blocks: x p\n")
-            for energy, branches in zip(energies, phase_portrait(avg, energies)):
+            for energy, branches in zip(energies, phase_portrait(self.avg, energies)):
                 tag = "separatrix" if abs(energy - e_sep) < 1e-12 else "regular"
                 for k, (xs, ps) in enumerate(branches):
                     fh.write(f"# E={float(energy)!r} branch={k} kind={tag}\n")

@@ -8,8 +8,10 @@ an output position x_j lies a fraction t_j (|t_j| <= 1/2) of h from a
 fine-grid point, and the shift by t_j*h is a Taylor series in t_j whose
 n-th coefficient is one inverse FFT of the padded spectrum times
 (i p h)^n / n!.  So one map takes TAYLOR_ORDER + 1 inverse FFTs, shared
-by all output positions, instead of one per position.  Classical curves
-come straight from energy conservation in the averaged potential.
+by all output positions, instead of one per position.  The rows are
+streamed a block at a time through a chirp-z lag sum, so no array of
+positions x lags is held.  Classical curves come straight from energy
+conservation in the averaged potential.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import ifft
+from scipy.fft import fft, ifft, next_fast_len
 
 from .core import KhatomError, SpatialGrid, WaveFunction, padded_spectrum
 from .core import read_container, write_container
@@ -42,7 +44,8 @@ WIGNER_MAGIC = "KHPSW1"
 PURE_STATE_BOUND = 1.0 / np.pi
 # the phase-space window of every map: 241 positions over +-60 a.u., 201
 # momenta over +-0.6 a.u., and lags xi out to XI_MAX; the equienergy curves
-# span the same positions
+# span the same positions.  The momenta must stay uniform: the lag sum is a
+# chirp-z transform onto them
 X_AXIS = np.linspace(-60.0, 60.0, 241)
 P_AXIS = np.linspace(-0.6, 0.6, 201)
 X_AXIS.flags.writeable = P_AXIS.flags.writeable = False
@@ -57,6 +60,8 @@ TAYLOR_ORDER = 18
 # output rows per block of the sample rows and of the lag sum; a block's
 # products stay in cache
 _LAG_ROWS = 16
+# Taylor terms per batched inverse FFT
+_TAYLOR_BATCH = 5
 
 
 class PhaseSpaceError(KhatomError):
@@ -94,11 +99,13 @@ class WignerGrid:
             )
 
 
-def _sample_matrix(wf: WaveFunction, x_out: np.ndarray, m_max: int) -> np.ndarray:
-    """Rows of band-limited samples psi(x_j + m*h), m in [-M, M], h = dx/2.
+def _sample_blocks(wf: WaveFunction, x_out: np.ndarray, m_max: int):
+    """Yields rows of band-limited samples psi(x_j + m*h), m in [-M, M], h = dx/2,
+    one block of _LAG_ROWS output positions at a time.
 
     With x_j = x_min + (i_j + t_j)*h, |t_j| <= 1/2, each row is
     sum_n t_j^n D_n[i_j + m], D_n = ifft(S (i p h)^n / n!) on the 2x grid.
+    Only the window [lo, hi) of the D_n that some row reads is kept.
     """
     g = wf.grid
     h = 0.5 * g.dx
@@ -108,69 +115,59 @@ def _sample_matrix(wf: WaveFunction, x_out: np.ndarray, m_max: int) -> np.ndarra
     lo, hi = int(i.min()) - m_max, int(i.max()) + m_max + 1
     if lo < 0 or hi > 2 * g.n_points:
         raise PhaseSpaceError("correlation window exceeds the grid")
-    spec = padded_spectrum(g, wf.psi)
-    ph = (2.0 * np.pi) * np.fft.fftfreq(len(spec))  # p*h; spec vanishes beyond |p*h| = pi/2
-    terms = np.empty((TAYLOR_ORDER + 1, len(spec)), dtype=np.complex128)
-    terms[0] = spec
-    for n in range(1, TAYLOR_ORDER + 1):
-        terms[n] = terms[n - 1] * ((1j / n) * ph)
-    # one batched transform: bit-identical to one call per row, about twice as fast
-    d = ifft(terms, axis=-1, overwrite_x=True)[:, lo:hi]
+    term = padded_spectrum(g, wf.psi)
+    ph = (2.0 * np.pi) * np.fft.fftfreq(len(term))  # p*h; the spectrum vanishes beyond |p*h| = pi/2
+    d = np.empty((TAYLOR_ORDER + 1, hi - lo), dtype=np.complex128)
+    batch = np.empty((_TAYLOR_BATCH, len(term)), dtype=np.complex128)
+    # batches of _TAYLOR_BATCH terms: bit-identical to one call per term or to
+    # one batch of all, as fast as the latter
+    for n in range(TAYLOR_ORDER + 1):
+        if n:
+            term = term * ((1j / n) * ph)
+        k = n % _TAYLOR_BATCH + 1
+        batch[k - 1] = term
+        if k == _TAYLOR_BATCH or n == TAYLOR_ORDER:
+            d[n + 1 - k : n + 1] = ifft(batch[:k], axis=-1, overwrite_x=True)[:, lo:hi]
+    del term, batch  # the streamed blocks below hold only the window d
     powers = (t[:, None] ** np.arange(TAYLOR_ORDER + 1)).astype(np.complex128)
     width = 2 * m_max + 1
     start = i - m_max - lo
-    out = np.empty((len(x_out), width), dtype=np.complex128)
     # one matrix product per block of rows over the union of their windows,
     # which on X_AXIS is about 3% wider than one window
     for b in range(0, len(x_out), _LAG_ROWS):
         a = start[b : b + _LAG_ROWS]
         a_lo = int(a.min())
         block = powers[b : b + _LAG_ROWS] @ d[:, a_lo : int(a.max()) + width]
-        for k, off in enumerate(a - a_lo):
-            out[b + k] = block[k, off : off + width]
-    return out
+        yield np.stack([block[k, off : off + width] for k, off in enumerate(a - a_lo)])
 
 
-def _lag_kernels(m_max: int, d_xi: float, p_out: np.ndarray):
-    """cos(p xi_m) and sin(p xi_m), m = 1..M, as two contiguous M x n_p arrays.
+def _lag_transform(blocks, m_max: int, d_xi: float, p_out: np.ndarray) -> np.ndarray:
+    """(1/2pi) sum_m conj(a(x+xi_m/2)) b(x-xi_m/2) e^{ip xi_m} d_xi, xi_m = m*d_xi.
 
-    With xi_m = (q*b + r)*d_xi and b a power of two near sqrt(M), the angle
-    sum builds them from (M/b + b) x n_p cos/sin pairs.  Each value is within
-    a few ulp of max|p*xi| of the direct one, which is the rounding of the
-    argument itself.
+    blocks yields (a, b) pairs of sample-row blocks with the lags m = -M..M
+    along each row.  On the uniform p_out, p_k = p_0 + k*dp, this is
+    Bluestein's chirp-z transform: with w = dp*d_xi and
+    k*m = (k^2 + m^2 - (k - m)^2)/2, the sum over m is the linear
+    convolution of c_m e^{i(p_0 xi_m + w m^2/2)} with the chirp
+    e^{-i w j^2/2}, j in [-M, M + K), times e^{i w k^2/2}.  Each block takes
+    one zero-padded FFT of next_fast_len(2M + K) points per row, a product
+    with the chirp's precomputed spectrum and one inverse FFT.
     """
-    b = 1 << (m_max.bit_length() // 2)
-    coarse = np.outer(np.arange(0, m_max + 1, b) * d_xi, p_out)[:, None, :]
-    fine = np.outer(np.arange(b) * d_xi, p_out)
-    cq, sq, cr, sr = np.cos(coarse), np.sin(coarse), np.cos(fine), np.sin(fine)
-    cos = (cq * cr - sq * sr).reshape(-1, len(p_out))[1 : m_max + 1]
-    sin = (sq * cr + cq * sr).reshape(-1, len(p_out))[1 : m_max + 1]
-    return cos, sin
-
-
-def _lag_transform(s_a: np.ndarray, s_b: np.ndarray, p_out: np.ndarray, d_xi: float) -> np.ndarray:
-    """(1/2pi) sum_m conj(a(x+xi_m/2)) b(x-xi_m/2) e^{ip xi_m} d_xi.
-
-    Folded over +-xi_m in real arithmetic: with c_m the lag products,
-    sum_m c_m e^{ip xi_m} = c_0 + sum_{m>0} [(c_m + c_-m) cos(p xi_m)
-    + i (c_m - c_-m) sin(p xi_m)].  So each block of _LAG_ROWS output rows
-    is two real matrix products, the stacked real and imaginary parts of
-    the even and odd sums against the M x n_p cos and sin kernels.
-    """
-    n, m_max = len(s_a), (s_a.shape[1] - 1) // 2
-    cos, sin = _lag_kernels(m_max, d_xi, p_out)
-    out = np.empty((n, len(p_out)), dtype=np.complex128)
-    for lo in range(0, n, _LAG_ROWS):
-        rows = slice(lo, lo + _LAG_ROWS)
-        corr = np.conj(s_a[rows])
-        corr *= s_b[rows, ::-1]
-        k = len(corr)
-        pos, neg, c_0 = corr[:, m_max + 1 :], corr[:, m_max - 1 :: -1], corr[:, m_max, None]
-        c = np.concatenate((pos.real + neg.real, pos.imag + neg.imag)) @ cos
-        s = np.concatenate((pos.real - neg.real, pos.imag - neg.imag)) @ sin
-        out[rows].real = c[:k] - s[k:] + c_0.real
-        out[rows].imag = c[k:] + s[:k] + c_0.imag
-    return out * (d_xi / (2.0 * np.pi))
+    n_p = len(p_out)
+    w = (p_out[-1] - p_out[0]) / (n_p - 1) * d_xi
+    n_fft = next_fast_len(2 * m_max + n_p)
+    m = np.arange(-m_max, m_max + 1.0)
+    pre = np.exp(1j * (p_out[0] * d_xi * m + 0.5 * w * m * m))
+    # the chirp at lag j sits at FFT index j mod n_fft; the sum reads j in [-M, M + K)
+    j = (np.arange(n_fft) + m_max) % n_fft - m_max
+    chirp = fft(np.exp(-0.5j * w * (j * j)))
+    post = np.exp(0.5j * w * np.arange(n_p) ** 2) * (d_xi / (2.0 * np.pi))
+    out = []
+    for s_a, s_b in blocks:
+        corr = np.conj(s_a) * s_b[:, ::-1] * pre
+        conv = ifft(fft(corr, n=n_fft, axis=-1) * chirp, axis=-1, overwrite_x=True)
+        out.append(conv[:, m_max : m_max + n_p] * post)
+    return np.concatenate(out)
 
 
 def check_windows(grid: SpatialGrid) -> None:
@@ -183,6 +180,19 @@ def check_windows(grid: SpatialGrid) -> None:
     half = 0.5 * XI_MAX
     if X_AXIS[0] - half < grid.x_min or X_AXIS[-1] + half > grid.x_max:
         raise PhaseSpaceError("position window plus correlation reach exceeds the grid")
+
+
+def _wigner_transform(wf_a: WaveFunction, wf_b: WaveFunction | None = None) -> np.ndarray:
+    """The complex lag transform of (wf_a, wf_b) on X_AXIS x P_AXIS, streamed
+    one block of rows at a time; wf_b = None gives the auto transform of wf_a."""
+    check_windows(wf_a.grid)
+    m_max = int(XI_MAX / wf_a.grid.dx)
+    rows = _sample_blocks(wf_a, X_AXIS, m_max)
+    if wf_b is None:
+        blocks = ((s, s) for s in rows)
+    else:
+        blocks = zip(rows, _sample_blocks(wf_b, X_AXIS, m_max))
+    return _lag_transform(blocks, m_max, wf_a.grid.dx, P_AXIS)
 
 
 def _take_real(w_complex: np.ndarray) -> tuple[np.ndarray, float]:
@@ -203,10 +213,7 @@ def wigner(wf: WaveFunction, mass_tol: float = 1e-3) -> WignerGrid:
     snapshots) must widen mass_tol accordingly.
     """
     x_out, p_out = X_AXIS, P_AXIS
-    check_windows(wf.grid)
-    m_max = int(XI_MAX / wf.grid.dx)
-    s = _sample_matrix(wf, x_out, m_max)
-    values, resid = _take_real(_lag_transform(s, s, p_out, wf.grid.dx))
+    values, resid = _take_real(_wigner_transform(wf))
 
     # trapezoids in x and p, of the map and of the window's density: the one
     # mass_deficit that is checked here and that the manifest records
@@ -267,16 +274,9 @@ def superposition_wigner_analytic(pair0, pair1, t: float) -> WignerGrid:
     phi0, phi1 = pair0.state, pair1.state
     if phi0.grid != phi1.grid or phi0.frame != phi1.frame:
         raise PhaseSpaceError("eigenstates must share a grid and frame")
-    x_out, p_out = X_AXIS, P_AXIS
-    check_windows(phi0.grid)
-    m_max = int(XI_MAX / phi0.grid.dx)
-    d_xi = phi0.grid.dx
-
-    s0 = _sample_matrix(phi0, x_out, m_max)
-    s1 = _sample_matrix(phi1, x_out, m_max)
-    w0, _ = _take_real(_lag_transform(s0, s0, p_out, d_xi))
-    w1, _ = _take_real(_lag_transform(s1, s1, p_out, d_xi))
-    cross = _lag_transform(s0, s1, p_out, d_xi)
+    w0, _ = _take_real(_wigner_transform(phi0))
+    w1, _ = _take_real(_wigner_transform(phi1))
+    cross = _wigner_transform(phi0, phi1)
 
     w10 = pair1.energy - pair0.energy
     values = (
@@ -284,7 +284,7 @@ def superposition_wigner_analytic(pair0, pair1, t: float) -> WignerGrid:
         + np.cos(w10 * t) * cross.real
         + np.sin(w10 * t) * cross.imag
     )
-    return WignerGrid(x_out, p_out, values, t, phi0.frame)
+    return WignerGrid(X_AXIS, P_AXIS, values, t, phi0.frame)
 
 
 def momentum_tail_fraction(w: WignerGrid) -> float:

@@ -31,7 +31,7 @@ DENOM_WIDTH = 6.27
 
 # minimum number of phase nodes accepted for the cycle average
 MIN_QUADRATURE_N = 256
-DEFAULT_QUADRATURE_N = 2048
+DEFAULT_QUADRATURE_N = MIN_QUADRATURE_N
 
 # grid rows per block of the cycle sums: a block's temporaries stay in cache
 _GRID_CHUNK = 16
@@ -68,7 +68,7 @@ def kh_averaged_potential(
     """Average model(x + alpha0*sin(theta)) over theta in [0, 2pi).
 
     Uniform phase nodes; for the smooth periodic integrand this converges
-    spectrally, so 2048 nodes is already at machine accuracy.  The sum is
+    spectrally, so 256 nodes is already at machine accuracy.  The sum is
     folded over two exact symmetries.  sin(pi - theta) = sin(theta) on the
     nodes, so N/2 + 1 displacements carry weight 2/N (1/N at +-alpha0);
     this needs N % 4 == 0.  V0 is even, so it is evaluated at the distinct

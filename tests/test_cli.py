@@ -393,17 +393,38 @@ def test_portrait_verb(tmp_path):
     assert np.max(np.abs(rows[:, 1])) < 0.3
 
 
+def _fails_on_one_bound_state(out, capsys, alpha0: str) -> None:
+    argv = ["eigen", "--out", str(out), "--override", f"kh.alpha0={alpha0}",
+            "--override", "grid.n_points=4096"]
+    assert cli.main(argv) == 1
+    message = f"the averaged potential at kh.alpha0 = {alpha0} binds 1 state(s)"
+    assert capsys.readouterr().err.startswith(f"khatom: [cli] {message}")
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == "incomplete" and manifest["error"].startswith(f"cli: {message}")
+    assert manifest["files"] == {}
+
+
 def test_single_bound_state_fails_with_a_manifest(tmp_path, capsys):
     # at kh.alpha0 = 4.5 the averaged double well binds one state; the run
     # used to end in a ValueError traceback, with no manifest
-    argv = ["eigen", "--out", str(tmp_path), "--override", "kh.alpha0=4.5",
+    _fails_on_one_bound_state(tmp_path, capsys, "4.5")
+
+
+def test_single_well_fails_on_the_state_count(tmp_path, capsys):
+    # at kh.alpha0 = 2 the single well binds one state; the run fails on the
+    # count, not on a separatrix that only the portrait reads
+    _fails_on_one_bound_state(tmp_path, capsys, "2")
+
+
+def test_single_well_potential_needs_no_separatrix(tmp_path):
+    # kh.alpha0 = 2 gives a single well: no saddle, and no portrait asks for one
+    argv = ["potential", "--out", str(tmp_path), "--override", "kh.alpha0=2",
             "--override", "grid.n_points=4096"]
-    assert cli.main(argv) == 1
-    message = "the averaged potential at kh.alpha0 = 4.5 binds 1 state(s)"
-    assert capsys.readouterr().err.startswith(f"khatom: [cli] {message}")
+    assert cli.main(argv) == 0
     manifest = json.loads((tmp_path / "manifest.json").read_text())
-    assert manifest["status"] == "incomplete" and manifest["error"].startswith(f"cli: {message}")
-    assert manifest["files"] == {}
+    assert manifest["status"] == "complete"
+    assert "e_separatrix" not in manifest["derived"]
+    assert _written(tmp_path) == {"potential_bare.dat", "potential_averaged.dat"}
 
 
 def test_detected_times_of_a_beat():

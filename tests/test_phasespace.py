@@ -1,5 +1,7 @@
 """Wigner transforms, marginals, and classical phase portraits."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -19,7 +21,7 @@ from khatom.phasespace import (
     wigner_marginals,
     write_wigner,
 )
-from khatom.phasespace import _eval_positions, _lag_transform, _sample_matrix
+from khatom.phasespace import _eval_positions, _lag_transform, _sample_blocks, _wigner_transform
 from khatom.potential import kh_averaged_potential
 
 E_CURVE = 0.0125
@@ -71,7 +73,7 @@ def test_sample_rows_match_band_limited_oracle(psi_coh):
     t = (xs - g.x_min) / h - k
     assert np.min(np.abs(t)) < 1e-9 and np.max(np.abs(t)) > 0.5 - 1e-9
     m_max = int(240.0 / g.dx)
-    rows = _sample_matrix(wf, xs, m_max)
+    rows = np.concatenate(list(_sample_blocks(wf, xs, m_max)))
     cols = np.r_[0 : 2 * m_max + 1 : 41, 2 * m_max]
     pos = xs[:, None] + (cols - m_max) * h
     oracle = _eval_positions(wf, pos.ravel()).reshape(pos.shape)
@@ -82,7 +84,7 @@ def test_sample_rows_match_band_limited_oracle(psi_coh):
     rng = np.random.default_rng(3)
     xs = np.concatenate((xs, rng.uniform(-60.0, 60.0, 30)))
     rng.shuffle(xs)
-    rows = _sample_matrix(wf, xs, m_max)
+    rows = np.concatenate(list(_sample_blocks(wf, xs, m_max)))
     assert rows.shape == (37, 2 * m_max + 1)
     cols = np.r_[0 : 2 * m_max + 1 : 101, 2 * m_max]
     pos = xs[:, None] + (cols - m_max) * h
@@ -209,8 +211,9 @@ def test_superposition_analytic_quarter_period(kh_pairs, beat_period):
 
 
 def test_lag_transform_matches_direct_sum():
-    # the real folded sum against sum_m c_m e^{ip xi_m} with complex
-    # exponentials, for an auto pair (s, s) and a cross pair (s0, s1)
+    # the chirp-z sum against sum_m c_m e^{ip xi_m} with complex
+    # exponentials, for an auto pair (s, s) and a cross pair (s0, s1), in
+    # blocks of 16 rows and a partial one of 5
     rng = np.random.default_rng(7)
     n_x, m_max, d_xi = 37, 1310, 3000.0 / 16384
     p = np.linspace(-0.6, 0.6, 201)
@@ -223,18 +226,30 @@ def test_lag_transform_matches_direct_sum():
         c = np.conj(s_a) * s_b[:, ::-1]
         direct = c @ np.exp(1j * np.outer(xi, p)) * (d_xi / (2.0 * np.pi))
         bound = 1e-13 * np.sum(np.abs(c), axis=1) * d_xi / (2.0 * np.pi)
-        err = np.max(np.abs(_lag_transform(s_a, s_b, p, d_xi) - direct), axis=1)
+        blocks = ((s_a[i : i + 16], s_b[i : i + 16]) for i in range(0, n_x, 16))
+        err = np.max(np.abs(_lag_transform(blocks, m_max, d_xi, p) - direct), axis=1)
         assert np.all(err < bound)
 
 
 def test_cross_transform_magnitudes(kh_pairs):
     # the cross term of superposition_wigner_analytic, on the map's axes
-    phi0, phi1 = kh_pairs[0].state, kh_pairs[1].state
-    m_max = int(phasespace.XI_MAX / phi0.grid.dx)
-    s0, s1 = (_sample_matrix(phi, phasespace.X_AXIS, m_max) for phi in (phi0, phi1))
-    c = _lag_transform(s0, s1, phasespace.P_AXIS, phi0.grid.dx)
+    c = _wigner_transform(kh_pairs[0].state, kh_pairs[1].state)
+    assert c.shape == (len(phasespace.X_AXIS), len(phasespace.P_AXIS))
     assert np.max(np.abs(c.real)) > 0.1
     assert np.max(np.abs(c.imag)) > 0.1
+
+
+def test_wigner_memory_is_streamed(psi_coh):
+    # the map is streamed one block of rows at a time: no array of
+    # positions x lags, and only the window of the Taylor terms, is held
+    assert psi_coh.grid.n_points == 16384
+    tracemalloc.start()
+    try:
+        wigner(psi_coh)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10e6
 
 
 def test_propagated_matches_analytic(kh_beat_run, kh_pairs, beat_wigners):

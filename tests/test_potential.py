@@ -54,7 +54,7 @@ def test_averaged_evenness(avg):
     assert np.array_equal(v, rev)
 
 
-def _full_cycle_average(grid, alpha0, n=2048, chunk=1024):
+def _full_cycle_average(grid, alpha0, n=DEFAULT_QUADRATURE_N, chunk=1024):
     # reference: the folded sum evaluated at every distinct |x|, no row
     # skipped, 1,024 rows per block
     half = alpha0 * np.sin(2.0 * np.pi * np.arange(n // 4 + 1) / n)
@@ -105,10 +105,10 @@ def test_averaged_two_wells(avg):
     assert 5.0 < xm[1] < ALPHA0
 
 
-def test_averaged_quadrature_converged(grid):
-    a = kh_averaged_potential(grid, ALPHA0, quadrature_n=2048)
+def test_averaged_quadrature_converged(grid, avg):
+    # the default node count is already at machine accuracy
     b = kh_averaged_potential(grid, ALPHA0, quadrature_n=4096)
-    assert np.max(np.abs(a.samples - b.samples)) < 1e-10
+    assert np.max(np.abs(avg.samples - b.samples)) < 1e-15
 
 
 def test_averaged_rejects_small_quadrature(grid):
