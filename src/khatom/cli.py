@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 from contextlib import contextmanager, nullcontext
@@ -43,7 +44,7 @@ from .phasespace import (
     wigner,
     write_wigner,
 )
-from .potential import DEFAULT_QUADRATURE_N, atomic_potential, kh_averaged_potential
+from .potential import atomic_potential, kh_averaged_potential, local_minima_positions
 from .propagator import (
     MODE_FRAMES,
     MODE_KH,
@@ -84,13 +85,15 @@ def _parse_bool(raw: str) -> bool:
 
 
 def _parse_number(kind=float, ok=None, need: str = ""):
-    """A float or int; ok, when given, is the key's range rule and need says it."""
+    """A finite float or int; ok, when given, is the key's range rule and need says it."""
 
     def parse(raw: str):
         try:
             val = kind(raw)
         except ValueError:
             raise CliError(f"expected {'an integer' if kind is int else 'a number'}, got {raw!r}")
+        if not math.isfinite(val):
+            raise CliError(f"must be finite, got {raw!r}")
         if ok is not None and not ok(val):
             raise CliError(f"must be {need}, got {raw!r}")
         return val
@@ -127,6 +130,7 @@ def _parse_list(item, keywords=()):
 
 
 _number = _parse_number()
+_positive = _parse_number(float, lambda v: v > 0, "positive")
 _number_or_none = _parse_optional(_number)
 _count = _parse_number(int)
 _times = _parse_list(_number)
@@ -137,21 +141,18 @@ CONFIG_SPEC = {
     "grid.x_max": (_number, 1500.0),
     "grid.n_points": (_count, 16384),
     "pulse.period": (_number, 100.0),
-    "pulse.intensity_wcm2": (_number_or_none, 5.7e13),
-    "pulse.eps0": (_number_or_none, None),
+    "pulse.intensity_wcm2": (_number, 5.7e13),
     "pulse.ramp_cycles": (_count, 2),
     "pulse.flat_end_cycles": (_count, 10),
     "pulse.total_cycles": (_count, 12),
-    "kh.alpha0": (_number, 10.23),
-    "kh.quadrature_n": (_count, DEFAULT_QUADRATURE_N),
+    "kh.alpha0": (_positive, 10.23),
     # run.*, restart.* and wigner.times spans and times are resolved to steps
     # by the plan (validate_config)
     "run.enabled": (_parse_bool, True),
     "run.mode": (_parse_choice(tuple(MODE_FRAMES)), MODE_LAB),
     "run.initial": (str, "atomic_ground"),
-    "run.t0": (_number, 0.0),
     "run.t_final": (_number_or_none, None),
-    "run.dt": (_parse_number(float, lambda v: v > 0, "positive"), 0.05),
+    "run.dt": (_positive, 0.05),
     "run.cadence": (_parse_number(int, lambda v: v >= 1, "at least 1"), 20),
     "run.snapshots": (_times, ()),
     "run.absorber": (_parse_choice(TRISTATE), "auto"),
@@ -199,17 +200,12 @@ def _config_grid(cfg: dict) -> SpatialGrid:
 
 
 def _config_pulse(cfg: dict) -> PulseParams:
-    """The pulse; a given pulse.eps0 takes precedence over the default intensity."""
-    if cfg["pulse.eps0"] is not None:
-        kw = {"eps0": cfg["pulse.eps0"]}
-    else:
-        kw = {"intensity": cfg["pulse.intensity_wcm2"]}
     return PulseParams(
+        intensity=cfg["pulse.intensity_wcm2"],
         period=cfg["pulse.period"],
         ramp_cycles=cfg["pulse.ramp_cycles"],
         flat_end_cycles=cfg["pulse.flat_end_cycles"],
         total_cycles=cfg["pulse.total_cycles"],
-        **kw,
     )
 
 
@@ -223,10 +219,11 @@ def load_config(path=None, overrides=()) -> dict:
     checked; the grid.* and pulse.* keys are checked by building their objects."""
     raw = {}
     if path is not None:
-        if not os.path.exists(path):
-            raise CliError(f"config file not found: {path}")
-        with open(path) as fh:
-            raw.update(parse_config_lines(fh, path))
+        try:
+            with open(path) as fh:
+                raw.update(parse_config_lines(fh, path))
+        except OSError as err:
+            raise CliError(f"cannot read config {path}: {err.strerror}")
     for item in overrides:
         if "=" not in item:
             raise CliError(f"override must be key=value, got {item!r}")
@@ -241,12 +238,6 @@ def load_config(path=None, overrides=()) -> dict:
             cfg[key] = parse(text)
         except CliError as err:
             raise CliError(f"bad value for {key}: {err}")
-    if (
-        cfg["pulse.eps0"] is not None
-        and "pulse.intensity_wcm2" in raw
-        and cfg["pulse.intensity_wcm2"] is not None
-    ):
-        raise CliError("give pulse.eps0 or pulse.intensity_wcm2, not both")
     for section, build in (("grid", _config_grid), ("pulse", _config_pulse)):
         try:
             build(cfg)
@@ -353,10 +344,8 @@ def _plan(cfg: dict) -> list[RunSegment]:
     if not cfg["run.enabled"]:
         return []
     mode, dt = cfg["run.mode"], cfg["run.dt"]
-    if initial in NAMED_STATES:
-        t0 = cfg["run.t0"]
-        if abs(t0) > 1e-12:
-            raise CliError("named initial states are defined at t = 0 only")
+    if initial in NAMED_STATES:  # defined at t = 0
+        t0 = 0.0
     else:  # a snapshot brings its start time; its grid and frame must fit the run
         wf = _read_on_grid(cfg, initial)
         if wf.frame != MODE_FRAMES[mode]:
@@ -515,9 +504,7 @@ class Pipeline:
 
     @cached_property
     def avg(self):
-        return kh_averaged_potential(
-            self.grid, self.cfg["kh.alpha0"], quadrature_n=self.cfg["kh.quadrature_n"]
-        )
+        return kh_averaged_potential(self.grid, self.cfg["kh.alpha0"])
 
     @cached_property
     def pairs(self):
@@ -720,7 +707,11 @@ class Pipeline:
         choice = self.cfg["portrait.energies"]
         if choice == "none":
             return
-        e_sep = self.manifest["derived"]["e_separatrix"] = float(separatrix_energy(self.avg))
+        # listed energies need no saddle: without one e_sep stays nan, and
+        # every curve is regular
+        e_sep = np.nan
+        if choice == "auto" or len(local_minima_positions(self.avg)) > 1:
+            e_sep = self.manifest["derived"]["e_separatrix"] = separatrix_energy(self.avg)
         energies = (e_sep, _OVERLAY_ENERGY) if choice == "auto" else choice
         with open(self._path("portrait.dat"), "w") as fh:
             fh.write("# equienergy curves of p^2/2 + v0(x); blocks: x p\n")
@@ -790,7 +781,7 @@ def execute(cfg: dict, out_dir: str, recipe: str | None = None) -> Pipeline:
 
 
 def _recipe_path(name: str) -> str:
-    if os.path.exists(name):
+    if os.path.isfile(name):
         return name
     from importlib import resources
 

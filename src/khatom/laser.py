@@ -38,28 +38,28 @@ class LaserError(KhatomError):
 class PulseParams:
     """Trapezoidal pulse: eps0 * f(t) * sin(omega t).
 
-    Construct either from a peak field eps0 or from an intensity in
-    W/cm^2 (eps0 = sqrt(I / INTENSITY_AU)).  The ramp lasts ramp_cycles
-    optical cycles, the flat top ends at flat_end_cycles, the pulse at
-    total_cycles.
+    The peak field follows from the intensity in W/cm^2, eps0 =
+    sqrt(I / INTENSITY_AU).  The ramp lasts ramp_cycles optical cycles,
+    the flat top ends at flat_end_cycles, the pulse at total_cycles.
     """
 
-    eps0: float | None = None
-    intensity: float | None = None
+    intensity: float
     period: float = 100.0
     ramp_cycles: int = 2
     flat_end_cycles: int = 10
     total_cycles: int = 12
 
     def __post_init__(self):
-        if (self.eps0 is None) == (self.intensity is None):
-            raise LaserError("give exactly one of eps0 or intensity")
-        if self.eps0 is None:
-            object.__setattr__(self, "eps0", np.sqrt(self.intensity / INTENSITY_AU))
+        if not 0 <= self.intensity < np.inf:  # also refuses nan
+            raise LaserError(f"intensity must be finite and at least 0, got {self.intensity}")
         if not (0 < self.ramp_cycles < self.flat_end_cycles < self.total_cycles):
             raise LaserError("need 0 < ramp < flat_end < total cycles")
         if self.period <= 0:
             raise LaserError("period must be positive")
+
+    @property
+    def eps0(self) -> float:
+        return np.sqrt(self.intensity / INTENSITY_AU)
 
     @property
     def omega(self) -> float:

@@ -29,10 +29,6 @@ DEPTH = -24.856
 EXP_SOFTENING = 16.0
 DENOM_WIDTH = 6.27
 
-# minimum number of phase nodes accepted for the cycle average
-MIN_QUADRATURE_N = 256
-DEFAULT_QUADRATURE_N = MIN_QUADRATURE_N
-
 # grid rows per block of the cycle sums: a block's temporaries stay in cache
 _GRID_CHUNK = 16
 
@@ -60,18 +56,22 @@ class AveragedPotential:
 
 
 def kh_averaged_potential(
-    grid: SpatialGrid,
-    alpha0: float,
-    quadrature_n: int = DEFAULT_QUADRATURE_N,
-    model=atomic_potential,
+    grid: SpatialGrid, alpha0: float, model=atomic_potential
 ) -> AveragedPotential:
     """Average model(x + alpha0*sin(theta)) over theta in [0, 2pi).
 
-    Uniform phase nodes; for the smooth periodic integrand this converges
-    spectrally, so 256 nodes is already at machine accuracy.  The sum is
-    folded over two exact symmetries.  sin(pi - theta) = sin(theta) on the
-    nodes, so N/2 + 1 displacements carry weight 2/N (1/N at +-alpha0);
-    this needs N % 4 == 0.  V0 is even, so it is evaluated at the distinct
+    N uniform phase nodes, N the smallest 256 * 2**k with N >= 10*alpha0.
+    The trapezoid sum of a smooth periodic integrand converges
+    geometrically, its error falling like exp(-c N / alpha0) with c set by
+    the width of the potential, so a fixed number of nodes per unit of
+    alpha0 keeps V0 at machine accuracy: 256 nodes up to alpha0 = 25.6,
+    max|V0(N) - V0(4N)| below 1e-17 for alpha0 up to 300.  alpha0 must lie
+    in (0, half the grid's width]; beyond it the wells leave the box, and
+    the bound keeps N finite.
+
+    The sum is folded over two exact symmetries.  sin(pi - theta) =
+    sin(theta) on the nodes, so N/2 + 1 displacements carry weight 2/N
+    (1/N at +-alpha0).  V0 is even, so it is evaluated at the distinct
     |x| of the grid and mapped back, which makes it exactly even on a
     symmetric grid.
 
@@ -85,20 +85,20 @@ def kh_averaged_potential(
     with the same operations as a full evaluation, so V0 does not depend on
     the chunking.
     """
-    if alpha0 <= 0:
-        raise PotentialError("alpha0 must be positive")
-    if quadrature_n < MIN_QUADRATURE_N:
+    half_width = 0.5 * (grid.x_max - grid.x_min)
+    if not 0 < alpha0 <= half_width:  # also refuses nan
         raise PotentialError(
-            f"quadrature_n = {quadrature_n} below minimum {MIN_QUADRATURE_N}"
+            f"alpha0 = {alpha0} must lie in (0, {half_width:g}], half the grid's width"
         )
-    if quadrature_n % 4:
-        raise PotentialError(f"quadrature_n = {quadrature_n} is not a multiple of 4")
+    n = 256
+    while n < 10 * alpha0:
+        n *= 2
     # the first quarter of N uniform nodes over one period
-    theta = 2.0 * np.pi * np.arange(quadrature_n // 4 + 1) / quadrature_n
+    theta = 2.0 * np.pi * np.arange(n // 4 + 1) / n
     half = alpha0 * np.sin(theta)
     disp = np.concatenate((-half[:0:-1], half))  # -alpha0 .. alpha0
-    weights = np.full(len(disp), 2.0 / quadrature_n)
-    weights[[0, -1]] = 1.0 / quadrature_n
+    weights = np.full(len(disp), 2.0 / n)
+    weights[[0, -1]] = 1.0 / n
     ax, where = np.unique(np.abs(grid.x), return_inverse=True)
     live = (ax < alpha0) | (model(ax + disp[0]) != 0.0)
     rows = ax[live]

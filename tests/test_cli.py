@@ -57,7 +57,6 @@ def test_config_defaults():
     cfg = load_config()
     assert cfg["grid.n_points"] == 16384
     assert cfg["pulse.intensity_wcm2"] == 5.7e13
-    assert cfg["pulse.eps0"] is None
     assert cfg["kh.alpha0"] == 10.23
     assert cfg["run.dt"] == 0.05
     assert cfg["run.cadence"] == 20
@@ -88,6 +87,45 @@ def test_config_rejects_unknown_key(tmp_path):
     path.write_text("grid.points = 12\n")
     with pytest.raises(CliError, match="unknown config key"):
         load_config(str(path))
+    # keys the run works out itself: the start time of a named state, the
+    # peak field from the intensity, the cycle-average node count from kh.alpha0
+    for key in ("run.t0=0", "pulse.eps0=0.04", "kh.quadrature_n=256"):
+        with pytest.raises(CliError, match=f"unknown config key: {key.split('=')[0]}"):
+            load_config(overrides=[key])
+
+
+def test_config_path_must_be_a_readable_file(tmp_path, capsys):
+    for path in (tmp_path, tmp_path / "missing.cfg"):
+        assert cli.main(["eigen", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.startswith(f"khatom: [cli] cannot read config {path}")
+    assert not (tmp_path / "out").exists()
+
+
+def test_recipe_name_beside_a_directory(tmp_path, monkeypatch):
+    # the --out of an earlier run, named like the recipe, used to be opened
+    # as its config (IsADirectoryError)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "fig1").mkdir()
+    argv = ["run", "fig1", "--out", "out", "--override", "grid.n_points=1024",
+            "--override", "emit.eigen=false"]
+    assert cli.main(argv) == 0
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["recipe"] == "fig1" and manifest["status"] == "complete"
+    assert _written(tmp_path / "out") == {"potential_bare.dat", "potential_averaged.dat"}
+
+
+def test_non_finite_numbers_fail_at_load(tmp_path, capsys):
+    # each used to end in a ValueError traceback, during the plan or after
+    # the output directory was made, or (grid.x_max) to pass load_config
+    base = ["propagate", "--override", "run.mode=kh_averaged", "--override",
+            "run.initial=kh_ground", "--override", "grid.n_points=4096"]
+    for override in ("run.t_final=nan", "run.snapshots=nan,5", "kh.alpha0=nan", "grid.x_max=inf"):
+        out = tmp_path / "out"
+        assert cli.main(base + ["--override", override, "--out", str(out)]) == 1
+        key = override.split("=")[0]
+        assert capsys.readouterr().err.startswith(f"khatom: [cli] bad value for {key}: "
+                                                  "must be finite")
+        assert not out.exists()
 
 
 def test_config_rejects_bad_values():
@@ -102,15 +140,16 @@ def test_config_rejects_bad_values():
     # the range rules sit beside their keys, or in the object the keys build
     rules = [
         ("run.cadence=0", "bad value for run.cadence: must be at least 1, got '0'"),
+        ("kh.alpha0=0", "bad value for kh.alpha0: must be positive, got '0'"),
         ("grid.x_max=-1500", "bad grid.* values: x_max must exceed x_min"),
         ("pulse.period=0", "bad pulse.* values: period must be positive"),
         ("pulse.total_cycles=0", "bad pulse.* values: need 0 < ramp < flat_end < total"),
-        ("pulse.intensity_wcm2=none", "bad pulse.* values: give exactly one of eps0 or intensity"),
+        ("pulse.intensity_wcm2=none", "bad value for pulse.intensity_wcm2: expected a number"),
+        ("pulse.intensity_wcm2=-5.7e13", "bad pulse.* values: intensity must be finite and at least 0"),
     ]
     for override, message in rules:
         with pytest.raises(CliError, match=re.escape(message)):
             load_config(overrides=["run.mode=kh_averaged", override])
-    load_config(overrides=["pulse.eps0=0.04"])  # eps0 takes precedence over the default intensity
 
 
 def test_config_defaults_parse_back():
@@ -128,8 +167,6 @@ def test_config_defaults_parse_back():
 
 
 def test_validate_rejects_bad_combinations():
-    with pytest.raises(CliError, match="not both"):
-        validate_config(load_config(overrides=["pulse.eps0=0.04", "pulse.intensity_wcm2=5.7e13"]))
     with pytest.raises(CliError, match="snapshot file not found"):
         validate_config(load_config(overrides=["run.initial=/no/such/state.snap"]))
     with pytest.raises(CliError, match="restart.at"):
@@ -425,6 +462,21 @@ def test_single_well_potential_needs_no_separatrix(tmp_path):
     assert manifest["status"] == "complete"
     assert "e_separatrix" not in manifest["derived"]
     assert _written(tmp_path) == {"potential_bare.dat", "potential_averaged.dat"}
+
+
+def test_single_well_portrait_of_listed_energies(tmp_path, capsys):
+    # listed energies need no saddle: every curve is regular; auto still needs one
+    argv = ["portrait", "--override", "kh.alpha0=2", "--override", "grid.n_points=4096"]
+    listed = ["--override", "portrait.energies=-0.01,0.001", "--out", str(tmp_path / "listed")]
+    assert cli.main(argv + listed) == 0
+    manifest = json.loads((tmp_path / "listed" / "manifest.json").read_text())
+    assert manifest["status"] == "complete"
+    assert "e_separatrix" not in manifest["derived"]
+    lines = (tmp_path / "listed" / "portrait.dat").read_text().splitlines()
+    tags = [ln for ln in lines if "kind=" in ln]
+    assert tags and all(ln.endswith("kind=regular") for ln in tags)
+    assert cli.main(argv + ["--out", str(tmp_path / "auto")]) == 1
+    assert "[phasespace] averaged potential has a single well, no saddle" in capsys.readouterr().err
 
 
 def test_detected_times_of_a_beat():

@@ -28,12 +28,13 @@ def test_eps0_from_intensity(params):
 
 
 def test_params_validation():
+    # a negative intensity gave eps0 = nan with only a RuntimeWarning
+    for intensity in (-5.7e13, np.nan, np.inf):
+        with pytest.raises(LaserError, match="intensity must be finite and at least 0"):
+            PulseParams(intensity=intensity)
     with pytest.raises(LaserError):
-        PulseParams()
-    with pytest.raises(LaserError):
-        PulseParams(eps0=0.04, intensity=5.7e13)
-    with pytest.raises(LaserError):
-        PulseParams(eps0=0.04, ramp_cycles=11)
+        PulseParams(intensity=5.7e13, ramp_cycles=11)
+    assert PulseParams(intensity=0.0).eps0 == 0.0
 
 
 def test_derived_times(params):

@@ -3,7 +3,6 @@ import pytest
 
 from khatom.core import SpatialGrid
 from khatom.potential import (
-    DEFAULT_QUADRATURE_N,
     PotentialError,
     atomic_potential,
     kh_averaged_potential,
@@ -54,9 +53,18 @@ def test_averaged_evenness(avg):
     assert np.array_equal(v, rev)
 
 
-def _full_cycle_average(grid, alpha0, n=DEFAULT_QUADRATURE_N, chunk=1024):
-    # reference: the folded sum evaluated at every distinct |x|, no row
-    # skipped, 1,024 rows per block
+def _node_count(alpha0):
+    # the node rule: the smallest 256 * 2**k with N >= 10*alpha0
+    n = 256
+    while n < 10 * alpha0:
+        n *= 2
+    return n
+
+
+def _full_cycle_average(grid, alpha0, n=None, chunk=1024):
+    # reference: the folded sum over n nodes (the rule's count by default)
+    # evaluated at every distinct |x|, no row skipped, 1,024 rows per block
+    n = n or _node_count(alpha0)
     half = alpha0 * np.sin(2.0 * np.pi * np.arange(n // 4 + 1) / n)
     disp = np.concatenate((-half[:0:-1], half))
     weights = np.full(len(disp), 2.0 / n)
@@ -80,8 +88,17 @@ def test_averaged_bits_match_full_evaluation(alpha0):
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
+def test_averaged_node_count_rule(grid):
+    # V0 is the sum over the rule's nodes, bit for bit: 256 up to alpha0 = 25.6
+    for alpha0, n in ((1e-8, 256), (25.6, 256), (30.0, 512), (60.0, 1024), (120.0, 2048),
+                      (300.0, 4096)):
+        assert _node_count(alpha0) == n
+        got = kh_averaged_potential(grid, alpha0).samples
+        assert np.array_equal(got, _full_cycle_average(grid, alpha0, n)), alpha0
+
+
 def test_averaged_matches_plain_node_mean(grid, avg):
-    n = DEFAULT_QUADRATURE_N  # the nodes avg was built with
+    n = _node_count(ALPHA0)  # the nodes avg was built with
     disp = ALPHA0 * np.sin(2.0 * np.pi * np.arange(n) / n)
     plain = np.array([atomic_potential(x + disp).mean() for x in grid.x[::7]])
     assert np.max(np.abs(avg.samples[::7] - plain)) < 1e-15
@@ -105,19 +122,22 @@ def test_averaged_two_wells(avg):
     assert 5.0 < xm[1] < ALPHA0
 
 
-def test_averaged_quadrature_converged(grid, avg):
-    # the default node count is already at machine accuracy
-    b = kh_averaged_potential(grid, ALPHA0, quadrature_n=4096)
-    assert np.max(np.abs(avg.samples - b.samples)) < 1e-15
+def test_averaged_quadrature_converged(grid):
+    # the rule's node count is at machine accuracy: 256 fixed nodes were
+    # off by 8e-10 at alpha0 = 60 and 3e-6 at 120
+    for alpha0 in (ALPHA0, 60.0, 120.0):
+        got = kh_averaged_potential(grid, alpha0).samples
+        fine = _full_cycle_average(grid, alpha0, 4 * _node_count(alpha0))
+        assert np.max(np.abs(got - fine)) < 1e-15, alpha0
 
 
-def test_averaged_rejects_small_quadrature(grid):
-    with pytest.raises(PotentialError):
-        kh_averaged_potential(grid, ALPHA0, quadrature_n=128)
-    with pytest.raises(PotentialError, match="multiple of 4"):
-        kh_averaged_potential(grid, ALPHA0, quadrature_n=2050)
-    with pytest.raises(PotentialError):
-        kh_averaged_potential(grid, -1.0)
+def test_averaged_rejects_alpha0_out_of_range(grid):
+    # beyond the grid's half-width (300 here) the wells leave the box; the
+    # bound also keeps the node count finite
+    for alpha0 in (-1.0, 0.0, np.nan, np.inf, 300.5, 1e7):
+        with pytest.raises(PotentialError, match="must lie in"):
+            kh_averaged_potential(grid, alpha0)
+    kh_averaged_potential(SpatialGrid(-300.0, 300.0, 256), 300.0)
 
 
 def test_harmonic_zero_matches_average(grid, avg):

@@ -100,7 +100,7 @@ def test_lab_steps_match_reference_step(grid, v_atom, long_cache, ground_pair, m
 
 
 def test_field_free_ground_state_survival(grid, v_atom, ground_pair):
-    zero_pulse = PulseParams(eps0=0.0)
+    zero_pulse = PulseParams(intensity=0.0)
     cache = build_field_cache(zero_pulse, dt_field=0.025)
     psi = final_state(MODE_LAB, ground_pair.state, 0.0, 0.05, 1000, v_atom, cache)
     wf = WaveFunction(grid, psi, 50.0)
