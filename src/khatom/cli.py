@@ -44,7 +44,7 @@ from .phasespace import (
     wigner,
     write_wigner,
 )
-from .potential import atomic_potential, kh_averaged_potential, local_minima_positions
+from .potential import atomic_potential, check_alpha0, kh_averaged_potential, local_minima_positions
 from .propagator import (
     MODE_FRAMES,
     MODE_KH,
@@ -313,10 +313,10 @@ def validate_config(cfg: dict) -> list[RunSegment]:
     """Plans the propagation: the primary segment and its restart, each
     checked against the other keys, and each configured time resolved to a
     step of its segment; [] when there is no run.  The grid must hold the
-    absorber of each segment that has it on, and the Wigner window when any
-    map is planned; half of run.dt must divide the pulse when a lab_full
-    segment or emit.field uses the field.  Each check raises its own
-    module's error."""
+    absorber of each segment that has it on, the Wigner window when any
+    map is planned, and the wells of kh.alpha0 when a stage builds them;
+    half of run.dt must divide the pulse when a lab_full segment or
+    emit.field uses the field.  Each check raises its own module's error."""
     plan = _plan(cfg)
     grid = _config_grid(cfg)
     if cfg["emit.field"] or any(seg.mode == MODE_LAB for seg in plan):
@@ -325,6 +325,9 @@ def validate_config(cfg: dict) -> list[RunSegment]:
         check_absorber(grid)
     if cfg["wigner.states"] or any(seg.wigner_steps for seg in plan):
         check_windows(grid)
+    if (plan or cfg["emit.potential"] or cfg["emit.eigen"] or cfg["portrait.energies"] != "none"
+            or set(cfg["wigner.states"]) - {"atomic_ground"}):
+        check_alpha0(grid, cfg["kh.alpha0"])
     return plan
 
 

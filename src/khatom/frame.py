@@ -29,12 +29,9 @@ from .core import (
     shift_samples,
 )
 from .laser import FieldCache
+from .propagator import ABSORBER_HALF_WIDTH
 
 __all__ = ["FrameTransformContext", "FrameTransformError", "density_relation_residual"]
-
-# density_relation_residual compares the densities over |x| <= this, the
-# region inside the absorber
-RESIDUAL_HALF_WIDTH = 600.0
 
 
 class FrameTransformError(KhatomError):
@@ -84,7 +81,7 @@ class FrameTransformContext:
 def density_relation_residual(
     ctx: FrameTransformContext, psi_lab: WaveFunction, psi_kh: WaveFunction
 ) -> float:
-    """sup |  |psi_KH(x)|^2 - |psi_L(x - alpha)|^2  | over |x| <= RESIDUAL_HALF_WIDTH.
+    """sup |  |psi_KH(x)|^2 - |psi_L(x - alpha)|^2  | over |x| <= ABSORBER_HALF_WIDTH.
 
     The reference shift goes through the direct periodic kernel, not the
     FFT used by the transform itself, so the check is independent.
@@ -95,6 +92,6 @@ def density_relation_residual(
         raise FrameTransformError("states are from different times")
     alpha = ctx.cache.alpha_at(psi_lab.t)
     ref = periodic_sinc_shift(ctx.grid, psi_lab.psi, alpha)
-    window = np.abs(ctx.grid.x) <= RESIDUAL_HALF_WIDTH
+    window = np.abs(ctx.grid.x) <= ABSORBER_HALF_WIDTH
     diff = np.abs(psi_kh.density() - np.abs(ref) ** 2)
     return float(diff[window].max())

@@ -18,6 +18,7 @@ __all__ = [
     "AveragedPotential",
     "PotentialError",
     "atomic_potential",
+    "check_alpha0",
     "kh_averaged_potential",
     "local_minima_positions",
 ]
@@ -43,6 +44,13 @@ def atomic_potential(x):
     return DEPTH * np.exp(-np.sqrt(x * x + EXP_SOFTENING)) / np.sqrt(x * x + DENOM_WIDTH**2)
 
 
+def check_alpha0(grid: SpatialGrid, alpha0: float) -> None:
+    """Raises unless alpha0 lies in (0, half the grid's width], where the wells stay in the box."""
+    half = 0.5 * (grid.x_max - grid.x_min)
+    if not 0 < alpha0 <= half:  # also refuses nan
+        raise PotentialError(f"alpha0 = {alpha0} must lie in (0, {half:g}], half the grid's width")
+
+
 @dataclass(frozen=True)
 class AveragedPotential:
     """Cycle average of the displaced binding potential on a grid."""
@@ -65,9 +73,7 @@ def kh_averaged_potential(
     geometrically, its error falling like exp(-c N / alpha0) with c set by
     the width of the potential, so a fixed number of nodes per unit of
     alpha0 keeps V0 at machine accuracy: 256 nodes up to alpha0 = 25.6,
-    max|V0(N) - V0(4N)| below 1e-17 for alpha0 up to 300.  alpha0 must lie
-    in (0, half the grid's width]; beyond it the wells leave the box, and
-    the bound keeps N finite.
+    max|V0(N) - V0(4N)| below 1e-17 for alpha0 up to 300.
 
     The sum is folded over two exact symmetries.  sin(pi - theta) =
     sin(theta) on the nodes, so N/2 + 1 displacements carry weight 2/N
@@ -85,11 +91,7 @@ def kh_averaged_potential(
     with the same operations as a full evaluation, so V0 does not depend on
     the chunking.
     """
-    half_width = 0.5 * (grid.x_max - grid.x_min)
-    if not 0 < alpha0 <= half_width:  # also refuses nan
-        raise PotentialError(
-            f"alpha0 = {alpha0} must lie in (0, {half_width:g}], half the grid's width"
-        )
+    check_alpha0(grid, alpha0)
     n = 256
     while n < 10 * alpha0:
         n *= 2

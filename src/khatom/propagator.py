@@ -4,13 +4,13 @@ Two modes: lab_full steps the driven Hamiltonian p^2/2 + V(x) - x*eps(t)
 with the field sampled at the step midpoint; kh_averaged steps the
 field-free p^2/2 + V0(x) (the cycle-averaged potential), which is how the
 simplified oscillating-frame dynamics is realized.  Strang splitting,
-half potential phases around a full kinetic phase, one absorber mask
-application per step.
+half potential phases around a full kinetic phase, the absorber an
+imaginary potential inside the half-phases (Kosloff & Kosloff 1986).
 
 Every step runs on the two radix-2 halves of the grid (Cooley & Tukey,
 Math. Comp. 19, 297 (1965)): the even samples x_e = psi[0::2] and the
-odd samples x_o = psi[1::2], n/2 points each.  The potential phases, the
-lab dipole ramp and the mask are diagonal, so each acts on its own half.
+odd samples x_o = psi[1::2], n/2 points each.  The half-phases, absorber
+and lab dipole ramp included, are diagonal, so each acts on its own half.
 With E = fft(x_e), O = fft(x_o) and W_k = exp(-2 pi i k / n), the full
 spectrum is [E + W O, E - W O].  The kinetic phase T = [T_top, T_bot] and
 the inverse transform fold into three n/2-point factors,
@@ -77,10 +77,11 @@ MODE_FRAMES = {MODE_LAB: FRAME_LAB, MODE_KH: FRAME_KH}
 
 SNAPSHOT_MAGIC = "KHPS1"
 
-# the absorber mask: 1 inside |x| <= ABSORBER_HALF_WIDTH, then a gentle
-# cos^ABSORBER_POWER rolloff reaching ~0 at the grid edge
+# the absorber mask, the absorption of one step of DT_REF: 1 inside
+# |x| <= ABSORBER_HALF_WIDTH, then a gentle cos^ABSORBER_POWER rolloff reaching ~0 at the edge
 ABSORBER_HALF_WIDTH = 600.0
 ABSORBER_POWER = 0.125
+DT_REF = 0.05
 
 
 class PropagatorError(KhatomError):
@@ -110,9 +111,8 @@ class SplitOperator:
 
     forward and backward are the two stages of one half (0 even, 1 odd)
     of the step, as the module docstring sets out; propagate runs them in
-    one process or two.  With absorber, the mask of build_absorber_mask
-    is applied once at the end of every step.  frame is the frame the
-    mode's states live in.
+    one process or two.  Each half-phase, absorber included, is one
+    diagonal factor.  frame is the frame the mode's states live in.
     """
 
     def __init__(
@@ -139,8 +139,9 @@ class SplitOperator:
         n, dt = grid.n_points, time.dt
         h = n // 2
         self._expv_half = tuple(np.exp(-0.5j * dt * v[i::2]) for i in (0, 1))
-        mask = build_absorber_mask(grid) if absorber else None
-        self._mask = None if mask is None else tuple(mask[i::2].copy() for i in (0, 1))
+        if absorber:  # each half-phase takes the mask for dt / 2: the absorption per a.u. is fixed
+            mask = build_absorber_mask(grid) ** (0.5 * dt / DT_REF)
+            self._expv_half = tuple(e * mask[i::2] for i, e in enumerate(self._expv_half))
         expt = np.exp(-0.5j * dt * grid.p**2)
         w = phase_ramp(0.0, -2.0 * np.pi / n, 0.0, 1.0, h)
         p = 0.5 * (expt[:h] + expt[h:])
@@ -161,8 +162,7 @@ class SplitOperator:
                 g = self.grid
                 ramp = phase_ramp(0.0, 0.5 * dt * eps_mid, g.x_min + half * g.dx,
                                   2.0 * g.dx, len(expv), self._expv[half])
-                ramp *= expv
-                expv = ramp
+                expv = np.multiply(ramp, expv, out=ramp)
         np.multiply(expv, x, out=spec)
         _in_place(fft, spec)
         return expv
@@ -177,8 +177,6 @@ class SplitOperator:
         x += np.multiply(spectra[1], b, out=self._work[half])
         _in_place(ifft, x)
         x *= expv
-        if self._mask is not None:
-            x *= self._mask[half]
         return bool(np.isfinite(x.view(float)).all())  # both parts; faster than complex
 
 

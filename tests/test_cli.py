@@ -18,6 +18,7 @@ from khatom.core import SpatialGrid, TimeGrid, WaveFunction
 from khatom.eigen import EigenError
 from khatom.observables import read_series
 from khatom.phasespace import REALITY_TOL, PhaseSpaceError, read_wigner
+from khatom.potential import PotentialError
 from khatom.propagator import read_snapshot, write_snapshot
 
 RECIPES = ("fig1", "fig2ab", "fig2b", "fig3", "fig4a", "fig4b", "fig5", "fig6", "fig7", "fig8")
@@ -327,6 +328,24 @@ def test_lab_restart_of_a_kh_run_fails_before_any_solve(tmp_path, capsys):
     assert cli.main(argv) == 1
     assert capsys.readouterr().err.startswith(f"khatom: [cli] {message}")
     assert not out.exists()
+
+
+def test_alpha0_beyond_the_box_fails_before_any_directory(tmp_path, capsys):
+    # kh.alpha0 used to be refused only where the averaged well was built,
+    # after potential_bare.dat and an incomplete manifest were written
+    overrides = ["--override", "kh.alpha0=2000", "--override", "grid.n_points=1024"]
+    for verb in ("potential", "eigen", "portrait"):
+        out = tmp_path / verb
+        assert cli.main([verb, "--out", str(out)] + overrides) == 1
+        assert capsys.readouterr().err == ("khatom: [potential] alpha0 = 2000.0 must lie in "
+                                           "(0, 1500], half the grid's width\n")
+        assert not out.exists()
+    # stages that build no averaged well leave kh.alpha0 unchecked
+    assert cli.main(["field", "--out", str(tmp_path / "field")] + overrides) == 0
+    off = ["run.enabled=false", "kh.alpha0=2000", "grid.n_points=1024"]
+    validate_config(load_config(overrides=off + ["wigner.states=atomic_ground"]))
+    with pytest.raises(PotentialError, match="alpha0 = 2000.0 must lie in"):
+        validate_config(load_config(overrides=off + ["wigner.states=kh_ground"]))
 
 
 def test_emit_table_bytes_match_repr_loop(tmp_path):
@@ -646,8 +665,10 @@ def test_partner_writes_inline_bytes(mini_cfg_path, mini_run, tmp_path, monkeypa
 
 @pytest.mark.parametrize("executor", ["partner", "inline"])
 def test_non_finite_partner_half(mini_cfg_path, tmp_path, monkeypatch, capsys, executor):
-    # a NaN in an odd sample of the mask spoils only the odd half, which the
-    # partner steps; the error names the step that one process names
+    # a NaN in an odd sample of the mask enters the odd half's potential
+    # phase, which the partner applies; through the exchanged spectra both
+    # halves turn non-finite in step 1, and the error names the step that
+    # one process names
     real = propagator.build_absorber_mask
 
     def spoiled(grid):

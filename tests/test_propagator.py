@@ -78,11 +78,13 @@ def test_propagate_leaves_initial_unchanged(grid, v_atom, averaged, long_cache, 
 
 
 def _reference_lab_step(grid, v, dt, cache, mask, psi, t):
-    """The Strang lab step written out with full-grid exponentials."""
+    """The Strang lab step written out with full-grid exponentials; each
+    potential half-phase takes the mask for dt / 2, the mask being the
+    absorption of a 0.05 a.u. step."""
     eps_mid = cache.eps_at(t + 0.5 * dt)
-    expv = np.exp(-0.5j * dt * v) * np.exp(0.5j * dt * eps_mid * grid.x)
+    expv = np.exp(-0.5j * dt * v) * np.exp(0.5j * dt * eps_mid * grid.x) * mask ** (0.5 * dt / 0.05)
     kinetic = np.exp(-0.5j * dt * grid.p**2)
-    return mask * expv * np.fft.ifft(kinetic * np.fft.fft(expv * psi))
+    return expv * np.fft.ifft(kinetic * np.fft.fft(expv * psi))
 
 
 def test_lab_steps_match_reference_step(grid, v_atom, long_cache, ground_pair, monkeypatch):
@@ -90,11 +92,15 @@ def test_lab_steps_match_reference_step(grid, v_atom, long_cache, ground_pair, m
     dt = 0.1
     mask = build_absorber_mask(grid)
     t0 = 600.0  # flat top, field on at full strength
-    ref = ground_pair.state.psi
+    # the ground state and a packet on its way through the absorber, where
+    # the mask's place in the step shows
+    initial = WaveFunction(grid, ground_pair.state.psi
+                           + 0.1 * np.exp(-((grid.x - 700.0) ** 2) / 200.0 + 1j * grid.x), t0)
+    ref = initial.psi
     for k in range(200):
         ref = _reference_lab_step(grid, v_atom, dt, long_cache, mask, ref, t0 + k * dt)
     finals = by_executor(monkeypatch, grid.n_points, lambda: final_state(
-        MODE_LAB, ground_pair.state, t0, dt, 200, v_atom, long_cache, use_absorber=True))
+        MODE_LAB, initial, t0, dt, 200, v_atom, long_cache, use_absorber=True))
     for executor, psi in finals.items():
         assert np.max(np.abs(psi - ref)) < 1e-13, executor
 
@@ -162,6 +168,26 @@ def test_absorber_removes_outgoing_packet():
     wf = kh_wf(g, psi).normalized()
     psi = final_state(MODE_KH, wf, 0.0, 0.05, 4000, np.zeros(g.n_points), use_absorber=True)
     assert g.dx * np.sum(np.abs(psi) ** 2) < 0.05
+
+
+def test_absorbed_norm_does_not_depend_on_dt():
+    # the packet of test_absorber_removes_outgoing_packet, halfway into the
+    # absorber at t = 100.  With the mask once at the end of each step the
+    # norm was 0.092, 0.288 and 0.528 at dt 0.025, 0.05 and 0.1: the
+    # absorption per a.u. scaled with 1/dt.  With the mask in both
+    # half-phases, measured: 0.2883662, dt 0.05 against 0.1 within 5.3e-7,
+    # and 4.0 times the dt 0.025 against 0.05 difference (second order)
+    g = SpatialGrid(-1500.0, 1500.0, 4096)
+    wf = kh_wf(g, np.exp(-((g.x - 500.0) ** 2) / 200.0 + 2.0j * g.x)).normalized()
+    norm = {}
+    for dt in (0.025, 0.05, 0.1):
+        psi = final_state(MODE_KH, wf, 0.0, dt, round(100.0 / dt), np.zeros(g.n_points),
+                          use_absorber=True)
+        norm[dt] = g.dx * np.sum(np.abs(psi) ** 2)
+    assert norm[0.05] == pytest.approx(0.2883662, abs=1e-6)
+    coarse, fine = abs(norm[0.1] - norm[0.05]), abs(norm[0.05] - norm[0.025])
+    assert coarse < 2e-6
+    assert 3.5 < coarse / fine < 4.5
 
 
 @pytest.mark.parametrize("p0", [1.0, 2.0, 3.0])
