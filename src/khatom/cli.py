@@ -629,8 +629,9 @@ class Pipeline:
             write_snapshot(self._path(f"{label}snapshot_t{snap.t:g}.snap"), snap)
         if self.cfg["emit.densities"]:
             self._emit_segment_densities(seg)
-        self.manifest["residuals"][f"{label}final_norm"] = float(result.final.norm())
-        self.manifest["residuals"][f"{label}absorbed_norm"] = float(result.absorbed_norm)
+        residuals = self.manifest["residuals"]  # norms in |psi|^2: left in the box, absorbed
+        residuals[f"{label}final_norm"] = self.grid.dx * float(np.sum(result.final.density()))
+        residuals[f"{label}absorbed_norm"] = float(result.absorbed_norm)
         self.manifest["detected_times"][label or "run"] = _detect_landmarks(
             recorder.column("t"), recorder.column("autocorr_abs2")
         )
@@ -699,7 +700,9 @@ class Pipeline:
     def export_run_wigners(self) -> None:
         jobs = []
         for segment in self.plan:
-            clean = segment.mode == MODE_KH and segment.initial in NAMED_STATES
+            # only a KH eigenstate start stays bound in the averaged well; the
+            # atomic state carries continuum into it like a lab_full run does
+            clean = segment.mode == MODE_KH and segment.initial in NAMED_STATES[1:]
             mass_tol = 1e-3 if clean else LOOSE_MASS_TOL
             for k, snap in zip(segment.snapshot_steps, segment.result.snapshots):
                 if k in segment.wigner_steps:

@@ -232,20 +232,20 @@ def periodic_sinc_shift(grid: SpatialGrid, arr: np.ndarray, s: float) -> np.ndar
     return full[n - 1:2 * n - 1]
 
 
-def padded_spectrum(grid: SpatialGrid, arr: np.ndarray) -> np.ndarray:
-    """Spectrum of the samples zero-padded to 2n points.
+def padded_spectrum(grid: SpatialGrid, spec: np.ndarray, n_out: int) -> np.ndarray:
+    """The grid's spectrum spec zero-padded to n_out >= n points.
 
-    Its ifft gives the band-limited samples at spacing dx/2 on the same
-    interval, exact for band-limited signals; the Nyquist coefficient is
-    split symmetrically so real input stays real.
+    Its ifft gives the band-limited samples at spacing (x_max - x_min)/n_out
+    on the same interval, exact for band-limited signals; the Nyquist
+    coefficient is split symmetrically so real input stays real.
     """
-    n = grid.n_points
-    spec = fft(np.asarray(arr, dtype=np.complex128))
-    out = np.zeros(2 * n, dtype=np.complex128)
-    h = n // 2
-    out[:h] = 2.0 * spec[:h]
-    out[n + h + 1:] = 2.0 * spec[h + 1:]
-    out[h] = out[n + h] = spec[h]
+    n, h = grid.n_points, grid.n_points // 2
+    spec = (n_out / n) * np.asarray(spec)
+    out = np.zeros(n_out, dtype=np.complex128)
+    out[:h] = spec[:h]
+    out[n_out - h + 1:] = spec[h + 1:]
+    out[h] = 0.5 * spec[h]
+    out[n_out - h] += 0.5 * spec[h]
     return out
 
 

@@ -165,7 +165,7 @@ class Recorder:
                 abs(c) ** 2,
                 left,
                 right,
-                float(np.sqrt(g.dx * np.sum(den))) ** 2,
+                float(g.dx * np.sum(den)),
             )
         )
 

@@ -1,17 +1,15 @@
 """Phase-space tools: Wigner transforms, marginals, classical portraits.
 
-The Wigner map correlates band-limited half-step samples of the state
-around each output position over a symmetric lag window, then Fourier
-transforms the lag to the momentum axis.  The samples come from the
-state's spectrum zero-padded to twice the grid (half the spacing, h):
-an output position x_j lies a fraction t_j (|t_j| <= 1/2) of h from a
-fine-grid point, and the shift by t_j*h is a Taylor series in t_j whose
-n-th coefficient is one inverse FFT of the padded spectrum times
-(i p h)^n / n!.  So one map takes TAYLOR_ORDER + 1 inverse FFTs, shared
-by all output positions, instead of one per position.  The rows are
-streamed a block at a time through a chirp-z lag sum, so no array of
-positions x lags is held.  Classical curves come straight from energy
-conservation in the averaged potential.
+The Wigner map correlates band-limited samples of the state around each
+output position over a symmetric lag window, then Fourier transforms the
+lag to the momentum axis.  The samples lie on a fine grid whose step h
+divides the spacing of the output positions, so every sample is a grid
+point: one inverse FFT of the state's spectrum, zero-padded to the fine
+grid and given one phase for the fine grid's offset, yields them all,
+and each output position's row is a strided view into that one array.
+The rows are streamed a block at a time through a chirp-z lag sum, so no
+array of positions x lags is held.  Classical curves come straight from
+energy conservation in the averaged potential.
 """
 
 from __future__ import annotations
@@ -19,9 +17,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.fft import fft, ifft, next_fast_len
 
-from .core import KhatomError, SpatialGrid, WaveFunction, padded_spectrum
+from .core import KhatomError, SpatialGrid, WaveFunction, momentum_ramp, padded_spectrum
 from .core import read_container, write_container
 from .potential import AveragedPotential, local_minima_positions
 
@@ -53,15 +52,8 @@ XI_MAX = 240.0
 # momentum_tail_fraction counts the mass beyond this trapping scale
 TAIL_P = 0.25
 REALITY_TOL = 1e-10
-# Taylor order of the sub-sample shift exp(i p h t): the padded spectrum lives
-# in |p h| <= pi/2 and |t| <= 1/2, so the remainder is at most
-# (pi/4)^19 / 19! ~ 1e-19 of sum |c_k| for any state in the band
-TAYLOR_ORDER = 18
-# output rows per block of the sample rows and of the lag sum; a block's
-# products stay in cache
+# output rows per block of the lag sum; a block's products stay in cache
 _LAG_ROWS = 16
-# Taylor terms per batched inverse FFT
-_TAYLOR_BATCH = 5
 
 
 class PhaseSpaceError(KhatomError):
@@ -99,60 +91,43 @@ class WignerGrid:
             )
 
 
-def _sample_blocks(wf: WaveFunction, x_out: np.ndarray, m_max: int):
-    """Yields rows of band-limited samples psi(x_j + m*h), m in [-M, M], h = dx/2,
-    one block of _LAG_ROWS output positions at a time.
+def _sample_rows(wf: WaveFunction) -> tuple[np.ndarray, float]:
+    """Band-limited samples rows[j, M + m] = psi(x_j + m*h), |m| <= M, x_j on
+    X_AXIS, and the lag step d_xi = 2h.
 
-    With x_j = x_min + (i_j + t_j)*h, |t_j| <= 1/2, each row is
-    sum_n t_j^n D_n[i_j + m], D_n = ifft(S (i p h)^n / n!) on the 2x grid.
-    Only the window [lo, hi) of the D_n that some row reads is kept.
+    h = step/k from check_windows and M = XI_MAX/(2h), so the lags reach
+    +-XI_MAX.  Every sample lies on the fine grid x_0 - M*h + i*h, which is
+    the grid's own L/h points shifted by delta, |delta| <= h/2: one inverse
+    FFT of the spectrum times exp(i p delta), zero-padded to L/h points,
+    gives them all.  Row j is the 2M + 1 samples from i = j*k, a strided
+    view into that one array.
     """
     g = wf.grid
-    h = 0.5 * g.dx
-    u = (x_out - g.x_min) / h
-    i = np.rint(u).astype(int)
-    t = u - i
-    lo, hi = int(i.min()) - m_max, int(i.max()) + m_max + 1
-    if lo < 0 or hi > 2 * g.n_points:
-        raise PhaseSpaceError("correlation window exceeds the grid")
-    term = padded_spectrum(g, wf.psi)
-    ph = (2.0 * np.pi) * np.fft.fftfreq(len(term))  # p*h; the spectrum vanishes beyond |p*h| = pi/2
-    d = np.empty((TAYLOR_ORDER + 1, hi - lo), dtype=np.complex128)
-    batch = np.empty((_TAYLOR_BATCH, len(term)), dtype=np.complex128)
-    # batches of _TAYLOR_BATCH terms: bit-identical to one call per term or to
-    # one batch of all, as fast as the latter
-    for n in range(TAYLOR_ORDER + 1):
-        if n:
-            term = term * ((1j / n) * ph)
-        k = n % _TAYLOR_BATCH + 1
-        batch[k - 1] = term
-        if k == _TAYLOR_BATCH or n == TAYLOR_ORDER:
-            d[n + 1 - k : n + 1] = ifft(batch[:k], axis=-1, overwrite_x=True)[:, lo:hi]
-    del term, batch  # the streamed blocks below hold only the window d
-    powers = (t[:, None] ** np.arange(TAYLOR_ORDER + 1)).astype(np.complex128)
-    width = 2 * m_max + 1
-    start = i - m_max - lo
-    # one matrix product per block of rows over the union of their windows,
-    # which on X_AXIS is about 3% wider than one window
-    for b in range(0, len(x_out), _LAG_ROWS):
-        a = start[b : b + _LAG_ROWS]
-        a_lo = int(a.min())
-        block = powers[b : b + _LAG_ROWS] @ d[:, a_lo : int(a.max()) + width]
-        yield np.stack([block[k, off : off + width] for k, off in enumerate(a - a_lo)])
+    k, n_fine = check_windows(g)
+    h = (g.x_max - g.x_min) / n_fine
+    m_max = round(0.5 * XI_MAX / h)
+    u = (X_AXIS[0] - m_max * h - g.x_min) / h
+    i0 = int(np.rint(u))
+    spec = fft(wf.psi) * momentum_ramp(g, (u - i0) * h)
+    samples = ifft(padded_spectrum(g, spec, n_fine), overwrite_x=True)
+    return sliding_window_view(samples[i0:], 2 * m_max + 1)[::k][: len(X_AXIS)], 2.0 * h
 
 
-def _lag_transform(blocks, m_max: int, d_xi: float, p_out: np.ndarray) -> np.ndarray:
+def _lag_transform(rows_a: np.ndarray, rows_b: np.ndarray, d_xi: float,
+                   p_out: np.ndarray) -> np.ndarray:
     """(1/2pi) sum_m conj(a(x+xi_m/2)) b(x-xi_m/2) e^{ip xi_m} d_xi, xi_m = m*d_xi.
 
-    blocks yields (a, b) pairs of sample-row blocks with the lags m = -M..M
+    rows_a and rows_b hold the samples of a and b with the lags m = -M..M
     along each row.  On the uniform p_out, p_k = p_0 + k*dp, this is
     Bluestein's chirp-z transform: with w = dp*d_xi and
     k*m = (k^2 + m^2 - (k - m)^2)/2, the sum over m is the linear
     convolution of c_m e^{i(p_0 xi_m + w m^2/2)} with the chirp
-    e^{-i w j^2/2}, j in [-M, M + K), times e^{i w k^2/2}.  Each block takes
-    one zero-padded FFT of next_fast_len(2M + K) points per row, a product
-    with the chirp's precomputed spectrum and one inverse FFT.
+    e^{-i w j^2/2}, j in [-M, M + K), times e^{i w k^2/2}.  Each block of
+    _LAG_ROWS rows takes one zero-padded FFT of next_fast_len(2M + K)
+    points per row, a product with the chirp's precomputed spectrum and one
+    inverse FFT.
     """
+    m_max = rows_a.shape[1] // 2
     n_p = len(p_out)
     w = (p_out[-1] - p_out[0]) / (n_p - 1) * d_xi
     n_fft = next_fast_len(2 * m_max + n_p)
@@ -162,37 +137,32 @@ def _lag_transform(blocks, m_max: int, d_xi: float, p_out: np.ndarray) -> np.nda
     j = (np.arange(n_fft) + m_max) % n_fft - m_max
     chirp = fft(np.exp(-0.5j * w * (j * j)))
     post = np.exp(0.5j * w * np.arange(n_p) ** 2) * (d_xi / (2.0 * np.pi))
-    out = []
-    for s_a, s_b in blocks:
-        corr = np.conj(s_a) * s_b[:, ::-1] * pre
+    out = np.empty((len(rows_a), n_p), dtype=np.complex128)
+    for b in range(0, len(rows_a), _LAG_ROWS):
+        block = slice(b, b + _LAG_ROWS)
+        corr = np.conj(rows_a[block]) * rows_b[block, ::-1] * pre
         conv = ifft(fft(corr, n=n_fft, axis=-1) * chirp, axis=-1, overwrite_x=True)
-        out.append(conv[:, m_max : m_max + n_p] * post)
-    return np.concatenate(out)
+        out[block] = conv[:, m_max : m_max + n_p] * post
+    return out
 
 
-def check_windows(grid: SpatialGrid) -> None:
-    """Raises unless the grid resolves P_AXIS and holds X_AXIS plus half the lag reach."""
+def check_windows(grid: SpatialGrid) -> tuple[int, int]:
+    """Raises unless the grid resolves P_AXIS, holds X_AXIS plus half the lag
+    reach, and has a whole number of fine steps h = step/k, k the least
+    whole number with h <= dx/2; returns k and that number."""
     p_lim = np.pi / grid.dx
     if np.max(np.abs(P_AXIS)) > p_lim:
-        raise PhaseSpaceError(
-            f"momentum window exceeds the resolvable range |p| <= {p_lim:.3f}"
-        )
-    half = 0.5 * XI_MAX
-    if X_AXIS[0] - half < grid.x_min or X_AXIS[-1] + half > grid.x_max:
+        raise PhaseSpaceError(f"momentum window exceeds the resolvable range |p| <= {p_lim:.3f}")
+    half = 0.5 * XI_MAX  # x_max is not a sample point: a reach to it wraps to x_min
+    if X_AXIS[0] - half < grid.x_min or X_AXIS[-1] + half >= grid.x_max:
         raise PhaseSpaceError("position window plus correlation reach exceeds the grid")
-
-
-def _wigner_transform(wf_a: WaveFunction, wf_b: WaveFunction | None = None) -> np.ndarray:
-    """The complex lag transform of (wf_a, wf_b) on X_AXIS x P_AXIS, streamed
-    one block of rows at a time; wf_b = None gives the auto transform of wf_a."""
-    check_windows(wf_a.grid)
-    m_max = int(XI_MAX / wf_a.grid.dx)
-    rows = _sample_blocks(wf_a, X_AXIS, m_max)
-    if wf_b is None:
-        blocks = ((s, s) for s in rows)
-    else:
-        blocks = zip(rows, _sample_blocks(wf_b, X_AXIS, m_max))
-    return _lag_transform(blocks, m_max, wf_a.grid.dx, P_AXIS)
+    step = X_AXIS[1] - X_AXIS[0]
+    k = int(np.ceil(step / (0.5 * grid.dx) - 1e-9))
+    cells = (grid.x_max - grid.x_min) * k / step
+    if abs(cells - round(cells)) > 1e-6:
+        raise PhaseSpaceError(f"grid length {grid.x_max - grid.x_min:g} is not a whole number "
+                              f"of the fine step {step / k:g} that holds every map position")
+    return k, round(cells)
 
 
 def _take_real(w_complex: np.ndarray) -> tuple[np.ndarray, float]:
@@ -213,7 +183,8 @@ def wigner(wf: WaveFunction, mass_tol: float = 1e-3) -> WignerGrid:
     snapshots) must widen mass_tol accordingly.
     """
     x_out, p_out = X_AXIS, P_AXIS
-    values, resid = _take_real(_wigner_transform(wf))
+    rows, d_xi = _sample_rows(wf)
+    values, resid = _take_real(_lag_transform(rows, rows, d_xi, p_out))
 
     # trapezoids in x and p, of the map and of the window's density: the one
     # mass_deficit that is checked here and that the manifest records
@@ -274,9 +245,10 @@ def superposition_wigner_analytic(pair0, pair1, t: float) -> WignerGrid:
     phi0, phi1 = pair0.state, pair1.state
     if phi0.grid != phi1.grid or phi0.frame != phi1.frame:
         raise PhaseSpaceError("eigenstates must share a grid and frame")
-    w0, _ = _take_real(_wigner_transform(phi0))
-    w1, _ = _take_real(_wigner_transform(phi1))
-    cross = _wigner_transform(phi0, phi1)
+    (rows0, d_xi), (rows1, _) = _sample_rows(phi0), _sample_rows(phi1)
+    w0, _ = _take_real(_lag_transform(rows0, rows0, d_xi, P_AXIS))
+    w1, _ = _take_real(_lag_transform(rows1, rows1, d_xi, P_AXIS))
+    cross = _lag_transform(rows0, rows1, d_xi, P_AXIS)
 
     w10 = pair1.energy - pair0.energy
     values = (

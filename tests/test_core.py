@@ -229,13 +229,17 @@ def test_spectral_upsample_band_limited_exact():
     def f(x):
         return np.exp(-((x - 1.5) ** 2) / (4 * sigma**2) + 1j * 0.5 * x)
 
-    spec = padded_spectrum(g, f(g.x))
-    assert spec.shape == (1024,)
-    up = np.fft.ifft(spec)
-    fine_x = g.x_min + 0.5 * g.dx * np.arange(1024)
-    # original samples preserved, interleaved ones match the analytic profile
-    assert np.max(np.abs(up[::2] - f(g.x))) < 1e-12
-    assert np.max(np.abs(up[1::2] - f(fine_x[1::2]))) < 1e-10
+    spec = np.fft.fft(f(g.x))
+    for n_out in (512, 1024, 36000):
+        up = np.fft.ifft(padded_spectrum(g, spec, n_out))
+        assert up.shape == (n_out,)
+        fine_x = g.x_min + (g.x_max - g.x_min) / n_out * np.arange(n_out)
+        # the samples match the analytic profile at every fine point, and
+        # where the fine grid holds the original points it gives them back
+        assert np.max(np.abs(up - f(fine_x))) < 1e-10
+        r = n_out // 512
+        if r * 512 == n_out:
+            assert np.max(np.abs(up[::r] - f(g.x))) < 1e-12
 
 
 def test_wavefunction_length_mismatch_rejected():

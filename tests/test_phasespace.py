@@ -21,7 +21,7 @@ from khatom.phasespace import (
     wigner_marginals,
     write_wigner,
 )
-from khatom.phasespace import _eval_positions, _lag_transform, _sample_blocks, _wigner_transform
+from khatom.phasespace import _eval_positions, _lag_transform, _sample_rows
 from khatom.potential import kh_averaged_potential
 
 E_CURVE = 0.0125
@@ -53,10 +53,12 @@ def test_eval_positions_on_grid_is_exact():
     assert np.max(np.abs(_eval_positions(wf, g.x[on]) - wf.psi[on])) < 1e-12
 
 
-def test_sample_rows_match_band_limited_oracle(psi_coh):
+def test_sample_rows_match_band_limited_oracle(psi_coh, monkeypatch):
     # broadband state on a grid without x = 0: the KH superposition plus
-    # packets near p = 14, -9 and 3; rows sit on fine-grid points (t_j = 0)
-    # and halfway between them (t_j = +-1/2), the extremes of the Taylor shift
+    # packets near p = 14, -9 and 3.  The grid is shifted by 0.3 dx, so the
+    # fine grid's offset delta from the first sample is not zero; rows are
+    # checked at both ends of the position axis and of the lag window, on
+    # X_AXIS (k = 6) and on a coarser axis (k = 11)
     g0 = psi_coh.grid
     g = SpatialGrid(g0.x_min + 0.3 * g0.dx, g0.x_max + 0.3 * g0.dx, g0.n_points)
     assert np.min(np.abs(g.x)) > 0.2 * g.dx
@@ -67,29 +69,21 @@ def test_sample_rows_match_band_limited_oracle(psi_coh):
         + np.exp(-((x - 5.0) ** 2) / 30.0 + 3j * x)
     )
     wf = WaveFunction(g, psi_coh.psi + 0.05 * packets, 0.0, FRAME_KH)
-    h = 0.5 * g.dx
-    k = np.rint((np.array([-60.0, -41.0, -7.0, 0.0, 12.0, 33.0, 59.0]) - g.x_min) / h)
-    xs = g.x_min + h * (k + np.array([0.0, 0.5, -0.5, 0.0, 0.5, -0.5, 0.0]))
-    t = (xs - g.x_min) / h - k
-    assert np.min(np.abs(t)) < 1e-9 and np.max(np.abs(t)) > 0.5 - 1e-9
-    m_max = int(240.0 / g.dx)
-    rows = np.concatenate(list(_sample_blocks(wf, xs, m_max)))
-    cols = np.r_[0 : 2 * m_max + 1 : 41, 2 * m_max]
-    pos = xs[:, None] + (cols - m_max) * h
-    oracle = _eval_positions(wf, pos.ravel()).reshape(pos.shape)
-    assert np.max(np.abs(rows[:, cols] - oracle)) < 1e-12
-    assert np.max(np.abs(oracle)) > 0.05
-    # 37 rows, unsorted: two full blocks of 16 rows and a partial one of 5,
-    # each over the union of its rows' windows
-    rng = np.random.default_rng(3)
-    xs = np.concatenate((xs, rng.uniform(-60.0, 60.0, 30)))
-    rng.shuffle(xs)
-    rows = np.concatenate(list(_sample_blocks(wf, xs, m_max)))
-    assert rows.shape == (37, 2 * m_max + 1)
-    cols = np.r_[0 : 2 * m_max + 1 : 101, 2 * m_max]
-    pos = xs[:, None] + (cols - m_max) * h
-    oracle = _eval_positions(wf, pos.ravel()).reshape(pos.shape)
-    assert np.max(np.abs(rows[:, cols] - oracle)) < 1e-12
+    for xs, k in ((phasespace.X_AXIS, 6), (np.linspace(-41.0, 33.0, 75), 11)):
+        monkeypatch.setattr(phasespace, "X_AXIS", xs)
+        rows, d_xi = _sample_rows(wf)
+        h = 0.5 * d_xi
+        m_max = round(120.0 / h)
+        assert h == pytest.approx((xs[1] - xs[0]) / k) and h <= 0.5 * g.dx
+        assert rows.shape == (len(xs), 2 * m_max + 1)
+        delta = (xs[0] - m_max * h - g.x_min) / h % 1.0
+        assert 0.1 < delta < 0.9
+        sel = np.r_[0 : len(xs) : 7, len(xs) - 1]
+        cols = np.r_[0 : 2 * m_max + 1 : 41, 2 * m_max]
+        pos = xs[sel, None] + (cols - m_max) * h
+        oracle = _eval_positions(wf, pos.ravel()).reshape(pos.shape)
+        assert np.max(np.abs(rows[np.ix_(sel, cols)] - oracle)) < 1e-12
+        assert np.max(np.abs(oracle)) > 0.05
 
 
 def test_wigner_gaussian_oracle(gaussian, monkeypatch):
@@ -212,8 +206,8 @@ def test_superposition_analytic_quarter_period(kh_pairs, beat_period):
 
 def test_lag_transform_matches_direct_sum():
     # the chirp-z sum against sum_m c_m e^{ip xi_m} with complex
-    # exponentials, for an auto pair (s, s) and a cross pair (s0, s1), in
-    # blocks of 16 rows and a partial one of 5
+    # exponentials, for an auto pair (s, s) and a cross pair (s0, s1), over
+    # 37 rows: two blocks of 16 rows and a partial one of 5
     rng = np.random.default_rng(7)
     n_x, m_max, d_xi = 37, 1310, 3000.0 / 16384
     p = np.linspace(-0.6, 0.6, 201)
@@ -226,22 +220,37 @@ def test_lag_transform_matches_direct_sum():
         c = np.conj(s_a) * s_b[:, ::-1]
         direct = c @ np.exp(1j * np.outer(xi, p)) * (d_xi / (2.0 * np.pi))
         bound = 1e-13 * np.sum(np.abs(c), axis=1) * d_xi / (2.0 * np.pi)
-        blocks = ((s_a[i : i + 16], s_b[i : i + 16]) for i in range(0, n_x, 16))
-        err = np.max(np.abs(_lag_transform(blocks, m_max, d_xi, p) - direct), axis=1)
+        err = np.max(np.abs(_lag_transform(s_a, s_b, d_xi, p) - direct), axis=1)
         assert np.all(err < bound)
 
 
 def test_cross_transform_magnitudes(kh_pairs):
     # the cross term of superposition_wigner_analytic, on the map's axes
-    c = _wigner_transform(kh_pairs[0].state, kh_pairs[1].state)
+    (r0, d_xi), (r1, _) = (_sample_rows(pair.state) for pair in kh_pairs[:2])
+    c = _lag_transform(r0, r1, d_xi, phasespace.P_AXIS)
     assert c.shape == (len(phasespace.X_AXIS), len(phasespace.P_AXIS))
     assert np.max(np.abs(c.real)) > 0.1
     assert np.max(np.abs(c.imag)) > 0.1
 
 
+def test_superposition_samples_each_state_once(kh_pairs, monkeypatch):
+    # both auto maps and the cross transform read the same two sample arrays
+    calls = []
+
+    def counted(wf):
+        calls.append(wf)
+        return _sample_rows(wf)
+
+    monkeypatch.setattr(phasespace, "_sample_rows", counted)
+    superposition_wigner_analytic(kh_pairs[0], kh_pairs[1], 0.0)
+    assert len(calls) == 2
+    assert calls[0] is kh_pairs[0].state and calls[1] is kh_pairs[1].state
+
+
 def test_wigner_memory_is_streamed(psi_coh):
     # the map is streamed one block of rows at a time: no array of
-    # positions x lags, and only the window of the Taylor terms, is held
+    # positions x lags is held, only the fine-grid samples (36,000 points)
+    # that every row is a view into
     assert psi_coh.grid.n_points == 16384
     tracemalloc.start()
     try:
