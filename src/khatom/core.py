@@ -11,6 +11,10 @@ Conventions:
     (momentum-space phase), never index rolls.
   * every full-grid linear phase exp(i(c0 + c1*u)) on x or p comes from
     phase_ramp (momentum_ramp in FFT order), not from a full-grid np.exp.
+  * every sum over the grid in a run is an np.sum or an np.einsum without
+    optimize, never a BLAS call (@, dot, vdot): the same bytes at any BLAS
+    thread count need the same order of summation, not a more accurate one
+    (Demmel & Nguyen, ARITH 2013).  Only few-row matrices go to np.linalg.
 """
 
 from __future__ import annotations
@@ -26,7 +30,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.fft import fft, ifft
 
 
 class KhatomError(Exception):
@@ -148,11 +151,9 @@ def require_same_grid(a: WaveFunction, b: WaveFunction) -> None:
 def inner_product(a: WaveFunction, b: WaveFunction) -> complex:
     """dx * sum conj(a)*b; conjugate-linear in the first argument.
 
-    A pairwise np.sum, not np.vdot: BLAS may run zdotc on several threads,
-    and a BLAS thread spins on a core for a while after each call.  Made
-    in every record, that spin doubled the step time of a propagation
-    with a partner process (1.5-1.7 ms against 0.54-0.59 ms at 16384
-    points); the sum also does not depend on the thread count.
+    Not np.vdot: a BLAS thread also spins on a core after each call, which
+    in every record doubled the step time of a propagation with a partner
+    process (1.5-1.7 ms against 0.54-0.59 ms at 16384 points).
     """
     require_same_grid(a, b)
     if a.frame != b.frame:
@@ -203,9 +204,8 @@ def shift_samples(grid: SpatialGrid, arr: np.ndarray, s: float) -> np.ndarray:
     Momentum-space phase multiplication; exact for band-limited signals,
     periodic wrap at the grid edges is documented behavior.
     """
-    spec = fft(np.asarray(arr, dtype=np.complex128))
-    spec *= momentum_ramp(grid, -s)
-    return ifft(spec, overwrite_x=True)
+    spec = np.fft.fft(np.asarray(arr, dtype=np.complex128))
+    return np.fft.ifft(spec * momentum_ramp(grid, -s))
 
 
 def periodic_sinc_shift(grid: SpatialGrid, arr: np.ndarray, s: float) -> np.ndarray:

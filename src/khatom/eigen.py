@@ -1,12 +1,11 @@
 """Bound states of H = p^2/2 + V on a spatial grid.
 
-`bound_states` is the solver for the dressed-potential eigenpairs: a
-three-point finite-difference solve on the same grid counts the bound
-states and seeds them, then one preconditioned block solve (LOBPCG;
-Knyazev, SIAM J. Sci. Comput. 23, 517 (2001)) refines the seeds into
-eigenstates of the spectral Hamiltonian used to propagate.  The
-finite-difference solver also stands alone as an independent oracle.
-The atomic ground state comes from split-operator imaginary time.
+`bound_states` solves the spectral Hamiltonian used to propagate: a Sturm
+count of the three-point finite-difference Hamiltonian gives the number of
+bound states, and the locally optimal preconditioned block iteration (LOPCG;
+Knyazev, SIAM J. Sci. Comput. 23, 517 (2001)) refines Hermite-Gaussian seeds
+into them.  Its grid sums keep core's fixed order: the same bits at any BLAS
+thread count.  The atomic ground state comes from split-operator imaginary time.
 
 Both iterations act on real states with a real Hamiltonian, so they run
 in real arithmetic: real-input transforms on the half spectrum
@@ -16,13 +15,11 @@ data (Sorensen et al., IEEE Trans. ASSP 35, 849 (1987)).
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.fft import fft, ifft, irfft, rfft
-from scipy.linalg import eigh_tridiagonal
-from scipy.sparse.linalg import lobpcg
+from numpy.fft import fft, ifft, irfft, rfft
+from numpy.polynomial.hermite_e import hermevander
 
 from .core import FRAME_KH, SpatialGrid, WaveFunction, KhatomError, inner_product
 from .potential import AveragedPotential
@@ -31,7 +28,6 @@ __all__ = [
     "EigenPair",
     "EigenError",
     "imaginary_time_ground_state",
-    "bound_states_fd",
     "bound_states",
     "kh_bound_states",
     "coherent_superposition",
@@ -39,14 +35,14 @@ __all__ = [
     "fix_global_phase",
 ]
 
-log = logging.getLogger(__name__)
-
 ANTINODE_FLOOR = 1e-3
 EDGE_AMP_TOL = 1e-6
 NEAR_ZERO_DISCARD = -1e-6
 PRECOND_SHIFT = 0.02  # sigma in the preconditioner (p^2/2 + sigma)^-1
 LOBPCG_TOL = 1e-9  # on ||H psi - E psi|| of each normalized state
 LOBPCG_MAXITER = 200
+RANK_CUT = 1e-12  # Ritz directions kept: Gram eigenvalues above this times the largest
+_PIVMIN = 1e-300  # a zero pivot of the Sturm count counts as -_PIVMIN
 
 
 class EigenError(KhatomError):
@@ -57,14 +53,7 @@ class EigenError(KhatomError):
 class EigenPair:
     energy: float
     state: WaveFunction
-    residual: float = float("nan")  # ||H psi - E psi||; nan where not measured
-
-
-def _apply_h(v: np.ndarray, grid: SpatialGrid, psi: np.ndarray) -> np.ndarray:
-    """Spectral H applied along axis 0, to one state or to a block of columns."""
-    shape = (-1,) + (1,) * (psi.ndim - 1)
-    kin = (0.5 * grid.p**2).reshape(shape)
-    return ifft(kin * fft(psi, axis=0), axis=0) + v.reshape(shape) * psi
+    residual: float  # ||H psi - E psi|| of the normalized state
 
 
 def _half_p2(grid: SpatialGrid) -> np.ndarray:
@@ -73,15 +62,13 @@ def _half_p2(grid: SpatialGrid) -> np.ndarray:
 
 
 def _real_multiply_p(mult: np.ndarray, block: np.ndarray) -> np.ndarray:
-    """irfft(mult * rfft(block)) down the columns, mult on the half spectrum."""
-    spec = rfft(block, axis=0)
-    spec *= mult[:, None]
-    return irfft(spec, len(block), axis=0, overwrite_x=True)
+    """irfft(mult * rfft(block)) along the last axis, mult on the half spectrum."""
+    return irfft(rfft(block) * mult, block.shape[-1])
 
 
 def _energy_residual(v: np.ndarray, wf: WaveFunction) -> tuple[float, float]:
     """<psi|H|psi> and ||H psi - E psi||, from one application of H."""
-    hpsi = _apply_h(v, wf.grid, wf.psi)
+    hpsi = ifft(0.5 * wf.grid.p**2 * fft(wf.psi)) + v * wf.psi
     energy = float(np.real(inner_product(wf, WaveFunction(wf.grid, hpsi, wf.t, wf.frame))))
     r = hpsi - energy * wf.psi
     return energy, float(np.sqrt(wf.grid.dx * np.sum(np.abs(r) ** 2)))
@@ -140,15 +127,15 @@ def imaginary_time_ground_state(
     psi = np.exp(-grid.x**2 / 50.0)
     psi /= np.sqrt(grid.dx * np.sum(psi * psi))
 
+    spec = np.empty(n // 2 + 1, dtype=np.complex128)
     e_prev = np.inf
     trace = []
     for step in range(max_steps):
         psi *= expv_half
-        spec = rfft(psi, overwrite_x=True)
+        rfft(psi, out=spec)
         spec *= expt
-        psi = irfft(spec, n, overwrite_x=True)
+        irfft(spec, n, out=psi)
         psi *= expv_half
-        # pairwise sum, not a BLAS dot: the same bits at any thread count
         nrm = np.sqrt(grid.dx * np.sum(psi * psi))
         psi /= nrm
         e_est = -np.log(nrm) / dt_imag
@@ -173,76 +160,85 @@ def imaginary_time_ground_state(
     return EigenPair(energy, wf, residual)
 
 
-def bound_states_fd(v: np.ndarray, grid: SpatialGrid) -> list[EigenPair]:
-    """All negative-energy eigenpairs of the three-point FD Hamiltonian.
+def _sturm_count(v: np.ndarray, dx: float, shift: float) -> int:
+    """Eigenvalues below shift of the three-point FD Hamiltonian, Dirichlet
+    edges: the negative pivots of LDL^T of H_fd - shift (Sylvester's inertia)."""
+    off2 = 0.25 / dx**4  # the squared off-diagonal entry
+    diag = (1.0 / dx**2 + v[1:-1] - shift).tolist()
+    q = diag[0] or -_PIVMIN
+    count = int(q < 0.0)
+    for d in diag[1:]:
+        q = (d - off2 / q) or -_PIVMIN
+        count += q < 0.0
+    return count
 
-    Dirichlet edges; symmetric tridiagonal eigensolve over the interior
-    points.  States are normalized, real, sorted by energy, with the
-    global phase fixed for reproducibility.
-    """
-    v = np.asarray(v, dtype=float)
-    if len(v) != grid.n_points:
-        raise EigenError("potential samples do not match the grid")
-    dx = grid.dx
-    diag = 1.0 / dx**2 + v[1:-1]
-    off = np.full(grid.n_points - 3, -0.5 / dx**2)
-    energies, vecs = eigh_tridiagonal(
-        diag, off, select="v", select_range=(float(v.min()) - 1.0, 0.0)
-    )
 
-    pairs = []
-    for i, e in enumerate(energies):
-        if e > NEAR_ZERO_DISCARD:
-            log.info("discarding near-threshold state E = %.3e", e)
-            continue
-        psi = np.zeros(grid.n_points)
-        psi[1:-1] = vecs[:, i]
-        psi /= np.sqrt(dx * np.sum(psi**2))
-        edge_amp = max(abs(psi[1]), abs(psi[-1]))
-        if edge_amp > EDGE_AMP_TOL:
-            raise EigenError(
-                f"eigenstate {i} has edge amplitude {edge_amp:.2e} > {EDGE_AMP_TOL}; "
-                "use a wider grid"
-            )
-        wf = fix_global_phase(WaveFunction(grid, psi.astype(complex)))
-        pairs.append(EigenPair(float(e), wf))
-    return pairs
+def _rayleigh_ritz(basis: np.ndarray, h_basis: np.ndarray, k: int):
+    """The k lowest Ritz values of H on the rows of basis (h_basis = H basis)
+    and their coefficients.  Rows are first scaled to unit norm in place, so
+    a W or P row of norm 1e-9 is not cut with Gram eigenvalues below RANK_CUT."""
+    scale = 1.0 / np.sqrt(np.einsum("in,in->i", basis, basis))[:, None]
+    basis *= scale
+    h_basis *= scale
+    b, u = np.linalg.eigh(np.einsum("in,jn->ij", basis, basis))
+    keep = b > RANK_CUT * b[-1]
+    t = u[:, keep] / np.sqrt(b[keep])
+    h_gram = np.einsum("in,jn->ij", basis, h_basis)
+    energies, y = np.linalg.eigh(t.T @ (0.5 * (h_gram + h_gram.T)) @ t)
+    return energies[:k], t @ y[:, :k]
 
 
 def bound_states(v: np.ndarray, grid: SpatialGrid) -> list[EigenPair]:
-    """Bound eigenpairs of the spectral Hamiltonian on the grid itself.
-
-    `bound_states_fd` on the same grid gives the count and the seeds; one
-    LOBPCG block solve with the kinetic preconditioner (p^2/2 + sigma)^-1
-    refines them.  Raises EigenError unless every state ends with
-    ||H psi - E psi|| <= LOBPCG_TOL; that residual is kept on the pair.
-    """
-    seeds = bound_states_fd(v, grid)
-    if not seeds:
-        return []
+    """Bound eigenpairs of the spectral Hamiltonian on the grid itself, by
+    LOPCG on the states X, their residuals W preconditioned by (p^2/2 +
+    sigma)^-1 and the last step P.  Raises EigenError unless every state ends
+    with ||H psi - E psi|| <= LOBPCG_TOL, a residual kept on the pair, and
+    with both edge samples within EDGE_AMP_TOL of zero."""
     v = np.asarray(v, dtype=float)
+    if len(v) != grid.n_points:
+        raise EigenError("potential samples do not match the grid")
+    count = _sturm_count(v, grid.dx, NEAR_ZERO_DISCARD)
+    if count == 0:
+        return []
+    k = count + 1
     kin = 0.5 * _half_p2(grid)
-    inv_kin = 1.0 / (kin + PRECOND_SHIFT)
-
-    def hamiltonian(block):
-        return _real_multiply_p(kin, block) + v[:, None] * block
-
-    def preconditioner(block):
-        return _real_multiply_p(inv_kin, block)
-
-    x0 = np.stack([p.state.psi.real for p in seeds], axis=1)
-    _, vecs = lobpcg(hamiltonian, x0, M=preconditioner, tol=LOBPCG_TOL,
-                     maxiter=LOBPCG_MAXITER, largest=False)
+    # W = (p^2/2 + sigma)^-1 R and its kinetic energy, from one transform of R
+    precond = np.stack((np.ones_like(kin), kin))[:, None, :] / (kin + PRECOND_SHIFT)
+    # X starts as Hermite-Gaussians at the mean and spread of x weighted by
+    # max(-v, 0); only the wanted states not yet converged get W and P
+    depth = np.maximum(-v, 0.0)
+    c = np.sum(depth * grid.x) / np.sum(depth)
+    u = (grid.x - c) / np.sqrt(np.sum(depth * (grid.x - c) ** 2) / np.sum(depth))
+    x = (hermevander(u, k - 1) * np.exp(-0.5 * u * u)[:, None]).T
+    hx = _real_multiply_p(kin, x) + v * x
+    w = hw = p = hp = x[:0]
+    for _ in range(LOBPCG_MAXITER):
+        basis, h_basis = np.concatenate((x, w, p)), np.concatenate((hx, hw, hp))
+        energies, coef = _rayleigh_ritz(basis, h_basis, k)
+        # the new X is its Ritz vectors, and P their part along W and P
+        step, h_step = (np.einsum("ij,in->jn", coef[k:], rows[k:]) for rows in (basis, h_basis))
+        x = np.einsum("ij,in->jn", coef[:k], basis[:k]) + step
+        hx = np.einsum("ij,in->jn", coef[:k], h_basis[:k]) + h_step
+        r = hx[:count] - energies[:count, None] * x[:count]
+        active = np.einsum("in,in->i", r, r) > LOBPCG_TOL**2
+        if not active.any():
+            break
+        if len(w):
+            p, hp = step[:count][active], h_step[:count][active]
+        w, hw = _real_multiply_p(precond, r[active])
+        hw += v * w
 
     pairs = []
-    for k in range(len(seeds)):
-        wf = fix_global_phase(WaveFunction(grid, vecs[:, k]))
+    for j in range(count):
+        wf = fix_global_phase(WaveFunction(grid, x[j]))
         energy, residual = _energy_residual(v, wf)
+        edge_amp = max(abs(wf.psi[0]), abs(wf.psi[-1]))
         if not residual <= LOBPCG_TOL:
-            raise EigenError(
-                f"LOBPCG did not converge in {LOBPCG_MAXITER} iterations: state {k} "
-                f"has ||H psi - E psi|| = {residual:.2e} > {LOBPCG_TOL}"
-            )
+            raise EigenError(f"LOPCG did not converge in {LOBPCG_MAXITER} iterations: state {j} "
+                             f"has ||H psi - E psi|| = {residual:.2e} > {LOBPCG_TOL}")
+        if edge_amp > EDGE_AMP_TOL:
+            raise EigenError(f"eigenstate {j} has edge amplitude {edge_amp:.2e} > "
+                             f"{EDGE_AMP_TOL}; use a wider grid")
         pairs.append(EigenPair(energy, wf, residual))
     return pairs
 

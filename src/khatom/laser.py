@@ -139,8 +139,8 @@ def _cumulative_simpson(y: np.ndarray, dx: float) -> np.ndarray:
     Intervals 0, 2, 4, ... integrate the parabola through their two nodes
     and the next one; the others, and the last, the parabola through their
     two nodes and the previous one.  Formula and operation order are those
-    of scipy.integrate.cumulative_simpson with initial=0, so the result is
-    the same to the bit.
+    of the standard cumulative Simpson rule with an initial 0 (the tests'
+    oracle), so the result is the same to the bit.
     """
 
     def first_intervals(f):
@@ -152,7 +152,7 @@ def _cumulative_simpson(y: np.ndarray, dx: float) -> np.ndarray:
     pieces[1::2] = behind[::2]
     pieces[-1] = behind[-1]
     out = np.zeros(len(y))
-    # adding the initial 0.0 turns a -0.0 sum into +0.0, as scipy does
+    # adding the initial 0.0 turns a -0.0 sum into +0.0, as the oracle does
     out[1:] = np.cumsum(pieces) + 0.0
     return out
 

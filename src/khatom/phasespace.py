@@ -14,11 +14,11 @@ energy conservation in the averaged potential.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.fft import fft, ifft, next_fast_len
 
 from .core import KhatomError, SpatialGrid, WaveFunction, momentum_ramp, padded_spectrum
 from .core import read_container, write_container
@@ -108,8 +108,8 @@ def _sample_rows(wf: WaveFunction) -> tuple[np.ndarray, float]:
     m_max = round(0.5 * XI_MAX / h)
     u = (X_AXIS[0] - m_max * h - g.x_min) / h
     i0 = int(np.rint(u))
-    spec = fft(wf.psi) * momentum_ramp(g, (u - i0) * h)
-    samples = ifft(padded_spectrum(g, spec, n_fine), overwrite_x=True)
+    spec = padded_spectrum(g, np.fft.fft(wf.psi) * momentum_ramp(g, (u - i0) * h), n_fine)
+    samples = np.fft.ifft(spec, out=spec)
     return sliding_window_view(samples[i0:], 2 * m_max + 1)[::k][: len(X_AXIS)], 2.0 * h
 
 
@@ -123,27 +123,35 @@ def _lag_transform(rows_a: np.ndarray, rows_b: np.ndarray, d_xi: float,
     k*m = (k^2 + m^2 - (k - m)^2)/2, the sum over m is the linear
     convolution of c_m e^{i(p_0 xi_m + w m^2/2)} with the chirp
     e^{-i w j^2/2}, j in [-M, M + K), times e^{i w k^2/2}.  Each block of
-    _LAG_ROWS rows takes one zero-padded FFT of next_fast_len(2M + K)
+    _LAG_ROWS rows takes one zero-padded FFT of _next_fast_len(2M + K)
     points per row, a product with the chirp's precomputed spectrum and one
     inverse FFT.
     """
     m_max = rows_a.shape[1] // 2
     n_p = len(p_out)
     w = (p_out[-1] - p_out[0]) / (n_p - 1) * d_xi
-    n_fft = next_fast_len(2 * m_max + n_p)
+    n_fft = _next_fast_len(2 * m_max + n_p)
     m = np.arange(-m_max, m_max + 1.0)
     pre = np.exp(1j * (p_out[0] * d_xi * m + 0.5 * w * m * m))
     # the chirp at lag j sits at FFT index j mod n_fft; the sum reads j in [-M, M + K)
     j = (np.arange(n_fft) + m_max) % n_fft - m_max
-    chirp = fft(np.exp(-0.5j * w * (j * j)))
+    chirp = np.fft.fft(np.exp(-0.5j * w * (j * j)))
     post = np.exp(0.5j * w * np.arange(n_p) ** 2) * (d_xi / (2.0 * np.pi))
     out = np.empty((len(rows_a), n_p), dtype=np.complex128)
     for b in range(0, len(rows_a), _LAG_ROWS):
         block = slice(b, b + _LAG_ROWS)
         corr = np.conj(rows_a[block]) * rows_b[block, ::-1] * pre
-        conv = ifft(fft(corr, n=n_fft, axis=-1) * chirp, axis=-1, overwrite_x=True)
+        spec = np.fft.fft(corr, n=n_fft, axis=-1)
+        spec *= chirp
+        conv = np.fft.ifft(spec, axis=-1, out=spec)
         out[block] = conv[:, m_max : m_max + n_p] * post
     return out
+
+
+def _next_fast_len(target: int) -> int:
+    """The least n >= target with no prime factor above 11, pocketfft's good
+    size for a complex transform: below 2**64 those are the divisors of 2310**64."""
+    return next(n for n in itertools.count(target) if 2310**64 % n == 0)
 
 
 def check_windows(grid: SpatialGrid) -> tuple[int, int]:

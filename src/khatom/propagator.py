@@ -39,7 +39,6 @@ from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
-from scipy.fft import fft, ifft
 
 from .core import (
     FRAME_KH,
@@ -164,7 +163,7 @@ class SplitOperator:
                                   2.0 * g.dx, len(expv), self._expv[half])
                 expv = np.multiply(ramp, expv, out=ramp)
         np.multiply(expv, x, out=spec)
-        _in_place(fft, spec)
+        np.fft.fft(spec, out=spec)
         return expv
 
     def backward(self, half: int, spectra: np.ndarray, expv: np.ndarray, x: np.ndarray) -> bool:
@@ -175,17 +174,9 @@ class SplitOperator:
         a, b = self._fold[half]
         np.multiply(spectra[0], a, out=x)
         x += np.multiply(spectra[1], b, out=self._work[half])
-        _in_place(ifft, x)
+        np.fft.ifft(x, out=x)
         x *= expv
         return bool(np.isfinite(x.view(float)).all())  # both parts; faster than complex
-
-
-def _in_place(transform, x: np.ndarray) -> None:
-    out = transform(x, overwrite_x=True)
-    # scipy writes contiguous complex input in place (into a new view of
-    # x's memory), but does not promise to
-    if not np.may_share_memory(out, x):
-        x[...] = out
 
 
 @dataclass

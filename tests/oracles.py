@@ -1,16 +1,23 @@
-"""Independent closed forms that the checks compare the program against.
+"""Independent closed forms and solvers that the checks compare the program against.
 
-None of these runs in a khatom run; each restates a textbook formula in
-its plainest form, off the code paths under test.
+None of these runs in a khatom run; each restates a textbook formula or
+method in its plainest form, off the code paths under test.
 """
 
-import numpy as np
+import logging
 
+import numpy as np
+from scipy.linalg import eigh_tridiagonal
+
+from khatom.core import WaveFunction
+from khatom.eigen import EDGE_AMP_TOL, NEAR_ZERO_DISCARD, EigenError, EigenPair, fix_global_phase
 from khatom.potential import PotentialError, atomic_potential
 
 MAX_HARMONIC = 64
 HARMONIC_NODES = 2048
 PARITY_TOL = 1e-6
+
+log = logging.getLogger(__name__)
 
 
 def kh_fourier_harmonic(n, grid, alpha0):
@@ -78,3 +85,39 @@ def parity_of(wf):
     if 2.0 * np.max(np.abs(parity_project(wf.psi, "even"))) < PARITY_TOL:
         return "odd"
     return "none"
+
+
+def bound_states_fd(v, grid):
+    """All negative-energy eigenpairs of the three-point FD Hamiltonian.
+
+    Dirichlet edges; symmetric tridiagonal eigensolve over the interior
+    points.  States are normalized, real, sorted by energy, with the
+    global phase fixed for reproducibility; their residual is not measured.
+    """
+    v = np.asarray(v, dtype=float)
+    if len(v) != grid.n_points:
+        raise EigenError("potential samples do not match the grid")
+    dx = grid.dx
+    diag = 1.0 / dx**2 + v[1:-1]
+    off = np.full(grid.n_points - 3, -0.5 / dx**2)
+    energies, vecs = eigh_tridiagonal(
+        diag, off, select="v", select_range=(float(v.min()) - 1.0, 0.0)
+    )
+
+    pairs = []
+    for i, e in enumerate(energies):
+        if e > NEAR_ZERO_DISCARD:
+            log.info("discarding near-threshold state E = %.3e", e)
+            continue
+        psi = np.zeros(grid.n_points)
+        psi[1:-1] = vecs[:, i]
+        psi /= np.sqrt(dx * np.sum(psi**2))
+        edge_amp = max(abs(psi[1]), abs(psi[-1]))
+        if edge_amp > EDGE_AMP_TOL:
+            raise EigenError(
+                f"eigenstate {i} has edge amplitude {edge_amp:.2e} > {EDGE_AMP_TOL}; "
+                "use a wider grid"
+            )
+        wf = fix_global_phase(WaveFunction(grid, psi.astype(complex)))
+        pairs.append(EigenPair(float(e), wf, float("nan")))
+    return pairs

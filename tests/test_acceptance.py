@@ -19,7 +19,6 @@ from scipy.integrate import quad
 from scipy.optimize import minimize_scalar
 
 from khatom.core import SpatialGrid, TimeGrid, inner_product
-from khatom.eigen import bound_states_fd
 from khatom.frame import FrameTransformContext, density_relation_residual
 from khatom.observables import Recorder, trapped_width
 from khatom.phasespace import (
@@ -30,7 +29,7 @@ from khatom.phasespace import (
 )
 from khatom.potential import atomic_potential, kh_averaged_potential
 from khatom.propagator import MODE_KH, MODE_LAB, SplitOperator, propagate
-from oracles import harmonic_amplitude, kh_fourier_harmonic
+from oracles import bound_states_fd, harmonic_amplitude, kh_fourier_harmonic
 
 ALPHA0 = 10.23
 CYCLE = 100.0

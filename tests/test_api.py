@@ -28,7 +28,6 @@ ALLOWED = frozenset({
     "periodic_sinc_shift",
     "wigner_marginals",
     "trapped_width",
-    "bound_states_fd",
     "kh_to_lab",
     "read_series",
     "read_wigner",

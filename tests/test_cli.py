@@ -372,20 +372,69 @@ def test_emit_table_bytes_match_repr_loop(tmp_path):
     assert (tmp_path / "t.dat").read_text() == "".join(lines)
 
 
-def test_cli_import_leaves_out_integrate_and_optimize():
-    # scipy.integrate (and scipy.optimize, which it pulls in) add start-up
-    # time and memory to every run
+def _python(code, *args, **env_vars):
+    """The stdout of `python -c code args...` on this package, with env_vars set."""
     import khatom
 
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(khatom.__file__)),
+               **env_vars)
+    return subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True,
+                          text=True, check=True).stdout
+
+
+def test_cli_runs_without_scipy(tmp_path):
+    # numpy is the one runtime dependency: scipy adds start-up time and
+    # memory to every run, so neither the import nor a run loads it
     code = (
-        "import sys, khatom.cli\n"
-        "print(sorted(m for m in sys.modules if m.split('.')[:2] in "
-        "(['scipy', 'integrate'], ['scipy', 'optimize'])))"
+        "import json, sys\n"
+        "def scipy_modules():\n"
+        "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "import khatom.cli\n"
+        "loaded = {'import': scipy_modules()}\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    assert khatom.cli.main(argv) == 0\n"
+        "    loaded[argv[1]] = scipy_modules()\n"
+        "print(json.dumps(loaded))\n"
     )
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(khatom.__file__)))
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    small = ["--override", "grid.n_points=1024"]
+    runs = [
+        ["run", "fig3", "--out", str(tmp_path / "fig3"), *small],
+        ["run", "fig2ab", "--out", str(tmp_path / "fig2ab"), *small,
+         "--override", "run.t_final=20", "--override", "run.snapshots=20",
+         "--override", "wigner.times=snapshots"],
+    ]
+    loaded = json.loads(_python(code, json.dumps(runs)))
+    assert loaded == {"import": [], "fig3": [], "fig2ab": []}
+
+
+# BLAS threads showed in the KH solve at the default 16384-point grid: there
+# a BLAS-threaded block solve wrote other KH states, energies and maps at 1
+# and 2 OpenBLAS threads, while at 1024, 4096 and 8192 points it did not
+THREAD_RUNS = (
+    ["run", "fig1"],
+    ["run", "fig3"],
+    ["run", "fig2ab", "--override", "run.t_final=20", "--override", "run.snapshots=20",
+     "--override", "wigner.times=snapshots"],
+)
+
+
+def test_run_directories_do_not_depend_on_thread_count(tmp_path):
+    # a short lab_full run from the atomic state: records, a snapshot, one map
+    code = (
+        "import json, sys\n"
+        "from khatom import cli\n"
+        "for argv in json.loads(sys.argv[2]):\n"
+        "    assert cli.main([*argv, '--out', f'{sys.argv[1]}/{argv[1]}']) == 0\n"
+    )
+    for threads in ("1", "2"):
+        _python(code, str(tmp_path / threads), json.dumps(THREAD_RUNS),
+                OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+    for argv in THREAD_RUNS:
+        one, two = tmp_path / "1" / argv[1], tmp_path / "2" / argv[1]
+        names = sorted(os.listdir(one))
+        assert names == sorted(os.listdir(two))
+        match, mismatch, errors = filecmp.cmpfiles(one, two, names, shallow=False)
+        assert (argv[1], mismatch, errors) == (argv[1], [], [])
 
 
 def test_all_recipes_load_and_validate():

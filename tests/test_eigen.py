@@ -2,6 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.fft import fft, ifft
 from scipy.sparse.linalg import lobpcg
 
@@ -10,14 +11,13 @@ import khatom.eigen as eigen
 from khatom.eigen import (
     EigenError,
     bound_states,
-    bound_states_fd,
     coherent_superposition,
     fix_global_phase,
     imaginary_time_ground_state,
     kh_bound_states,
     rayleigh_energy,
 )
-from oracles import parity_of, parity_project
+from oracles import bound_states_fd, parity_of, parity_project
 
 E_SEP = -0.0115
 
@@ -103,7 +103,7 @@ def test_imaginary_time_no_bound_state():
 
 def test_bound_states_poeschl_teller():
     # the spectral solve reaches the exact levels -2 and -1/2, far past
-    # the 5e-3 of its finite-difference seeds
+    # the 5e-3 of the finite-difference oracle (test_fd_poeschl_teller)
     g = SpatialGrid(-20.0, 20.0, 1024)
     pairs = bound_states(-3.0 * sech(g.x) ** 2, g)
     assert len(pairs) == 2
@@ -115,10 +115,9 @@ def test_bound_states_poeschl_teller():
         assert p.residual <= eigen.LOBPCG_TOL
 
 
-def test_bound_states_match_complex_operators(averaged, kh_pairs):
-    # the real-transform LOBPCG operators against the complex ones they
-    # replaced (.real of complex transforms of the real blocks)
-    v, g = averaged.samples, averaged.grid
+def _lobpcg_reference(v, g):
+    """scipy's LOBPCG from the FD oracle's states, with the complex operators
+    (.real of complex transforms of the real blocks); normalized states."""
     kin = 0.5 * g.p**2
     inv_kin = 1.0 / (kin + eigen.PRECOND_SHIFT)
 
@@ -131,10 +130,60 @@ def test_bound_states_match_complex_operators(averaged, kh_pairs):
     x0 = np.stack([p.state.psi.real for p in bound_states_fd(v, g)], axis=1)
     _, vecs = lobpcg(hamiltonian, x0, M=preconditioner, tol=eigen.LOBPCG_TOL,
                      maxiter=eigen.LOBPCG_MAXITER, largest=False)
-    ref = [rayleigh_energy(v, WaveFunction(g, vecs[:, k]).normalized()) for k in range(x0.shape[1])]
-    assert len(kh_pairs) == len(ref) == 2
-    for pair, e in zip(kh_pairs, ref):
-        assert pair.energy == pytest.approx(e, abs=1e-12)
+    return [WaveFunction(g, vecs[:, k]).normalized() for k in range(x0.shape[1])]
+
+
+def _assert_match_lobpcg(pairs, v, g):
+    ref = _lobpcg_reference(v, g)
+    assert len(pairs) == len(ref)
+    for pair, wf in zip(pairs, ref):
+        assert pair.energy == pytest.approx(rayleigh_energy(v, wf), abs=1e-12)
+        state = WaveFunction(g, pair.state.psi)  # the reference carries no frame tag
+        assert abs(inner_product(state, wf)) >= 1 - 1e-12
+
+
+def test_bound_states_match_complex_operators(averaged, kh_pairs):
+    # the numpy block solve against scipy's LOBPCG on the KH pair
+    assert len(kh_pairs) == 2
+    _assert_match_lobpcg(kh_pairs, averaged.samples, averaged.grid)
+
+
+@pytest.mark.parametrize("well", ["poeschl_teller", "atomic"])
+def test_bound_states_match_lobpcg(well, grid, v_atom):
+    if well == "atomic":
+        g, v = grid, v_atom
+    else:
+        g = SpatialGrid(-20.0, 20.0, 1024)
+        v = -3.0 * sech(g.x) ** 2
+    _assert_match_lobpcg(bound_states(v, g), v, g)
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(min_value=0, max_value=4), frac=st.floats(min_value=0.2, max_value=0.95))
+def test_sturm_count_poeschl_teller(n, frac):
+    # -l(l+1)/2 sech^2 x binds floor(l) + 1 states at -(l - j)^2/2; the
+    # weakest, at -frac^2/2, decays well inside EDGE_AMP_TOL of the edges
+    g = SpatialGrid(-100.0, 100.0, 4096)
+    lam = n + frac
+    v = -0.5 * lam * (lam + 1.0) * sech(g.x) ** 2
+    count = eigen._sturm_count(v, g.dx, eigen.NEAR_ZERO_DISCARD)
+    assert count == len(bound_states_fd(v, g)) == n + 1
+
+
+def test_sturm_count_zero_pivot():
+    # with dx = 1 the diagonal entries are 1 + v, so v = -1 makes the first
+    # pivot exactly zero; it counts as a tiny negative one, as in the dense
+    # eigenvalues
+    g = SpatialGrid(-4.0, 4.0, 8)
+    v = np.array([0.0, -1.0, 0.3, -0.7, 0.2, -1.1, 0.4, 0.0])
+    h = np.diag(1.0 + v[1:-1]) - 0.5 * (np.eye(6, k=1) + np.eye(6, k=-1))
+    assert eigen._sturm_count(v, g.dx, 0.0) == np.sum(np.linalg.eigvalsh(h) < 0.0)
+
+
+def test_sturm_count_atomic_and_kh(grid, v_atom, averaged):
+    for v, want in ((v_atom, 1), (averaged.samples, 2)):
+        count = eigen._sturm_count(v, grid.dx, eigen.NEAR_ZERO_DISCARD)
+        assert count == len(bound_states_fd(v, grid)) == want
 
 
 def test_bound_states_nonconvergence_error(monkeypatch):
@@ -164,6 +213,14 @@ def test_fd_rejects_narrow_grid():
     g = SpatialGrid(-6.0, 6.0, 256)
     with pytest.raises(EigenError, match="wider grid"):
         bound_states_fd(-3.0 * sech(g.x) ** 2, g)
+
+
+def test_bound_states_rejects_narrow_grid():
+    # both states converge on the periodic 12 a.u. box; the ground state's
+    # edge samples are 4e-5
+    g = SpatialGrid(-6.0, 6.0, 256)
+    with pytest.raises(EigenError, match="wider grid"):
+        bound_states(-3.0 * sech(g.x) ** 2, g)
 
 
 def test_fix_global_phase_sign_convention():

@@ -21,7 +21,7 @@ from khatom.phasespace import (
     wigner_marginals,
     write_wigner,
 )
-from khatom.phasespace import _eval_positions, _lag_transform, _sample_rows
+from khatom.phasespace import _eval_positions, _lag_transform, _next_fast_len, _sample_rows
 from khatom.potential import kh_averaged_potential
 
 E_CURVE = 0.0125
@@ -222,6 +222,17 @@ def test_lag_transform_matches_direct_sum():
         bound = 1e-13 * np.sum(np.abs(c), axis=1) * d_xi / (2.0 * np.pi)
         err = np.max(np.abs(_lag_transform(s_a, s_b, d_xi, p) - direct), axis=1)
         assert np.all(err < bound)
+
+
+def test_next_fast_len_matches_scipy():
+    # the chirp length must stay what scipy's next_fast_len gives for complex
+    # input (2*3*5*7*11-smooth): a 2*3*5-smooth rule would turn the default
+    # grid's 3082 into 3125, not 3087, and change every map's bits
+    from scipy.fft import next_fast_len
+
+    targets = range(1, 20001)
+    assert [_next_fast_len(n) for n in targets] == [next_fast_len(n) for n in targets]
+    assert _next_fast_len(3082) == 3087
 
 
 def test_cross_transform_magnitudes(kh_pairs):
