@@ -409,18 +409,21 @@ def _parent(path: str, wf: WaveFunction) -> dict:
     return parent
 
 
-def _detect_landmarks(times: np.ndarray, abs2: np.ndarray) -> dict:
+def _detect_landmarks(times: np.ndarray, abs2: np.ndarray, period: float) -> dict:
     """Locate beat landmarks on an autocorrelation magnitude series.
 
-    Smooths over roughly one field period to suppress carrier ripple,
-    then reads local extrema (well revivals / opposite-well localization)
-    and 0.5 crossings (packet midway between the wells).  Informational:
-    the values are recorded, never asserted against.
+    Smooths over the odd row count nearest one field period at the
+    series' record spacing, to suppress carrier ripple, then reads local
+    extrema (well revivals / opposite-well localization) and 0.5
+    crossings (packet midway between the wells).  Informational: the
+    values are recorded, never asserted against.
     """
     n = len(times)
     if n < 16:
         return {"left_well": [], "right_well": [], "midpoint": []}
-    window = min(101, (n // 4) * 2 + 1)
+    # rounded first, so jitter in the spacing cannot tip an even row count
+    # (100 at 1 a.u.) to the odd count below it
+    window = min(2 * int(round(period / (times[1] - times[0]), 6) // 2) + 1, (n // 4) * 2 + 1)
     kernel = np.ones(window) / window
     smooth = np.convolve(abs2, kernel, mode="same")
     lo, hi = window, n - window
@@ -433,7 +436,7 @@ def _detect_landmarks(times: np.ndarray, abs2: np.ndarray) -> dict:
     crossings = []
     resid = smooth - 0.5
     for k in range(max(lo, 1), min(hi, n)):
-        if resid[k - 1] == 0.0 or resid[k - 1] * resid[k] >= 0:
+        if resid[k - 1] == 0.0 or resid[k - 1] * resid[k] > 0:
             continue
         frac = resid[k - 1] / (resid[k - 1] - resid[k])
         crossings.append(float(times[k - 1] + frac * (times[k] - times[k - 1])))
@@ -633,7 +636,7 @@ class Pipeline:
         residuals[f"{label}final_norm"] = self.grid.dx * float(np.sum(result.final.density()))
         residuals[f"{label}absorbed_norm"] = float(result.absorbed_norm)
         self.manifest["detected_times"][label or "run"] = _detect_landmarks(
-            recorder.column("t"), recorder.column("autocorr_abs2")
+            recorder.column("t"), recorder.column("autocorr_abs2"), self.cfg["pulse.period"]
         )
 
     def _emit_segment_densities(self, segment: RunSegment) -> None:

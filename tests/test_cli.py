@@ -441,6 +441,34 @@ def test_all_recipes_load_and_validate():
     for name in RECIPES:
         cfg = load_config(cli._recipe_path(name))
         validate_config(cfg)
+        # one record per a.u.: a recipe that changes run.dt changes
+        # run.cadence with it, so observables.csv keeps its rows
+        assert abs(cfg["run.dt"] * cfg["run.cadence"] - 1.0) <= 1e-12, name
+
+
+def test_recipe_dt_matches_half_the_step(tmp_path):
+    # fig4a's beat at its own run.dt and at half of it agree in every column
+    # of observables.csv to the benchmark's pin rule, 1e-5 * max(1, |v|);
+    # both values come from the recipe, so a later edit of it is checked
+    cfg = load_config(cli._recipe_path("fig4a"))
+    dt, cadence = cfg["run.dt"], cfg["run.cadence"]
+    series = []
+    for label, step, stride in (("recipe", dt, cadence), ("half", dt / 2, 2 * cadence)):
+        out = tmp_path / label
+        argv = ["run", "fig4a", "--out", str(out)]
+        for item in ("grid.n_points=4096", "run.t_final=785", f"run.dt={step!r}",
+                     f"run.cadence={stride}"):
+            argv += ["--override", item]
+        assert cli.main(argv) == 0
+        series.append(read_series(out / "observables.csv"))
+    coarse, fine = series
+    assert len(fine["t"]) == 786
+    for name, want in fine.items():
+        have = coarse[name]
+        assert have.shape == want.shape, name
+        assert np.array_equal(np.isnan(have), np.isnan(want)), name
+        off = np.abs(have - want) > 1e-5 * np.maximum(1.0, np.abs(want))
+        assert not np.any(off), (name, np.nanmax(np.abs(have - want)))
 
 
 def _written(out) -> set:
@@ -561,9 +589,10 @@ def test_detected_times_of_a_beat():
     # multiples of T/2, the 0.5 crossings at odd multiples of T/4
     period, dt = 200.0, 0.5
     times = dt * np.arange(2001)
-    found = cli._detect_landmarks(times, np.cos(np.pi * times / period) ** 2)
-    # the smoothing window's width is left out at each end
-    inner = (times[0] + 101 * dt, times[-1] - 101 * dt)
+    found = cli._detect_landmarks(times, np.cos(np.pi * times / period) ** 2, 100.0)
+    # the smoothing window, one 100 a.u. field period or 201 rows at 0.5 a.u.
+    # spacing, is left out at each end
+    inner = (times[0] + 201 * dt, times[-1] - 201 * dt)
     for key, first, spacing in (("left_well", 0.0, period), ("right_well", period / 2, period),
                                 ("midpoint", period / 4, period / 2)):
         expected = np.arange(first, times[-1], spacing)
@@ -571,8 +600,28 @@ def test_detected_times_of_a_beat():
         assert len(found[key]) == len(expected) > 0, key
         assert np.max(np.abs(np.array(found[key]) - expected)) <= 3 * dt, key
     # too short a series to smooth gives no landmarks
-    assert cli._detect_landmarks(times[:15], np.ones(15)) == {
+    assert cli._detect_landmarks(times[:15], np.ones(15), 100.0) == {
         "left_well": [], "right_well": [], "midpoint": []}
+
+
+def test_landmarks_do_not_depend_on_the_record_spacing():
+    # an 800 a.u. beat with a ripple at the 100 a.u. field period, recorded
+    # every 1 and every 0.5 a.u.: a window of one period removes the ripple
+    # at both spacings (a fixed 101 rows spans half a period at 0.5 a.u.,
+    # and the ripple's own extrema show up as landmarks); the 0.5 crossings
+    # at 200 and 600 fall on a sample, where the smoothed series is 0.5
+    found = []
+    for spacing in (1.0, 0.5):
+        times = spacing * np.arange(round(1600 / spacing) + 1)
+        abs2 = np.cos(np.pi * times / 800.0) ** 2 + 0.05 * np.sin(2 * np.pi * times / 100.0)
+        found.append(cli._detect_landmarks(times, abs2, 100.0))
+    expected = {"left_well": [800.0], "right_well": [400.0, 1200.0],
+                "midpoint": [200.0, 600.0, 1000.0, 1400.0]}
+    for key, want in expected.items():
+        coarse, fine = (np.array(f[key]) for f in found)
+        assert len(coarse) == len(fine) == len(want), key
+        assert np.max(np.abs(coarse - fine)) <= 1.0, key
+        assert np.max(np.abs(coarse - want)) <= 1.0, key
 
 
 def test_mini_run_outputs(mini_run, grid):
