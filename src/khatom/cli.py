@@ -62,14 +62,13 @@ class CliError(KhatomError):
 
 
 NAMED_STATES = ("atomic_ground", "kh_ground", "kh_excited", "kh_coherent")
-TRISTATE = ("auto", "on", "off")
 
 # half-width of the region written to plot-ready density / potential tables
 EMIT_HALF_WIDTH = 150.0
 
 # mass tolerance handed to the Wigner transform for states that carry
-# continuum flux through the analysis window (full-potential runs and
-# their continuations); the measured deficit is recorded in the manifest
+# continuum flux through the analysis window (every segment that is not
+# bound); the measured deficit is recorded in the manifest
 LOOSE_MASS_TOL = 0.05
 
 _OVERLAY_ENERGY = 0.0125  # outermost equienergy curve drawn on the maps
@@ -153,14 +152,10 @@ CONFIG_SPEC = {
     "run.initial": (str, "atomic_ground"),
     "run.t_final": (_number_or_none, None),
     "run.dt": (_positive, 0.05),
-    "run.cadence": (_parse_number(int, lambda v: v >= 1, "at least 1"), 20),
     "run.snapshots": (_times, ()),
-    "run.absorber": (_parse_choice(TRISTATE), "auto"),
     "restart.at": (_number_or_none, None),
-    "restart.mode": (_parse_choice(tuple(MODE_FRAMES)), MODE_KH),
     "restart.t_final": (_number_or_none, None),
     "restart.snapshots": (_times, ()),
-    "restart.absorber": (_parse_choice(TRISTATE), "auto"),
     "wigner.times": (_parse_list(_number, ("none", "snapshots")), "none"),
     "wigner.states": (_parse_list(_parse_choice(NAMED_STATES)), ()),
     "portrait.energies": (_parse_list(_number, ("none", "auto")), "none"),
@@ -212,6 +207,11 @@ def _config_pulse(cfg: dict) -> PulseParams:
 def _field_step(cfg: dict) -> float:
     """The field cache's node spacing: half of run.dt, so step midpoints are nodes."""
     return 0.5 * cfg["run.dt"]
+
+
+def _record_stride(dt: float) -> int:
+    """The steps between two records: one record per a.u. of time."""
+    return max(1, round(1.0 / dt))
 
 
 def load_config(path=None, overrides=()) -> dict:
@@ -293,19 +293,23 @@ class RunSegment:
     time: TimeGrid
     snapshot_steps: tuple  # sorted, distinct
     wigner_steps: tuple  # the snapshot steps that get a Wigner map
-    absorber: bool
+    bound: bool  # stays in the averaged well: no absorber, 1e-3 Wigner mass tolerance, energy_drift
     start_step: int | None = None  # the restart's start, a step of the primary
     result: object = None
 
 
 def _segment(cfg: dict, section: str, initial, time: TimeGrid, start=None) -> RunSegment:
-    """The segment that the section's mode, snapshots and absorber keys set."""
-    mode, absorber = cfg[f"{section}.mode"], cfg[f"{section}.absorber"]
+    """The segment that the section's snapshot keys set.  The primary steps
+    run.mode and its restart kh_averaged.  Both are bound when the primary
+    steps kh_averaged from a KH eigenstate or their superposition: only
+    those stay in the averaged well, and every other segment can carry
+    continuum, which the absorber takes."""
     steps = tuple(sorted(set(_steps(f"{section}.snapshots", cfg[f"{section}.snapshots"], time))))
     return RunSegment(
-        "" if section == "run" else f"{section}_", mode, initial, time, steps,
+        "" if section == "run" else f"{section}_",
+        cfg["run.mode"] if section == "run" else MODE_KH, initial, time, steps,
         steps if cfg["wigner.times"] == "snapshots" else (),
-        (mode == MODE_LAB) if absorber == "auto" else (absorber == "on"), start,
+        cfg["run.mode"] == MODE_KH and cfg["run.initial"] in NAMED_STATES[1:], start,
     )
 
 
@@ -313,7 +317,7 @@ def validate_config(cfg: dict) -> list[RunSegment]:
     """Plans the propagation: the primary segment and its restart, each
     checked against the other keys, and each configured time resolved to a
     step of its segment; [] when there is no run.  The grid must hold the
-    absorber of each segment that has it on, the Wigner window when any
+    absorber when a segment is not bound, the Wigner window when any
     map is planned, and the wells of kh.alpha0 when a stage builds them;
     half of run.dt must divide the pulse when a lab_full segment or
     emit.field uses the field.  Each check raises its own module's error."""
@@ -321,7 +325,7 @@ def validate_config(cfg: dict) -> list[RunSegment]:
     grid = _config_grid(cfg)
     if cfg["emit.field"] or any(seg.mode == MODE_LAB for seg in plan):
         check_field_step(_config_pulse(cfg), _field_step(cfg))
-    if any(seg.absorber for seg in plan):
+    if not all(seg.bound for seg in plan):
         check_absorber(grid)
     if cfg["wigner.states"] or any(seg.wigner_steps for seg in plan):
         check_windows(grid)
@@ -341,9 +345,6 @@ def _plan(cfg: dict) -> list[RunSegment]:
             raise CliError("restart.at needs a primary run to restart from")
         if cfg["restart.t_final"] is None:
             raise CliError("restart.at needs restart.t_final")
-        if (cfg["run.mode"], cfg["restart.mode"]) == (MODE_KH, MODE_LAB):
-            raise CliError(f"restart.mode {MODE_LAB} cannot continue a {MODE_KH} run: "
-                           "only a lab state is carried into the other frame")
     if not cfg["run.enabled"]:
         return []
     mode, dt = cfg["run.mode"], cfg["run.dt"]
@@ -563,8 +564,8 @@ class Pipeline:
 
     def emit_field(self) -> None:
         cache = self.cache
-        stride = max(1, int(round(self.cfg["run.cadence"] * self.cfg["run.dt"] / cache.dt_field)))
-        sl = slice(None, None, stride)
+        dt = self.cfg["run.dt"]
+        sl = slice(None, None, round(_record_stride(dt) * dt / cache.dt_field))
         self._emit_table(
             "field.dat",
             (cache.times[sl], cache.eps[sl], cache.a[sl], cache.alpha[sl]),
@@ -604,9 +605,7 @@ class Pipeline:
             return wf
         primary = self.plan[0]
         wf = primary.result.snapshots[primary.snapshot_steps.index(seg.start_step)]
-        if wf.frame != frame:
-            # explicit transform stage (lab to kh, the one pair the plan
-            # allows); the restart verb proper refuses instead
+        if wf.frame != frame:  # a lab_full primary: explicit transform stage
             wf = self.ctx.lab_to_kh(wf)
             write_snapshot(self._path(f"snapshot_t{seg.time.t0:g}_kh.snap"), wf)
         return wf
@@ -616,15 +615,15 @@ class Pipeline:
         initial = self._initial_state(seg)
         if mode == MODE_LAB:
             v = atomic_potential(self.grid.x)
-            op = SplitOperator(self.grid, v, seg.time, mode, self.cache, seg.absorber)
+            op = SplitOperator(self.grid, v, seg.time, mode, self.cache, not seg.bound)
             recorder = Recorder(self.ground, self.pairs, self.ctx)
         else:
-            op = SplitOperator(self.grid, self.avg.samples, seg.time, mode, absorber=seg.absorber)
+            op = SplitOperator(self.grid, self.avg.samples, seg.time, mode, absorber=not seg.bound)
             recorder = Recorder(kh_pairs=self.pairs)
         seg.result = result = propagate(
-            op, initial, seg.snapshot_steps, recorder, self.cfg["run.cadence"]
+            op, initial, seg.snapshot_steps, recorder, _record_stride(seg.time.dt)
         )
-        if mode == MODE_KH:  # field-free: the Rayleigh energy is conserved up to the splitting error
+        if seg.bound:  # no field, no absorber: the Rayleigh energy keeps to the splitting error
             e0, e1 = (rayleigh_energy(self.avg.samples, wf) for wf in (initial, result.final))
             self.manifest["residuals"][f"{label}energy_drift"] = abs((e1 - e0) / e0)
         write_series(self._path(f"{label}observables.csv"), recorder)
@@ -703,10 +702,7 @@ class Pipeline:
     def export_run_wigners(self) -> None:
         jobs = []
         for segment in self.plan:
-            # only a KH eigenstate start stays bound in the averaged well; the
-            # atomic state carries continuum into it like a lab_full run does
-            clean = segment.mode == MODE_KH and segment.initial in NAMED_STATES[1:]
-            mass_tol = 1e-3 if clean else LOOSE_MASS_TOL
+            mass_tol = 1e-3 if segment.bound else LOOSE_MASS_TOL
             for k, snap in zip(segment.snapshot_steps, segment.result.snapshots):
                 if k in segment.wigner_steps:
                     jobs.append((f"{segment.label}wigner_t{snap.t:g}", snap, mass_tol))
@@ -843,8 +839,12 @@ def _cmd_transform(args) -> int:
 
 def _cmd_wigner(args) -> int:
     cfg = _verb_config(args)
-    jobs = []
+    jobs, sources = [], {}
     for path in args.snapshot:
+        stem = os.path.splitext(os.path.basename(path))[0]
+        if stem in sources:  # both maps would be written to one file
+            raise CliError(f"snapshots {sources[stem]} and {path} both map to wigner_{stem}.wig")
+        sources[stem] = path
         wf = read_snapshot(path)
         if wf.frame != FRAME_KH:
             raise CliError(
@@ -852,27 +852,9 @@ def _cmd_wigner(args) -> int:
                 "first (khatom transform)"
             )
         check_windows(wf.grid)
-        stem = os.path.splitext(os.path.basename(path))[0]
         jobs.append((f"wigner_{stem}", wf, LOOSE_MASS_TOL))
     with Pipeline(cfg, args.out).finalizing() as pipe:
         pipe._export_wigners(jobs)
-    return 0
-
-
-def _cmd_restart(args) -> int:
-    cfg = _verb_config(args)
-    if cfg["restart.t_final"] is None:
-        raise CliError("restart needs restart.t_final")
-    execute({
-        **cfg,
-        "run.enabled": True,
-        "run.mode": cfg["restart.mode"],
-        "run.initial": args.snapshot,
-        "run.t_final": cfg["restart.t_final"],
-        "run.snapshots": cfg["restart.snapshots"],
-        "run.absorber": cfg["restart.absorber"],
-        "restart.at": None,
-    }, args.out)
     return 0
 
 
@@ -904,7 +886,6 @@ VERBS = {
     "wigner": (_cmd_wigner, "Wigner map of stored kh snapshots", ("snapshot", "+")),
     "portrait": (_cmd_portrait, "emit equienergy curves", ()),
     "run": (_cmd_run, "execute a figure recipe", ("recipe", None)),
-    "restart": (_cmd_restart, "continue from a stored snapshot", ("snapshot", None)),
 }
 
 

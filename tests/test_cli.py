@@ -27,12 +27,10 @@ MINI_CFG = """\
 run.mode = kh_averaged
 run.initial = kh_coherent
 run.t_final = 30.0
-run.absorber = off
 run.snapshots = 15, 30
 restart.at = 15.0
 restart.t_final = 45.0
 restart.snapshots = 30, 45
-restart.absorber = off
 wigner.times = snapshots
 portrait.energies = auto
 emit.potential = true
@@ -60,7 +58,6 @@ def test_config_defaults():
     assert cfg["pulse.intensity_wcm2"] == 5.7e13
     assert cfg["kh.alpha0"] == 10.23
     assert cfg["run.dt"] == 0.05
-    assert cfg["run.cadence"] == 20
     assert cfg["run.mode"] == "lab_full"
     assert cfg["run.snapshots"] == ()
     assert cfg["wigner.times"] == "none"
@@ -73,12 +70,12 @@ def test_config_file_and_override(tmp_path):
     cfg = load_config(str(path), ["run.dt=0.2"])
     assert cfg["run.dt"] == 0.2  # override wins over the file
     assert cfg["run.snapshots"] == (1.0, 2.5)
-    assert cfg["run.cadence"] == 20  # set by neither: the default
+    assert cfg["run.mode"] == "lab_full"  # set by neither: the default
 
 
 def test_config_rejects_duplicate_key(tmp_path):
     path = tmp_path / "a.cfg"
-    path.write_text("run.dt = 0.05\n# comment\nrun.cadence = 10\nrun.dt = 0.1\n")
+    path.write_text("run.dt = 0.05\n# comment\nrun.mode = lab_full\nrun.dt = 0.1\n")
     with pytest.raises(CliError, match=r"a.cfg:4: run.dt is already set on line 1"):
         load_config(str(path))
 
@@ -140,7 +137,7 @@ def test_config_rejects_bad_values():
         load_config(overrides=["run.mode=adiabatic"])
     # the range rules sit beside their keys, or in the object the keys build
     rules = [
-        ("run.cadence=0", "bad value for run.cadence: must be at least 1, got '0'"),
+        ("run.dt=0", "bad value for run.dt: must be positive, got '0'"),
         ("kh.alpha0=0", "bad value for kh.alpha0: must be positive, got '0'"),
         ("grid.x_max=-1500", "bad grid.* values: x_max must exceed x_min"),
         ("pulse.period=0", "bad pulse.* values: period must be positive"),
@@ -233,7 +230,7 @@ def test_off_step_times_fail_before_any_solve(tmp_path, capsys):
     # asked for at 12.34 found no snapshot (stored at 12.35), and a restart
     # from it failed only after the whole primary run
     base = ["grid.n_points=1024", "run.mode=kh_averaged", "run.initial=kh_coherent",
-            "run.t_final=30", "run.absorber=off"]
+            "run.t_final=30"]
     restart = ["run.snapshots=15", "restart.at=15", "restart.t_final=30"]
     small = ["grid.x_min=-150", "grid.x_max=150"]
     cases = [
@@ -251,12 +248,13 @@ def test_off_step_times_fail_before_any_solve(tmp_path, capsys):
         (["grid.n_points=1000"],
          "cli", "bad grid.* values: n_points must be a power of two >= 2, got 1000"),
         # a grid too small for a segment's absorber or for a planned map
-        # used to fail after the solves and the propagation
-        (["run.mode=lab_full", "run.absorber=auto", "grid.x_min=-500", "grid.x_max=500"],
+        # used to fail after the solves and the propagation; every segment
+        # absorbs that is not bound
+        (["run.mode=lab_full", "grid.x_min=-500", "grid.x_max=500"],
          "propagator", "absorber inner width reaches the grid edge"),
-        (restart + ["restart.absorber=on", "grid.x_min=-500", "grid.x_max=500"],
+        (restart + ["run.initial=atomic_ground", "grid.x_min=-500", "grid.x_max=500"],
          "propagator", "absorber inner width reaches the grid edge"),
-        (["run.absorber=on", "grid.x_min=-500"],
+        (["run.initial=atomic_ground", "grid.x_min=-500"],
          "propagator", "absorber inner width reaches the grid edge"),
         (small + ["run.snapshots=15", "wigner.times=snapshots"],
          "phasespace", "position window plus correlation reach exceeds the grid"),
@@ -298,8 +296,9 @@ def test_off_step_times_fail_before_any_solve(tmp_path, capsys):
     assert cli.main(argv) == 1
     assert "khatom: [laser] dt_field must divide the pulse duration" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
-    # the same grids pass where nothing needs the absorber or a map, and the
-    # same run.dt where nothing needs the field
+    # the same grids pass where nothing needs the absorber or a map (a
+    # bound run and its restart), and the same run.dt where nothing needs
+    # the field
     validate_config(load_config(overrides=base + ["run.dt=0.07", "run.t_final=700"]))
     validate_config(load_config(overrides=base + small + ["run.snapshots=15"]))
     validate_config(load_config(overrides=base + restart + ["grid.x_min=-500", "grid.x_max=500"]))
@@ -320,23 +319,20 @@ def test_plan_resolves_times_to_steps():
     assert restart.snapshot_steps == (300, 600) and restart.wigner_steps == (600,)
 
 
-def test_lab_restart_of_a_kh_run_fails_before_any_solve(tmp_path, capsys):
-    # only a lab state is carried into the other frame: a lab_full restart of
-    # a kh_averaged run used to fail only after the whole primary run
-    overrides = ["grid.n_points=1024", "run.mode=kh_averaged", "run.initial=kh_coherent",
-                 "run.t_final=10", "run.snapshots=5", "restart.at=5", "restart.t_final=10",
-                 "restart.mode=lab_full"]
-    message = "restart.mode lab_full cannot continue a kh_averaged run"
-    with pytest.raises(CliError, match=message):
-        validate_config(load_config(overrides=overrides))
-    validate_config(load_config(overrides=overrides + ["run.mode=lab_full"]))
-    out = tmp_path / "out"
-    argv = ["propagate", "--out", str(out)]
-    for item in overrides:
-        argv += ["--override", item]
-    assert cli.main(argv) == 1
-    assert capsys.readouterr().err.startswith(f"khatom: [cli] {message}")
-    assert not out.exists()
+def test_restart_continues_in_the_averaged_potential():
+    # a restart steps kh_averaged after either mode, and is bound when its
+    # primary is: a kh_averaged run from a KH state
+    base = ["grid.n_points=1024", "run.t_final=10", "run.snapshots=5", "restart.at=5",
+            "restart.t_final=10"]
+    cases = [("kh_averaged", "kh_coherent", True), ("kh_averaged", "atomic_ground", False),
+             ("lab_full", "kh_coherent", False)]
+    for mode, initial, bound in cases:
+        run, restart = validate_config(load_config(
+            overrides=base + [f"run.mode={mode}", f"run.initial={initial}"]))
+        assert (run.mode, restart.mode) == (mode, "kh_averaged")
+        assert run.bound == restart.bound == bound, (mode, initial)
+    with pytest.raises(CliError, match="unknown config key: restart.mode"):
+        load_config(overrides=["restart.mode=lab_full"])
 
 
 def test_alpha0_beyond_the_box_fails_before_any_directory(tmp_path, capsys):
@@ -437,27 +433,36 @@ def test_run_directories_do_not_depend_on_thread_count(tmp_path):
         assert (argv[1], mismatch, errors) == (argv[1], [], [])
 
 
+# each recipe's plan: the bound flag of each segment, and the record stride
+# in steps.  Only the averaged-well beat is bound; the restarts of fig7 and
+# fig8 continue lab_full runs, so they absorb
+RECIPE_PLANS = {
+    "fig1": ((), 20), "fig2ab": ((False,), 20), "fig2b": ((False,), 20), "fig3": ((), 20),
+    "fig4a": ((True,), 10), "fig4b": ((False,), 20), "fig5": ((True,), 10),
+    "fig6": ((False,), 20), "fig7": ((False, False), 20), "fig8": ((False, False), 20),
+}
+
+
 def test_all_recipes_load_and_validate():
+    assert set(RECIPE_PLANS) == set(RECIPES)
     for name in RECIPES:
         cfg = load_config(cli._recipe_path(name))
-        validate_config(cfg)
-        # one record per a.u.: a recipe that changes run.dt changes
-        # run.cadence with it, so observables.csv keeps its rows
-        assert abs(cfg["run.dt"] * cfg["run.cadence"] - 1.0) <= 1e-12, name
+        plan = validate_config(cfg)
+        # one record per a.u.: observables.csv keeps its rows at any run.dt
+        stride = cli._record_stride(cfg["run.dt"])
+        assert (tuple(seg.bound for seg in plan), stride) == RECIPE_PLANS[name], name
 
 
 def test_recipe_dt_matches_half_the_step(tmp_path):
     # fig4a's beat at its own run.dt and at half of it agree in every column
     # of observables.csv to the benchmark's pin rule, 1e-5 * max(1, |v|);
     # both values come from the recipe, so a later edit of it is checked
-    cfg = load_config(cli._recipe_path("fig4a"))
-    dt, cadence = cfg["run.dt"], cfg["run.cadence"]
+    dt = load_config(cli._recipe_path("fig4a"))["run.dt"]
     series = []
-    for label, step, stride in (("recipe", dt, cadence), ("half", dt / 2, 2 * cadence)):
+    for label, step in (("recipe", dt), ("half", dt / 2)):
         out = tmp_path / label
         argv = ["run", "fig4a", "--out", str(out)]
-        for item in ("grid.n_points=4096", "run.t_final=785", f"run.dt={step!r}",
-                     f"run.cadence={stride}"):
+        for item in ("grid.n_points=4096", "run.t_final=785", f"run.dt={step!r}"):
             argv += ["--override", item]
         assert cli.main(argv) == 0
         series.append(read_series(out / "observables.csv"))
@@ -646,7 +651,7 @@ def test_mini_run_outputs(mini_run, grid):
 
 
 def test_mini_run_energy_drift(mini_run):
-    # each kh_averaged segment records its relative Rayleigh-energy drift;
+    # each bound segment records its relative Rayleigh-energy drift;
     # the mini recipe's two 600-step segments measure 1.1e-12 and 4.5e-13
     residuals = json.loads((mini_run / "manifest.json").read_text())["residuals"]
     for key in ("energy_drift", "restart_energy_drift"):
@@ -700,6 +705,25 @@ def test_atomic_ground_maps_of_a_kh_run_take_the_loose_mass_tolerance(tmp_path):
     assert 1e-3 < record["mass_deficit"] < cli.LOOSE_MASS_TOL
 
 
+def test_kh_run_from_the_atomic_state_absorbs(tmp_path):
+    # the atomic ground state carries continuum into the averaged well: with
+    # the absorber off it wrapped around the box and left 1.6e-6 beyond
+    # |x| = 1400 at t = 1000, against 1.2e-26 with it on.  A segment that
+    # absorbs records no energy drift, whose loss of norm it would measure
+    # (13.6 at t = 2000)
+    argv = ["propagate", "--out", str(tmp_path)]
+    for item in ("run.mode=kh_averaged", "run.initial=atomic_ground", "grid.n_points=4096",
+                 "run.t_final=1000", "run.snapshots=1000"):
+        argv += ["--override", item]
+    assert cli.main(argv) == 0
+    residuals = json.loads((tmp_path / "manifest.json").read_text())["residuals"]
+    assert residuals["absorbed_norm"] > 1e-3
+    assert "energy_drift" not in residuals
+    snap = read_snapshot(tmp_path / "snapshot_t1000.snap")
+    outer = np.abs(snap.grid.x) > 1400.0
+    assert snap.grid.dx * np.sum(snap.density()[outer]) < 1e-20
+
+
 def test_norms_share_one_unit(tmp_path):
     # final_norm, absorbed_norm and the norm column are all |psi|^2: what is
     # left in the box and what the absorber took add up to the start's
@@ -711,8 +735,7 @@ def test_norms_share_one_unit(tmp_path):
     out = tmp_path / "out"
     argv = ["propagate", "--out", str(out)]
     for item in ("grid.n_points=1024", "run.mode=lab_full", f"run.initial={tmp_path / 'start.snap'}",
-                 "run.t_final=60", "run.snapshots=30", "restart.at=30", "restart.t_final=60",
-                 "restart.mode=lab_full"):
+                 "run.t_final=60", "run.snapshots=30", "restart.at=30", "restart.t_final=60"):
         argv += ["--override", item]
     assert cli.main(argv) == 0
     residuals = json.loads((out / "manifest.json").read_text())["residuals"]
@@ -824,7 +847,8 @@ def test_non_finite_partner_half(mini_cfg_path, tmp_path, monkeypatch, capsys, e
     if executor == "inline":
         monkeypatch.setattr(propagator, "PARTNER_MIN_POINTS", sys.maxsize)
     out = tmp_path / "out"
-    argv = ["run", mini_cfg_path, "--out", str(out), "--override", "run.absorber=on"]
+    # the mini recipe is bound; from the atomic state its segments absorb
+    argv = ["run", mini_cfg_path, "--out", str(out), "--override", "run.initial=atomic_ground"]
     assert cli.main(argv) == 1
     assert capsys.readouterr().err == "khatom: [propagator] non-finite amplitudes at step 1\n"
     with pytest.raises(ChildProcessError):  # no child left, running or unreaped
@@ -894,16 +918,21 @@ def test_failing_wigner_verb_writes_incomplete_manifest(mini_run, tmp_path, monk
     assert manifest["error"] == "phasespace: no map at t = 15"
 
 
+def _restart(snap, out, t_final):
+    """Continues the stored KH snapshot in the averaged potential to t_final."""
+    argv = ["propagate", "--out", str(out)]
+    for item in (f"run.initial={snap}", "run.mode=kh_averaged", f"run.t_final={t_final}"):
+        argv += ["--override", item]
+    return cli.main(argv)
+
+
 def test_restart_rejects_frame_mismatch(tmp_path, kh_pairs, capsys):
     snap = tmp_path / "lab.snap"
     write_snapshot(snap, WaveFunction(kh_pairs[0].state.grid, kh_pairs[0].state.psi, 625.0, "lab"))
-    code = cli.main([
-        "restart", str(snap), "--out", str(tmp_path / "out"),
-        "--override", "restart.t_final=630",
-    ])
-    assert code == 1
+    assert _restart(snap, tmp_path / "out", 630) == 1
     err = capsys.readouterr().err
     assert err.startswith("khatom: [cli]") and "lab_to_kh" in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_transform_then_restart(tmp_path, kh_pairs):
@@ -914,11 +943,7 @@ def test_transform_then_restart(tmp_path, kh_pairs):
     moved = read_snapshot(kh_snap)
     assert moved.frame == "kh" and moved.t == 625.0
     out = tmp_path / "continued"
-    code = cli.main([
-        "restart", str(kh_snap), "--out", str(out),
-        "--override", "restart.t_final=626", "--override", "restart.absorber=off",
-    ])
-    assert code == 0
+    assert _restart(kh_snap, out, 626) == 0
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["parent"]["t"] == 625.0
     series = read_series(out / "observables.csv")
@@ -937,7 +962,7 @@ def test_observables_verb_runs_a_restart(mini_cfg_path, mini_run, tmp_path):
 
 
 def test_transform_records_the_parent_run(tmp_path, kh_pairs):
-    # transform and restart record their snapshot's parent the same way,
+    # transform and a run restarted from a snapshot record its parent the same way,
     # with the manifest.json of the run directory the snapshot sits in
     run_dir = tmp_path / "run"
     assert cli.main(["field", "--out", str(run_dir)]) == 0
@@ -953,8 +978,7 @@ def test_transform_records_the_parent_run(tmp_path, kh_pairs):
     }
     kh_snap = out / "lab_kh.snap"
     continued = tmp_path / "continued"
-    assert cli.main(["restart", str(kh_snap), "--out", str(continued),
-                     "--override", "restart.t_final=626"]) == 0
+    assert _restart(kh_snap, continued, 626) == 0
     parent = json.loads((continued / "manifest.json").read_text())["parent"]
     assert parent["snapshot"] == str(kh_snap) and parent["manifest"] == str(out / "manifest.json")
 
@@ -974,6 +998,19 @@ def test_transform_and_wigner_plan_no_run(mini_run, tmp_path, kh_pairs):
         assert manifest["status"] == "complete"
         echoed = cli._echo(load_config(overrides=[override]))
         assert manifest["config"] == json.loads(json.dumps(echoed))
+
+
+def test_wigner_verb_refuses_repeated_stems(mini_run, tmp_path, capsys):
+    # two snapshots of one file name used to write one wigner_<stem>.wig,
+    # from the parent and from the forked child, and a manifest of one map
+    first, second = mini_run / "snapshot_t15.snap", tmp_path / "other" / "snapshot_t15.snap"
+    second.parent.mkdir()
+    second.write_bytes((mini_run / "snapshot_t30.snap").read_bytes())
+    out = tmp_path / "w"
+    assert cli.main(["wigner", str(first), str(second), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"khatom: [cli] snapshots {first} and {second} both map to wigner_snapshot_t15.wig\n")
+    assert not out.exists()
 
 
 def test_wigner_verb_rejects_lab_snapshot(tmp_path, kh_pairs, capsys):
@@ -1038,12 +1075,14 @@ def test_failing_module_is_named(tmp_path, kh_pairs, capsys):
     assert manifest["error"].startswith("propagator:")
 
 
-@pytest.mark.parametrize("verb", ["wigner", "restart"])
-def test_corrupt_snapshot_is_named(tmp_path, capsys, verb):
+@pytest.mark.parametrize("use", ["wigner", "restart"])
+def test_corrupt_snapshot_is_named(tmp_path, capsys, use):
+    # a map of the snapshot, or a run restarted from it
     snap = tmp_path / "bad.snap"
     snap.write_bytes(b"KHPS1 64.5 -20.0 20.0 nan kh\n" + b"\x00" * 64)
-    args = [verb, str(snap), "--out", str(tmp_path / "out")]
-    if verb == "restart":
-        args += ["--override", "restart.t_final=30"]
-    assert cli.main(args) == 1
+    out = tmp_path / "out"
+    if use == "wigner":
+        assert cli.main(["wigner", str(snap), "--out", str(out)]) == 1
+    else:
+        assert _restart(snap, out, 30) == 1
     assert capsys.readouterr().err.startswith("khatom: [propagator]")
