@@ -347,6 +347,9 @@ def _plan(cfg: dict) -> list[RunSegment]:
             raise CliError("restart.at needs restart.t_final")
     if not cfg["run.enabled"]:
         return []
+    for key in ("restart.t_final", "restart.snapshots"):
+        if at is None and cfg[key] not in (None, ()):
+            raise CliError(f"{key} needs restart.at")
     mode, dt = cfg["run.mode"], cfg["run.dt"]
     if initial in NAMED_STATES:  # defined at t = 0
         t0 = 0.0
@@ -444,7 +447,7 @@ def _detect_landmarks(times: np.ndarray, abs2: np.ndarray, period: float) -> dic
     return {"left_well": maxima, "right_well": minima, "midpoint": crossings}
 
 
-# execute and the Wigner exports hand stages to a child; a child that dies
+# execute hands the atomic ground state to a child; a child that dies
 # without an outcome is reported as a cli error
 _forked = partial(forked, error=CliError)
 
@@ -670,43 +673,16 @@ class Pipeline:
             "imag_residue": w.imag_residue,
         }
 
-    def _export_share(self, jobs) -> tuple[dict, dict]:
-        """Exports jobs in this process; returns the file list and the map records."""
-        for job in jobs:
-            self._export_wigner(*job)
-        return self.files, self.manifest["wigner"]
-
-    def _export_wigners(self, jobs) -> None:
-        """Exports (stem, state, mass_tol) jobs; a forked child takes the second half.
-
-        The child returns its copies of the file list and the map records.
-        Merged into the parent's, they add the child's entries and repeat
-        the ones the two shared at the fork.
-        """
-        mine = (len(jobs) + 1) // 2
-        if mine == len(jobs):  # nothing to hand over
-            self._export_share(jobs)
-            return
-        with _forked(partial(self._export_share, jobs[mine:])) as join:
-            self._export_share(jobs[:mine])
-            files, records = join()
-        self.files.update(files)
-        self.manifest["wigner"].update(records)
-
     def export_state_wigners(self) -> None:
-        self._export_wigners([
-            (f"wigner_{name}", self._named_state(name, FRAME_KH), 1e-3)
-            for name in self.cfg["wigner.states"]
-        ])
+        for name in self.cfg["wigner.states"]:
+            self._export_wigner(f"wigner_{name}", self._named_state(name, FRAME_KH), 1e-3)
 
     def export_run_wigners(self) -> None:
-        jobs = []
         for segment in self.plan:
             mass_tol = 1e-3 if segment.bound else LOOSE_MASS_TOL
             for k, snap in zip(segment.snapshot_steps, segment.result.snapshots):
                 if k in segment.wigner_steps:
-                    jobs.append((f"{segment.label}wigner_t{snap.t:g}", snap, mass_tol))
-        self._export_wigners(jobs)
+                    self._export_wigner(f"{segment.label}wigner_t{snap.t:g}", snap, mass_tol)
 
     def export_portrait(self) -> None:
         choice = self.cfg["portrait.energies"]
@@ -756,7 +732,12 @@ class Pipeline:
 
 
 def execute(cfg: dict, out_dir: str, recipe: str | None = None) -> Pipeline:
-    """The full pipeline: solves -> propagation -> transforms -> exports."""
+    """The full pipeline: solves -> propagation -> transforms -> exports.
+
+    A forked child solves the atomic ground state while the parent runs the
+    stages; the bound-state tables are written last, so that on a run whose
+    only use of the state is emit.eigen the child overlaps every other stage.
+    """
     plan = validate_config(cfg)
     pipe = Pipeline(cfg, out_dir, recipe, plan)
     uses_ground = _uses_ground(cfg, plan)
@@ -770,8 +751,6 @@ def execute(cfg: dict, out_dir: str, recipe: str | None = None) -> Pipeline:
             pipe.emit_potential()
         if cfg["emit.field"]:
             pipe.emit_field()
-        if cfg["emit.eigen"]:
-            pipe.emit_eigen()
         if plan and cfg["run.t_final"] is None:
             pipe.params  # the run ends with the pulse: record the pulse's derived values
         for seg in plan:
@@ -779,6 +758,8 @@ def execute(cfg: dict, out_dir: str, recipe: str | None = None) -> Pipeline:
         pipe.export_state_wigners()
         pipe.export_run_wigners()
         pipe.export_portrait()
+        if cfg["emit.eigen"]:
+            pipe.emit_eigen()
     return pipe
 
 
@@ -806,6 +787,9 @@ _NO_OUTPUT = {"emit.potential": False, "emit.field": False, "emit.eigen": False,
               "emit.densities": False, "wigner.states": (), "wigner.times": "none",
               "portrait.energies": "none"}
 
+# no run, and so no restart of one: a restart recipe serves as a no-run verb's config
+_NO_RUN = {"run.enabled": False, "restart.at": None}
+
 
 def _cmd_plain(args, **forced) -> int:
     execute({**_verb_config(args), **forced}, args.out)
@@ -814,7 +798,7 @@ def _cmd_plain(args, **forced) -> int:
 
 def _emit_only(key: str):
     """The verb that plans no run and writes only the output that key turns on."""
-    return partial(_cmd_plain, **{**_NO_OUTPUT, "run.enabled": False, key: True})
+    return partial(_cmd_plain, **{**_NO_OUTPUT, **_NO_RUN, key: True})
 
 
 def _cmd_run(args) -> int:
@@ -854,7 +838,8 @@ def _cmd_wigner(args) -> int:
         check_windows(wf.grid)
         jobs.append((f"wigner_{stem}", wf, LOOSE_MASS_TOL))
     with Pipeline(cfg, args.out).finalizing() as pipe:
-        pipe._export_wigners(jobs)
+        for job in jobs:
+            pipe._export_wigner(*job)
     return 0
 
 
@@ -870,8 +855,7 @@ def _cmd_observables(args) -> int:
 def _cmd_portrait(args) -> int:
     cfg = _verb_config(args)
     energies = "auto" if cfg["portrait.energies"] == "none" else cfg["portrait.energies"]
-    execute({**cfg, **_NO_OUTPUT, "run.enabled": False, "portrait.energies": energies},
-            args.out)
+    execute({**cfg, **_NO_OUTPUT, **_NO_RUN, "portrait.energies": energies}, args.out)
     return 0
 
 

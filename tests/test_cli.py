@@ -176,9 +176,9 @@ def test_validate_rejects_bad_combinations():
 def test_wigner_times_must_name_a_snapshot(tmp_path, capsys):
     with pytest.raises(CliError, match="wigner.times entry 7 matches no"):
         validate_config(load_config(overrides=["run.snapshots=5", "wigner.times=5, 7"]))
-    # restart snapshots count only when there is a restart
+    # restart snapshots need a restart
     restart = ["run.snapshots=5", "restart.snapshots=7", "wigner.times=7"]
-    with pytest.raises(CliError, match="wigner.times entry 7"):
+    with pytest.raises(CliError, match="restart.snapshots needs restart.at"):
         validate_config(load_config(overrides=restart))
     validate_config(load_config(overrides=restart + ["restart.at=5", "restart.t_final=9"]))
     validate_config(load_config(overrides=["run.snapshots=5", "wigner.times=5.0000001"]))
@@ -304,6 +304,22 @@ def test_off_step_times_fail_before_any_solve(tmp_path, capsys):
     validate_config(load_config(overrides=base + restart + ["grid.x_min=-500", "grid.x_max=500"]))
     # a time within 1e-6 of a step passes: it is stored at that step
     validate_config(load_config(overrides=base + ["run.snapshots=12.3500001"]))
+
+
+def test_restart_keys_need_restart_at(tmp_path, capsys):
+    # a run refuses them before its directory exists, rather than dropping
+    # them; with no run there is no restart to refuse
+    base = ["run.mode=kh_averaged", "run.initial=kh_ground", "run.t_final=10"]
+    for extra in ("restart.t_final=20", "restart.snapshots=15"):
+        out = tmp_path / "out"
+        argv = ["propagate", "--out", str(out)]
+        for item in base + [extra]:
+            argv += ["--override", item]
+        assert cli.main(argv) == 1
+        key = extra.partition("=")[0]
+        assert capsys.readouterr().err == f"khatom: [cli] {key} needs restart.at\n"
+        assert not out.exists()
+    validate_config(load_config(overrides=["run.enabled=false", "restart.t_final=20"]))
 
 
 def test_plan_resolves_times_to_steps():
@@ -540,6 +556,15 @@ def test_portrait_verb(tmp_path):
     assert np.max(np.abs(rows[:, 1])) < 0.3
 
 
+@pytest.mark.parametrize("recipe", ["fig7", "fig8"])
+@pytest.mark.parametrize("verb", ["eigen", "potential", "field", "portrait"])
+def test_no_run_verbs_take_restart_recipes(tmp_path, verb, recipe):
+    # the verb turns off the recipe's restart along with its run
+    argv = ["--config", cli._recipe_path(recipe), "--override", "grid.n_points=4096"]
+    assert cli.main([verb, *argv, "--out", str(tmp_path)]) == 0
+    assert json.loads((tmp_path / "manifest.json").read_text())["status"] == "complete"
+
+
 def _fails_on_one_bound_state(out, capsys, alpha0: str) -> None:
     argv = ["eigen", "--out", str(out), "--override", f"kh.alpha0={alpha0}",
             "--override", "grid.n_points=4096"]
@@ -774,18 +799,19 @@ def _counting(monkeypatch, name, module=cli):
 
 
 def test_forked_stages_write_inline_bytes(mini_cfg_path, mini_run, tmp_path, monkeypatch):
-    # the mini recipe solves the atomic state for emit.eigen and writes four
-    # snapshot maps; with the fork helper inline, one process runs every stage
+    # the mini recipe solves the atomic state for emit.eigen in a child and
+    # writes its four snapshot maps in the parent; with the fork helper
+    # inline, one process runs every stage
     ground = _counting(monkeypatch, "imaginary_time_ground_state")
     maps = _counting(monkeypatch, "wigner")
     forked = tmp_path / "forked"
     assert cli.main(["run", mini_cfg_path, "--out", str(forked)]) == 0
-    if sys.platform == "linux":  # the child's calls are not counted here
-        assert (len(ground), len(maps)) == (0, 2)
+    linux = sys.platform == "linux"  # the child's calls are not counted here
+    assert (len(ground), len(maps)) == (0 if linux else 1, 4)
     monkeypatch.setattr(cli, "_forked", _inline)
     inline = tmp_path / "inline"
     assert cli.main(["run", mini_cfg_path, "--out", str(inline)]) == 0
-    assert (len(ground), len(maps)) == ((1, 6) if sys.platform == "linux" else (2, 8))
+    assert (len(ground), len(maps)) == (1 if linux else 2, 8)
     names = sorted(os.listdir(mini_run))
     for out in (forked, inline):
         assert sorted(os.listdir(out)) == names
@@ -793,22 +819,15 @@ def test_forked_stages_write_inline_bytes(mini_cfg_path, mini_run, tmp_path, mon
         assert mismatch == [] and errors == [] and set(match) == set(names)
 
 
-def test_wigner_verb_forks_the_second_map(mini_run, tmp_path, monkeypatch):
+def test_wigner_verb_maps_as_the_run_does(mini_run, tmp_path):
     snaps = [str(mini_run / f"snapshot_t{t}.snap") for t in (15, 30)]
-    forked, inline = tmp_path / "forked", tmp_path / "inline"
-    assert cli.main(["wigner", *snaps, "--out", str(forked)]) == 0
-    monkeypatch.setattr(cli, "_forked", _inline)
-    assert cli.main(["wigner", *snaps, "--out", str(inline)]) == 0
-    names = sorted(os.listdir(forked))
-    assert names == sorted(os.listdir(inline))
-    assert set(json.loads((forked / "manifest.json").read_text())["files"]) == {
+    assert cli.main(["wigner", *snaps, "--out", str(tmp_path)]) == 0
+    assert _written(tmp_path) == {
         f"wigner_snapshot_t{t}.{ext}" for t in (15, 30) for ext in ("wig", "txt")
     }
-    match, mismatch, errors = filecmp.cmpfiles(forked, inline, names, shallow=False)
-    assert mismatch == [] and errors == [] and set(match) == set(names)
     # the same transform as the run's own maps
     for t in (15, 30):
-        assert filecmp.cmp(forked / f"wigner_snapshot_t{t}.wig", mini_run / f"wigner_t{t}.wig",
+        assert filecmp.cmp(tmp_path / f"wigner_snapshot_t{t}.wig", mini_run / f"wigner_t{t}.wig",
                            shallow=False)
 
 
@@ -860,8 +879,8 @@ def test_non_finite_partner_half(mini_cfg_path, tmp_path, monkeypatch, capsys, e
 
 @pytest.mark.parametrize("fail_at", ["ground", 15.0, 45.0])
 def test_failing_forked_stage(mini_cfg_path, tmp_path, monkeypatch, capsys, fail_at):
-    # the atomic state and the second half of the maps (restart_wigner_t30,
-    # restart_wigner_t45) run in a child; a map at t = 15 fails in the parent
+    # the atomic state is solved in a child and first used by the bound-state
+    # tables, written last; the maps run in turn in the parent
     if fail_at == "ground":
         def solve(*args, **kwargs):
             raise EigenError("no ground state today")
@@ -886,13 +905,16 @@ def test_failing_forked_stage(mini_cfg_path, tmp_path, monkeypatch, capsys, fail
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["status"] == "incomplete"
     assert manifest["error"].startswith(f"{module}:")
-    # the error surfaces where the sequential code raises it: at the first
-    # use of the atomic state, or after the parent's half of the maps
+    # the error surfaces where the sequential code raises it: at the
+    # bound-state tables, after every other stage, or at the failing map;
+    # the manifest lists every file written before it
+    written = _written(out)
     if fail_at == "ground":
-        assert sorted(manifest["files"]) == ["potential_averaged.dat", "potential_bare.dat"]
+        assert {"portrait.dat", "restart_wigner_t45.txt"} <= written
+        assert not {"atomic_ground.dat", "kh_state_0.dat", "eigen_energies.txt"} & written
     else:
-        done = {"wigner_t15.wig", "wigner_t30.wig"} if fail_at == 45.0 else set()
-        assert set(manifest["wigner"]) == done
+        done = {"wigner_t15.wig", "wigner_t30.wig", "restart_wigner_t30.wig"}
+        assert set(manifest["wigner"]) == (done if fail_at == 45.0 else set())
 
 
 def test_failing_transform_makes_no_directory(tmp_path, kh_pairs, capsys):
@@ -1001,8 +1023,8 @@ def test_transform_and_wigner_plan_no_run(mini_run, tmp_path, kh_pairs):
 
 
 def test_wigner_verb_refuses_repeated_stems(mini_run, tmp_path, capsys):
-    # two snapshots of one file name used to write one wigner_<stem>.wig,
-    # from the parent and from the forked child, and a manifest of one map
+    # two snapshots of one file name would write one wigner_<stem>.wig twice,
+    # and a manifest of one map
     first, second = mini_run / "snapshot_t15.snap", tmp_path / "other" / "snapshot_t15.snap"
     second.parent.mkdir()
     second.write_bytes((mini_run / "snapshot_t30.snap").read_bytes())
