@@ -46,6 +46,7 @@ from .phasespace import (
 )
 from .potential import atomic_potential, check_alpha0, kh_averaged_potential, local_minima_positions
 from .propagator import (
+    ABSORBER_HALF_WIDTH,
     MODE_FRAMES,
     MODE_KH,
     MODE_LAB,
@@ -274,14 +275,6 @@ def _time_grid(key: str, t0: float, t1: float, dt: float) -> TimeGrid:
     return time
 
 
-def _read_on_grid(cfg: dict, path: str) -> WaveFunction:
-    """The snapshot stored at path, which must lie on the config's grid."""
-    wf = read_snapshot(path)
-    if wf.grid != _config_grid(cfg):
-        raise CliError(f"snapshot {path} was stored on a different grid")
-    return wf
-
-
 @dataclass
 class RunSegment:
     """One planned propagation, each configured time resolved to a step of
@@ -298,18 +291,17 @@ class RunSegment:
     result: object = None
 
 
-def _segment(cfg: dict, section: str, initial, time: TimeGrid, start=None) -> RunSegment:
+def _segment(cfg: dict, section: str, initial, time: TimeGrid, bound, start=None) -> RunSegment:
     """The segment that the section's snapshot keys set.  The primary steps
     run.mode and its restart kh_averaged.  Both are bound when the primary
-    steps kh_averaged from a KH eigenstate or their superposition: only
-    those stay in the averaged well, and every other segment can carry
-    continuum, which the absorber takes."""
+    steps kh_averaged from a KH eigenstate, their superposition or a state
+    that a bound run at the same kh.alpha0 stored: only those stay in the
+    averaged well, and every other segment carries continuum to the absorber."""
     steps = tuple(sorted(set(_steps(f"{section}.snapshots", cfg[f"{section}.snapshots"], time))))
     return RunSegment(
         "" if section == "run" else f"{section}_",
         cfg["run.mode"] if section == "run" else MODE_KH, initial, time, steps,
-        steps if cfg["wigner.times"] == "snapshots" else (),
-        cfg["run.mode"] == MODE_KH and cfg["run.initial"] in NAMED_STATES[1:], start,
+        steps if cfg["wigner.times"] == "snapshots" else (), bound, start,
     )
 
 
@@ -319,8 +311,8 @@ def validate_config(cfg: dict) -> list[RunSegment]:
     step of its segment; [] when there is no run.  The grid must hold the
     absorber when a segment is not bound, the Wigner window when any
     map is planned, and the wells of kh.alpha0 when a stage builds them;
-    half of run.dt must divide the pulse when a lab_full segment or
-    emit.field uses the field.  Each check raises its own module's error."""
+    half of run.dt must divide the pulse when a lab_full segment, a moved
+    lab snapshot or emit.field uses the field.  Each check raises its own module's error."""
     plan = _plan(cfg)
     grid = _config_grid(cfg)
     if cfg["emit.field"] or any(seg.mode == MODE_LAB for seg in plan):
@@ -352,15 +344,13 @@ def _plan(cfg: dict) -> list[RunSegment]:
             raise CliError(f"{key} needs restart.at")
     mode, dt = cfg["run.mode"], cfg["run.dt"]
     if initial in NAMED_STATES:  # defined at t = 0
-        t0 = 0.0
-    else:  # a snapshot brings its start time; its grid and frame must fit the run
-        wf = _read_on_grid(cfg, initial)
-        if wf.frame != MODE_FRAMES[mode]:
-            raise CliError(
-                f"snapshot {initial} is in the {wf.frame} frame but mode {mode} "
-                f"needs {MODE_FRAMES[mode]}; apply lab_to_kh first (khatom transform)"
-            )
-        t0 = wf.t
+        t0, bound = 0.0, mode == MODE_KH and initial != "atomic_ground"
+    else:  # a snapshot brings its start time, and its run's manifest the bound flag
+        wf = read_snapshot(initial)
+        _check_stored(cfg, initial, wf, MODE_FRAMES[mode])
+        stored = _stored_run(initial)[1]
+        t0, bound = wf.t, mode == MODE_KH and stored.get("bound") is True and (
+            stored["config"]["kh.alpha0"] == cfg["kh.alpha0"])
     t_final = cfg["run.t_final"]
     if t_final is None:
         t_final = _config_pulse(cfg).t_final
@@ -369,8 +359,8 @@ def _plan(cfg: dict) -> list[RunSegment]:
     if at is not None:  # before run.snapshots, so that an off-step restart.at is named
         (start,) = _steps("restart.at", (at,), time)
         restart = _time_grid("restart.t_final", at, cfg["restart.t_final"], dt)
-        plan.append(_segment(cfg, "restart", None, restart, start))
-    plan.insert(0, _segment(cfg, "run", initial, time))
+        plan.append(_segment(cfg, "restart", None, restart, bound, start))
+    plan.insert(0, _segment(cfg, "run", initial, time, bound))
     if at is not None and start not in plan[0].snapshot_steps:
         raise CliError("restart.at must match one of run.snapshots")
     wanted = cfg["wigner.times"]
@@ -402,15 +392,42 @@ def _sha256(path) -> str:
     return digest.hexdigest()
 
 
+def _stored_run(path: str) -> tuple[str, dict]:
+    """The manifest.json beside the snapshot at path, which records the run
+    that stored it, and its content: {} when there is none."""
+    manifest = os.path.join(os.path.dirname(os.path.abspath(path)), "manifest.json")
+    try:
+        with open(manifest) as fh:
+            return manifest, json.load(fh)
+    except FileNotFoundError:
+        return manifest, {}
+    except (OSError, ValueError) as err:
+        raise CliError(f"cannot read run manifest {manifest}: {err}")
+
+
+def _check_stored(cfg: dict, path: str, wf: WaveFunction, frame: str) -> None:
+    """Checks that the config can take the snapshot wf, stored at path, into
+    the frame: on its grid, and for a lab one moved to the KH frame, with the
+    pulse of the run that stored it, on a field step that divides the pulse."""
+    if wf.grid != _config_grid(cfg):
+        raise CliError(f"snapshot {path} was stored on a different grid")
+    if wf.frame == frame:
+        return
+    if frame == FRAME_LAB:  # nothing moves a state back to the lab frame
+        raise CliError(f"snapshot {path} is in the kh frame; a lab_full run needs a lab one")
+    stored = _stored_run(path)[1].get("config", {})
+    for key in CONFIG_SPEC:
+        if key.startswith("pulse.") and key in stored and stored[key] != cfg[key]:
+            raise CliError(f"snapshot {path} was stored with {key} = {stored[key]}, not {cfg[key]}")
+    check_field_step(_config_pulse(cfg), _field_step(cfg))
+
+
 def _parent(path: str, wf: WaveFunction) -> dict:
-    """The manifest's record of the snapshot a run or a transform starts
-    from, with the manifest.json beside it when there is one."""
-    path = os.path.abspath(path)
-    parent = {"snapshot": path, "sha256": _sha256(path), "t": wf.t}
-    sibling = os.path.join(os.path.dirname(path), "manifest.json")
-    if os.path.exists(sibling):
-        parent["manifest"] = sibling
-    return parent
+    """The manifest's record of the snapshot a run starts from, with the
+    manifest.json beside it when there is one."""
+    manifest, stored = _stored_run(path)
+    parent = {"snapshot": os.path.abspath(path), "sha256": _sha256(path), "t": wf.t}
+    return {**parent, "manifest": manifest} if stored else parent
 
 
 def _detect_landmarks(times: np.ndarray, abs2: np.ndarray, period: float) -> dict:
@@ -428,23 +445,16 @@ def _detect_landmarks(times: np.ndarray, abs2: np.ndarray, period: float) -> dic
     # rounded first, so jitter in the spacing cannot tip an even row count
     # (100 at 1 a.u.) to the odd count below it
     window = min(2 * int(round(period / (times[1] - times[0]), 6) // 2) + 1, (n // 4) * 2 + 1)
-    kernel = np.ones(window) / window
-    smooth = np.convolve(abs2, kernel, mode="same")
-    lo, hi = window, n - window
-    maxima, minima = [], []
-    for k in range(max(lo, 1), min(hi, n - 1)):
-        if smooth[k] >= smooth[k - 1] and smooth[k] > smooth[k + 1]:
-            maxima.append(float(times[k]))
-        elif smooth[k] <= smooth[k - 1] and smooth[k] < smooth[k + 1]:
-            minima.append(float(times[k]))
-    crossings = []
-    resid = smooth - 0.5
-    for k in range(max(lo, 1), min(hi, n)):
-        if resid[k - 1] == 0.0 or resid[k - 1] * resid[k] > 0:
-            continue
-        frac = resid[k - 1] / (resid[k - 1] - resid[k])
-        crossings.append(float(times[k - 1] + frac * (times[k] - times[k - 1])))
-    return {"left_well": maxima, "right_well": minima, "midpoint": crossings}
+    smooth = np.convolve(abs2, np.ones(window) / window, mode="same")
+    k = np.arange(window, n - window)  # the rows a window from either end; window >= 1
+    before, here, after = smooth[k - 1], smooth[k], smooth[k + 1]
+    top = (here >= before) & (here > after)
+    bottom = ~top & (here <= before) & (here < after)
+    r0, r1 = before - 0.5, here - 0.5
+    cross = (r0 != 0.0) & ~(r0 * r1 > 0)
+    t0, t1, r0, r1 = times[k - 1][cross], times[k][cross], r0[cross], r1[cross]
+    return {"left_well": times[k[top]].tolist(), "right_well": times[k[bottom]].tolist(),
+            "midpoint": (t0 + r0 / (r0 - r1) * (t1 - t0)).tolist()}
 
 
 # execute hands the atomic ground state to a child; a child that dies
@@ -481,6 +491,7 @@ class Pipeline:
             "parent": None,
             "status": "incomplete",
             "error": None,
+            "bound": plan[0].bound if plan else None,  # read back by a run from a snapshot
         }
         # where `ground` gets the atomic state; execute may hand it to a forked child
         self.join_ground = self.solve_ground
@@ -596,21 +607,24 @@ class Pipeline:
         return wf.with_frame(frame)
 
     def _initial_state(self, seg: RunSegment) -> WaveFunction:
-        """The segment's start: a named state, a stored snapshot (recorded as
-        the run's parent), or the primary's snapshot at the restart's start
-        step in the mode's frame."""
+        """The segment's start: a named state, or a stored one: the primary's
+        snapshot at the restart's start step, or a snapshot file (recorded as
+        the run's parent).  A stored lab state that starts a kh_averaged
+        segment is moved to the KH frame and written as <stem>_kh.snap."""
         frame = MODE_FRAMES[seg.mode]
         if seg.initial in NAMED_STATES:
             return self._named_state(seg.initial, frame)
-        if seg.initial is not None:
+        if seg.initial is None:
+            primary = self.plan[0]
+            wf = primary.result.snapshots[primary.snapshot_steps.index(seg.start_step)]
+            stem = f"snapshot_t{seg.time.t0:g}"
+        else:
             wf = read_snapshot(seg.initial)
             self.manifest["parent"] = _parent(seg.initial, wf)
-            return wf
-        primary = self.plan[0]
-        wf = primary.result.snapshots[primary.snapshot_steps.index(seg.start_step)]
-        if wf.frame != frame:  # a lab_full primary: explicit transform stage
+            stem = os.path.splitext(os.path.basename(seg.initial))[0]
+        if wf.frame != frame:
             wf = self.ctx.lab_to_kh(wf)
-            write_snapshot(self._path(f"snapshot_t{seg.time.t0:g}_kh.snap"), wf)
+            write_snapshot(self._path(f"{stem}_kh.snap"), wf)
         return wf
 
     def run_segment(self, seg: RunSegment) -> None:
@@ -634,8 +648,10 @@ class Pipeline:
             write_snapshot(self._path(f"{label}snapshot_t{snap.t:g}.snap"), snap)
         if self.cfg["emit.densities"]:
             self._emit_segment_densities(seg)
-        residuals = self.manifest["residuals"]  # norms in |psi|^2: left in the box, absorbed
-        residuals[f"{label}final_norm"] = self.grid.dx * float(np.sum(result.final.density()))
+        residuals = self.manifest["residuals"]  # |psi|^2 in the box, beyond |x| = 600, absorbed
+        density, edge = result.final.density(), np.abs(self.grid.x) > ABSORBER_HALF_WIDTH
+        residuals[f"{label}final_norm"] = self.grid.dx * float(np.sum(density))
+        residuals[f"{label}edge_fraction"] = self.grid.dx * float(np.sum(density[edge]))
         residuals[f"{label}absorbed_norm"] = float(result.absorbed_norm)
         self.manifest["detected_times"][label or "run"] = _detect_landmarks(
             recorder.column("t"), recorder.column("autocorr_abs2"), self.cfg["pulse.period"]
@@ -808,19 +824,6 @@ def _cmd_run(args) -> int:
     return 0
 
 
-def _cmd_transform(args) -> int:
-    cfg = _verb_config(args)
-    wf = _read_on_grid(cfg, args.snapshot)
-    if wf.frame != FRAME_LAB:
-        raise CliError(f"snapshot {args.snapshot} is already in the {wf.frame} frame")
-    check_field_step(_config_pulse(cfg), _field_step(cfg))
-    with Pipeline(cfg, args.out).finalizing() as pipe:
-        pipe.manifest["parent"] = _parent(args.snapshot, wf)
-        stem = os.path.splitext(os.path.basename(args.snapshot))[0]
-        write_snapshot(pipe._path(f"{stem}_kh.snap"), pipe.ctx.lab_to_kh(wf))
-    return 0
-
-
 def _cmd_wigner(args) -> int:
     cfg = _verb_config(args)
     jobs, sources = [], {}
@@ -830,11 +833,8 @@ def _cmd_wigner(args) -> int:
             raise CliError(f"snapshots {sources[stem]} and {path} both map to wigner_{stem}.wig")
         sources[stem] = path
         wf = read_snapshot(path)
-        if wf.frame != FRAME_KH:
-            raise CliError(
-                f"snapshot {path} is in the {wf.frame} frame; apply lab_to_kh "
-                "first (khatom transform)"
-            )
+        if wf.frame == FRAME_LAB:  # mapped in the KH frame, as a run maps its lab snapshots
+            _check_stored(cfg, path, wf, FRAME_KH)
         check_windows(wf.grid)
         jobs.append((f"wigner_{stem}", wf, LOOSE_MASS_TOL))
     with Pipeline(cfg, args.out).finalizing() as pipe:
@@ -866,8 +866,7 @@ VERBS = {
     "field": (_emit_only("emit.field"), "emit the pulse field table", ()),
     "propagate": (_cmd_plain, "propagate and store snapshots", ()),
     "observables": (_cmd_observables, "propagate, observables only", ()),
-    "transform": (_cmd_transform, "convert a lab snapshot to the kh frame", ("snapshot", None)),
-    "wigner": (_cmd_wigner, "Wigner map of stored kh snapshots", ("snapshot", "+")),
+    "wigner": (_cmd_wigner, "Wigner map of stored snapshots, in the kh frame", ("snapshot", "+")),
     "portrait": (_cmd_portrait, "emit equienergy curves", ()),
     "run": (_cmd_run, "execute a figure recipe", ("recipe", None)),
 }

@@ -286,16 +286,20 @@ def test_off_step_times_fail_before_any_solve(tmp_path, capsys):
         assert cli.main(argv) == 1
         assert f"khatom: [{module}] {message}" in capsys.readouterr().err
         assert not out.exists()
-    # the transform verb checks the field step before its directory too
+    # a run and a map that move a lab snapshot to the KH frame check the
+    # field step before their directory too
     g = SpatialGrid(n_points=1024)
     snap = tmp_path / "lab.snap"
     write_snapshot(snap, WaveFunction(g, np.exp(-g.x**2 / 50.0), 10.0, "lab"))
-    argv = ["transform", str(snap), "--out", str(tmp_path / "out")]
-    for item in ("grid.n_points=1024", "run.dt=0.07"):
-        argv += ["--override", item]
-    assert cli.main(argv) == 1
-    assert "khatom: [laser] dt_field must divide the pulse duration" in capsys.readouterr().err
-    assert not (tmp_path / "out").exists()
+    moving = [["propagate", "--override", "run.mode=kh_averaged", "--override",
+               f"run.initial={snap}", "--override", "run.t_final=10.7"], ["wigner", str(snap)]]
+    for argv in moving:
+        argv += ["--out", str(tmp_path / "out")]
+        for item in ("grid.n_points=1024", "run.dt=0.07"):
+            argv += ["--override", item]
+        assert cli.main(argv) == 1
+        assert "khatom: [laser] dt_field must divide the pulse duration" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
     # the same grids pass where nothing needs the absorber or a map (a
     # bound run and its restart), and the same run.dt where nothing needs
     # the field
@@ -772,6 +776,26 @@ def test_norms_share_one_unit(tmp_path):
         assert abs(final + absorbed - norm[0]) < 1e-12
 
 
+def test_edge_fraction_reports_the_box_edge(mini_run, tmp_path):
+    # the probability beyond the absorber's inner width in each segment's
+    # final state: a packet placed beyond 600 a.u. keeps most of it after
+    # one step, a bound segment none.  It is reported, never refused
+    g = SpatialGrid(n_points=1024)
+    for centre in (800.0, 0.0):
+        packet = WaveFunction(g, np.exp(-((g.x - centre) ** 2) / 800.0) + 0j, 0.0, "kh")
+        start = tmp_path / f"start{centre:g}.snap"
+        write_snapshot(start, packet.normalized())
+        out = tmp_path / f"out{centre:g}"
+        assert _restart(start, out, 0.05, "grid.n_points=1024", "run.snapshots=0.05") == 0
+        edge = json.loads((out / "manifest.json").read_text())["residuals"]["edge_fraction"]
+        final = read_snapshot(out / "snapshot_t0.05.snap")
+        outside = np.abs(g.x) > propagator.ABSORBER_HALF_WIDTH
+        assert edge == g.dx * float(np.sum(final.density()[outside]))
+        assert edge > 0.9 if centre else edge < 1e-20
+    residuals = json.loads((mini_run / "manifest.json").read_text())["residuals"]
+    assert residuals["edge_fraction"] < 1e-20 and residuals["restart_edge_fraction"] < 1e-20
+
+
 def test_run_determinism(mini_cfg_path, mini_run, tmp_path):
     assert cli.main(["run", mini_cfg_path, "--out", str(tmp_path)]) == 0
     names = sorted(os.listdir(mini_run))
@@ -917,16 +941,6 @@ def test_failing_forked_stage(mini_cfg_path, tmp_path, monkeypatch, capsys, fail
         assert set(manifest["wigner"]) == (done if fail_at == 45.0 else set())
 
 
-def test_failing_transform_makes_no_directory(tmp_path, kh_pairs, capsys):
-    snap = tmp_path / "lab.snap"
-    write_snapshot(snap, WaveFunction(kh_pairs[0].state.grid, kh_pairs[0].state.psi, 625.0, "lab"))
-    out = tmp_path / "t"
-    argv = ["transform", str(snap), "--out", str(out), "--override", "grid.n_points=8192"]
-    assert cli.main(argv) == 1
-    assert capsys.readouterr().err.startswith("khatom: [cli] snapshot")
-    assert not out.exists()  # the grid and frame are checked before the directory is made
-
-
 def test_failing_wigner_verb_writes_incomplete_manifest(mini_run, tmp_path, monkeypatch, capsys):
     def transform(wf, **kwargs):
         raise PhaseSpaceError(f"no map at t = {wf.t:g}")
@@ -940,36 +954,136 @@ def test_failing_wigner_verb_writes_incomplete_manifest(mini_run, tmp_path, monk
     assert manifest["error"] == "phasespace: no map at t = 15"
 
 
-def _restart(snap, out, t_final):
-    """Continues the stored KH snapshot in the averaged potential to t_final."""
+def _restart(snap, out, t_final, *extra):
+    """Continues the stored snapshot in the averaged potential to t_final."""
     argv = ["propagate", "--out", str(out)]
-    for item in (f"run.initial={snap}", "run.mode=kh_averaged", f"run.t_final={t_final}"):
+    for item in (f"run.initial={snap}", "run.mode=kh_averaged", f"run.t_final={t_final}", *extra):
         argv += ["--override", item]
     return cli.main(argv)
 
 
 def test_restart_rejects_frame_mismatch(tmp_path, kh_pairs, capsys):
-    snap = tmp_path / "lab.snap"
-    write_snapshot(snap, WaveFunction(kh_pairs[0].state.grid, kh_pairs[0].state.psi, 625.0, "lab"))
-    assert _restart(snap, tmp_path / "out", 630) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("khatom: [cli]") and "lab_to_kh" in err
-    assert not (tmp_path / "out").exists()
+    # no plan path moves a KH state back to the lab frame
+    snap = tmp_path / "kh.snap"
+    write_snapshot(snap, WaveFunction(kh_pairs[0].state.grid, kh_pairs[0].state.psi, 625.0, "kh"))
+    out = tmp_path / "out"
+    argv = ["propagate", "--out", str(out), "--override", f"run.initial={snap}",
+            "--override", "run.mode=lab_full", "--override", "run.t_final=630"]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err == (
+        f"khatom: [cli] snapshot {snap} is in the kh frame; a lab_full run needs a lab one\n")
+    assert not out.exists()
 
 
-def test_transform_then_restart(tmp_path, kh_pairs):
-    snap = tmp_path / "lab.snap"
-    write_snapshot(snap, WaveFunction(kh_pairs[0].state.grid, kh_pairs[0].state.psi, 625.0, "lab"))
-    assert cli.main(["transform", str(snap), "--out", str(tmp_path)]) == 0
-    kh_snap = tmp_path / "lab_kh.snap"
-    moved = read_snapshot(kh_snap)
-    assert moved.frame == "kh" and moved.t == 625.0
+def test_continuation_matches_the_in_run_restart(mini_run, tmp_path):
+    # the mini run is bound, and so is a run from its snapshot: the same
+    # segment as its in-run restart, written under the primary's names
     out = tmp_path / "continued"
-    assert _restart(kh_snap, out, 626) == 0
+    extra = ("run.snapshots=30, 45", "wigner.times=snapshots")
+    assert _restart(mini_run / "snapshot_t15.snap", out, 45, *extra) == 0
+    written = _written(out)
+    assert written == {"observables.csv", "snapshot_t30.snap", "snapshot_t45.snap",
+                       "wigner_t30.wig", "wigner_t30.txt", "wigner_t45.wig", "wigner_t45.txt"}
+    for name in written:
+        assert filecmp.cmp(out / name, mini_run / f"restart_{name}", shallow=False), name
+    run, continued = (json.loads((d / "manifest.json").read_text()) for d in (mini_run, out))
+    assert run["bound"] is continued["bound"] is True
+    for key in ("energy_drift", "absorbed_norm", "edge_fraction", "final_norm"):
+        assert continued["residuals"][key] == run["residuals"][f"restart_{key}"], key
+    assert continued["wigner"]["wigner_t45.wig"] == run["wigner"]["restart_wigner_t45.wig"]
+
+
+def test_continuation_is_bound_when_its_run_was(mini_run, tmp_path):
+    # a snapshot is bound by the manifest beside it, at the same kh.alpha0;
+    # with no manifest, or another kh.alpha0, the continuation absorbs
+    start = ["run.mode=kh_averaged", "run.t_final=20"]
+    snap = mini_run / "snapshot_t15.snap"
+    plain = tmp_path / "plain"
+    plain.mkdir()
+    (plain / snap.name).write_bytes(snap.read_bytes())
+    cases = [(snap, [], True), (snap, ["kh.alpha0=10.3"], False), (plain / snap.name, [], False)]
+    for path, extra, bound in cases:
+        (seg,) = validate_config(load_config(overrides=start + [f"run.initial={path}"] + extra))
+        assert seg.bound is bound, (path, extra)
+    # a run that is not bound stores snapshots that are not either
+    absorbing = tmp_path / "absorbing"
+    absorbing.mkdir()
+    (absorbing / snap.name).write_bytes(snap.read_bytes())
+    (absorbing / "manifest.json").write_text(json.dumps({"bound": False, "config": {}}))
+    (seg,) = validate_config(load_config(overrides=start + [f"run.initial={absorbing / snap.name}"]))
+    assert seg.bound is False
+    (plain / "manifest.json").write_text("{")
+    with pytest.raises(CliError, match="cannot read run manifest"):
+        validate_config(load_config(overrides=start + [f"run.initial={plain / snap.name}"]))
+
+
+CUT_PULSE = ("grid.n_points=4096", "pulse.ramp_cycles=1", "pulse.flat_end_cycles=3",
+             "pulse.total_cycles=4")
+
+
+@pytest.fixture(scope="module")
+def cut_fig7(tmp_path_factory):
+    """fig7 cut to 4 cycles at 4096 points, as CI runs it: a lab_full run
+    with a kh_averaged restart from its lab snapshot at t = 200."""
+    out = tmp_path_factory.mktemp("cut_fig7")
+    argv = ["run", "fig7", "--out", str(out)]
+    for item in CUT_PULSE + ("run.snapshots=200,300", "restart.at=200", "restart.t_final=400",
+                             "restart.snapshots=300,400"):
+        argv += ["--override", item]
+    assert cli.main(argv) == 0
+    return out
+
+
+def test_continuation_of_a_lab_snapshot_matches_the_in_run_restart(cut_fig7, tmp_path):
+    # the run moves the lab snapshot to the KH frame itself, with the
+    # pulse of the run that stored it, and stores the moved state first
+    out = tmp_path / "continued"
+    extra = CUT_PULSE + ("run.snapshots=300, 400", "wigner.times=snapshots")
+    assert _restart(cut_fig7 / "snapshot_t200.snap", out, 400, *extra) == 0
+    assert filecmp.cmp(out / "snapshot_t200_kh.snap", cut_fig7 / "snapshot_t200_kh.snap",
+                       shallow=False)
+    written = _written(out) - {"snapshot_t200_kh.snap"}
+    assert "observables.csv" in written and "wigner_t400.txt" in written
+    for name in written:
+        assert filecmp.cmp(out / name, cut_fig7 / f"restart_{name}", shallow=False), name
     manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["parent"]["t"] == 625.0
-    series = read_series(out / "observables.csv")
-    assert series["t"][0] == 625.0
+    assert manifest["bound"] is False and "energy_drift" not in manifest["residuals"]
+    assert manifest["parent"]["manifest"] == str(cut_fig7 / "manifest.json")
+
+
+def test_wigner_verb_maps_a_lab_snapshot_as_the_run_does(cut_fig7, tmp_path):
+    out = tmp_path / "w"
+    argv = ["wigner", str(cut_fig7 / "snapshot_t200.snap"), "--out", str(out)]
+    for item in CUT_PULSE:
+        argv += ["--override", item]
+    assert cli.main(argv) == 0
+    assert _written(out) == {"wigner_snapshot_t200.wig", "wigner_snapshot_t200.txt"}
+    for ext in ("wig", "txt"):
+        assert filecmp.cmp(out / f"wigner_snapshot_t200.{ext}", cut_fig7 / f"wigner_t200.{ext}",
+                           shallow=False)
+
+
+def test_moved_snapshot_is_checked_before_any_directory(cut_fig7, tmp_path, capsys):
+    # a lab snapshot moved with another pulse than its run's is silently
+    # wrong (its KH view was off by 0.14 against a peak of 0.16), and one
+    # on another grid cannot be moved; both consumers refuse them, naming
+    # the first differing key, before any directory exists
+    snap = cut_fig7 / "snapshot_t200.snap"
+    consumers = [["wigner", str(snap)],
+                 ["propagate", "--override", "run.mode=kh_averaged", "--override",
+                  f"run.initial={snap}", "--override", "run.t_final=400"]]
+    cases = [(["grid.n_points=4096"],
+              f"snapshot {snap} was stored with pulse.ramp_cycles = 1, not 2"),
+             (CUT_PULSE[1:], f"snapshot {snap} was stored on a different grid")]
+    for argv in consumers:
+        for overrides, message in cases:
+            out = tmp_path / "out"
+            full = argv + ["--out", str(out)]
+            for item in overrides:
+                full += ["--override", item]
+            assert cli.main(full) == 1
+            assert capsys.readouterr().err == f"khatom: [cli] {message}\n"
+            assert not out.exists()
 
 
 def test_observables_verb_runs_a_restart(mini_cfg_path, mini_run, tmp_path):
@@ -983,36 +1097,42 @@ def test_observables_verb_runs_a_restart(mini_cfg_path, mini_run, tmp_path):
         assert filecmp.cmp(out / name, mini_run / name, shallow=False)
 
 
-def test_transform_records_the_parent_run(tmp_path, kh_pairs):
-    # transform and a run restarted from a snapshot record its parent the same way,
-    # with the manifest.json of the run directory the snapshot sits in
+def test_continuation_moves_a_lab_snapshot_and_records_its_parent(tmp_path, kh_pairs):
+    # a run from a lab snapshot stores its KH view as <stem>_kh.snap and
+    # records its parent, with the manifest.json of the run directory the
+    # snapshot sits in; a run from that KH view records it the same way
     run_dir = tmp_path / "run"
     assert cli.main(["field", "--out", str(run_dir)]) == 0
     snap = run_dir / "lab.snap"
     write_snapshot(snap, WaveFunction(kh_pairs[0].state.grid, kh_pairs[0].state.psi, 625.0, "lab"))
     out = tmp_path / "t"
-    assert cli.main(["transform", str(snap), "--out", str(out)]) == 0
+    assert _restart(snap, out, 626) == 0
+    assert _written(out) == {"lab_kh.snap", "observables.csv"}
+    moved = read_snapshot(out / "lab_kh.snap")
+    assert moved.frame == "kh" and moved.t == 625.0
+    assert read_series(out / "observables.csv")["t"][0] == 625.0
     assert json.loads((out / "manifest.json").read_text())["parent"] == {
         "snapshot": str(snap),
         "sha256": hashlib.sha256(snap.read_bytes()).hexdigest(),
         "t": 625.0,
         "manifest": str(run_dir / "manifest.json"),
     }
-    kh_snap = out / "lab_kh.snap"
     continued = tmp_path / "continued"
-    assert _restart(kh_snap, continued, 626) == 0
+    assert _restart(out / "lab_kh.snap", continued, 627) == 0
     parent = json.loads((continued / "manifest.json").read_text())["parent"]
-    assert parent["snapshot"] == str(kh_snap) and parent["manifest"] == str(out / "manifest.json")
+    assert parent["snapshot"] == str(out / "lab_kh.snap")
+    assert parent["manifest"] == str(out / "manifest.json")
 
 
-def test_transform_and_wigner_plan_no_run(mini_run, tmp_path, kh_pairs):
-    # neither verb propagates, so run.* values that would plan no run pass,
-    # and their manifests echo the config as given
+def test_wigner_verb_plans_no_run(mini_run, tmp_path, kh_pairs):
+    # the verb propagates nothing, so run.* values that would plan no run
+    # pass, for a KH snapshot and a lab one, and its manifest echoes the
+    # config as given
     lab = tmp_path / "lab.snap"
     write_snapshot(lab, WaveFunction(kh_pairs[0].state.grid, kh_pairs[0].state.psi, 625.0, "lab"))
     kh = str(mini_run / "snapshot_t15.snap")
     cases = [("wigner", kh, "run.snapshots=1300"), ("wigner", kh, "run.dt=0.07"),
-             ("transform", str(lab), "run.snapshots=1300")]
+             ("wigner", str(lab), "run.snapshots=1300")]
     for k, (verb, snap, override) in enumerate(cases):
         out = tmp_path / f"out{k}"
         assert cli.main([verb, snap, "--out", str(out), "--override", override]) == 0
@@ -1033,14 +1153,6 @@ def test_wigner_verb_refuses_repeated_stems(mini_run, tmp_path, capsys):
     assert capsys.readouterr().err == (
         f"khatom: [cli] snapshots {first} and {second} both map to wigner_snapshot_t15.wig\n")
     assert not out.exists()
-
-
-def test_wigner_verb_rejects_lab_snapshot(tmp_path, kh_pairs, capsys):
-    snap = tmp_path / "lab.snap"
-    write_snapshot(snap, WaveFunction(kh_pairs[0].state.grid, kh_pairs[0].state.psi, 0.0, "lab"))
-    assert cli.main(["wigner", str(snap), "--out", str(tmp_path / "w")]) == 1
-    assert "transform" in capsys.readouterr().err
-    assert not (tmp_path / "w").exists()  # every snapshot is checked before any map
 
 
 def test_wigner_verb_checks_the_grid_before_any_map(tmp_path, capsys):
@@ -1066,7 +1178,7 @@ def test_start_snapshot_is_checked_before_any_solve(tmp_path, kh_pairs, capsys):
         validate_config(load_config(overrides=start + ["run.snapshots=5"]))
     with pytest.raises(CliError, match="different grid"):
         validate_config(load_config(overrides=start + ["grid.n_points=8192"]))
-    with pytest.raises(CliError, match="lab_to_kh"):
+    with pytest.raises(CliError, match="kh frame; a lab_full run needs a lab one"):
         validate_config(load_config(overrides=start + ["run.mode=lab_full"]))
     out = tmp_path / "out"
     argv = ["propagate", "--out", str(out)]
