@@ -1063,7 +1063,7 @@ def test_wigner_verb_maps_a_lab_snapshot_as_the_run_does(cut_fig7, tmp_path):
                            shallow=False)
 
 
-def test_moved_snapshot_is_checked_before_any_directory(cut_fig7, tmp_path, capsys):
+def test_failing_transform_makes_no_directory(cut_fig7, tmp_path, capsys):
     # a lab snapshot moved with another pulse than its run's is silently
     # wrong (its KH view was off by 0.14 against a peak of 0.16), and one
     # on another grid cannot be moved; both consumers refuse them, naming
@@ -1097,20 +1097,39 @@ def test_observables_verb_runs_a_restart(mini_cfg_path, mini_run, tmp_path):
         assert filecmp.cmp(out / name, mini_run / name, shallow=False)
 
 
-def test_continuation_moves_a_lab_snapshot_and_records_its_parent(tmp_path, kh_pairs):
-    # a run from a lab snapshot stores its KH view as <stem>_kh.snap and
-    # records its parent, with the manifest.json of the run directory the
-    # snapshot sits in; a run from that KH view records it the same way
-    run_dir = tmp_path / "run"
+def _lab_snapshot(run_dir, kh_pairs):
+    """Writes a lab-frame snapshot at t = 625 into the directory of a field run."""
     assert cli.main(["field", "--out", str(run_dir)]) == 0
     snap = run_dir / "lab.snap"
     write_snapshot(snap, WaveFunction(kh_pairs[0].state.grid, kh_pairs[0].state.psi, 625.0, "lab"))
+    return snap
+
+
+def test_transform_then_restart(tmp_path, kh_pairs):
+    # a run from a lab snapshot moves it to the KH frame, stores that view
+    # as <stem>_kh.snap and continues from its time; a run from the stored
+    # view continues it again
+    snap = _lab_snapshot(tmp_path / "run", kh_pairs)
     out = tmp_path / "t"
     assert _restart(snap, out, 626) == 0
     assert _written(out) == {"lab_kh.snap", "observables.csv"}
     moved = read_snapshot(out / "lab_kh.snap")
     assert moved.frame == "kh" and moved.t == 625.0
     assert read_series(out / "observables.csv")["t"][0] == 625.0
+    continued = tmp_path / "continued"
+    assert _restart(out / "lab_kh.snap", continued, 627) == 0
+    assert json.loads((continued / "manifest.json").read_text())["parent"]["t"] == 625.0
+    assert read_series(continued / "observables.csv")["t"][0] == 625.0
+
+
+def test_transform_records_the_parent_run(tmp_path, kh_pairs):
+    # the run that moves a lab snapshot records its parent with the
+    # manifest.json of the run directory the snapshot sits in; a run from
+    # the moved KH view records it the same way
+    run_dir = tmp_path / "run"
+    snap = _lab_snapshot(run_dir, kh_pairs)
+    out = tmp_path / "t"
+    assert _restart(snap, out, 626) == 0
     assert json.loads((out / "manifest.json").read_text())["parent"] == {
         "snapshot": str(snap),
         "sha256": hashlib.sha256(snap.read_bytes()).hexdigest(),
