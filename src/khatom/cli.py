@@ -44,7 +44,7 @@ from .phasespace import (
     wigner,
     write_wigner,
 )
-from .potential import atomic_potential, check_alpha0, kh_averaged_potential, local_minima_positions
+from .potential import atomic_potential, check_alpha0, kh_averaged_potential
 from .propagator import (
     ABSORBER_HALF_WIDTH,
     MODE_FRAMES,
@@ -159,7 +159,7 @@ CONFIG_SPEC = {
     "restart.snapshots": (_times, ()),
     "wigner.times": (_parse_list(_number, ("none", "snapshots")), "none"),
     "wigner.states": (_parse_list(_parse_choice(NAMED_STATES)), ()),
-    "portrait.energies": (_parse_list(_number, ("none", "auto")), "none"),
+    "portrait.energies": (_parse_choice(("none", "auto")), "none"),
     "emit.potential": (_parse_bool, False),
     "emit.field": (_parse_bool, False),
     "emit.eigen": (_parse_bool, False),
@@ -239,6 +239,10 @@ def load_config(path=None, overrides=()) -> dict:
             cfg[key] = parse(text)
         except CliError as err:
             raise CliError(f"bad value for {key}: {err}")
+    names = cfg["wigner.states"]
+    twice = sorted({name for name in names if names.count(name) > 1})
+    if twice:  # each would be mapped again and written over its own file
+        raise CliError(f"bad value for wigner.states: {', '.join(twice)} listed more than once")
     for section, build in (("grid", _config_grid), ("pulse", _config_pulse)):
         try:
             build(cfg)
@@ -701,19 +705,14 @@ class Pipeline:
                     self._export_wigner(f"{segment.label}wigner_t{snap.t:g}", snap, mass_tol)
 
     def export_portrait(self) -> None:
-        choice = self.cfg["portrait.energies"]
-        if choice == "none":
+        if self.cfg["portrait.energies"] == "none":
             return
-        # listed energies need no saddle: without one e_sep stays nan, and
-        # every curve is regular
-        e_sep = np.nan
-        if choice == "auto" or len(local_minima_positions(self.avg)) > 1:
-            e_sep = self.manifest["derived"]["e_separatrix"] = separatrix_energy(self.avg)
-        energies = (e_sep, _OVERLAY_ENERGY) if choice == "auto" else choice
+        e_sep = self.manifest["derived"]["e_separatrix"] = separatrix_energy(self.avg)
+        energies = (e_sep, _OVERLAY_ENERGY)
         with open(self._path("portrait.dat"), "w") as fh:
             fh.write("# equienergy curves of p^2/2 + v0(x); blocks: x p\n")
-            for energy, branches in zip(energies, phase_portrait(self.avg, energies)):
-                tag = "separatrix" if abs(energy - e_sep) < 1e-12 else "regular"
+            curves = zip(energies, ("separatrix", "regular"), phase_portrait(self.avg, energies))
+            for energy, tag, branches in curves:
                 for k, (xs, ps) in enumerate(branches):
                     fh.write(f"# E={float(energy)!r} branch={k} kind={tag}\n")
                     fh.writelines(_repr_rows((xs, ps)))
@@ -793,39 +792,16 @@ def _recipe_path(name: str) -> str:
     raise CliError(f"unknown recipe {name!r} (not a file, not a packaged recipe)")
 
 
-def _verb_config(args) -> dict:
-    return load_config(args.config, list(args.override))
-
-
-# every output key off: each single-output verb starts from these values and
-# turns its own output back on
-_NO_OUTPUT = {"emit.potential": False, "emit.field": False, "emit.eigen": False,
-              "emit.densities": False, "wigner.states": (), "wigner.times": "none",
-              "portrait.energies": "none"}
-
-# no run, and so no restart of one: a restart recipe serves as a no-run verb's config
-_NO_RUN = {"run.enabled": False, "restart.at": None}
-
-
-def _cmd_plain(args, **forced) -> int:
-    execute({**_verb_config(args), **forced}, args.out)
-    return 0
-
-
-def _emit_only(key: str):
-    """The verb that plans no run and writes only the output that key turns on."""
-    return partial(_cmd_plain, **{**_NO_OUTPUT, **_NO_RUN, key: True})
-
-
 def _cmd_run(args) -> int:
-    path = _recipe_path(args.recipe)
-    cfg = load_config(path, list(args.override))
-    execute(cfg, args.out, recipe=os.path.splitext(os.path.basename(path))[0])
+    """Runs a packaged recipe, a config file, or with neither the defaults."""
+    path = None if args.recipe is None else _recipe_path(args.recipe)
+    recipe = None if path is None else os.path.splitext(os.path.basename(path))[0]
+    execute(load_config(path, list(args.override)), args.out, recipe=recipe)
     return 0
 
 
 def _cmd_wigner(args) -> int:
-    cfg = _verb_config(args)
+    cfg = load_config(args.config, list(args.override))
     jobs, sources = [], {}
     for path in args.snapshot:
         stem = os.path.splitext(os.path.basename(path))[0]
@@ -836,39 +812,21 @@ def _cmd_wigner(args) -> int:
         if wf.frame == FRAME_LAB:  # mapped in the KH frame, as a run maps its lab snapshots
             _check_stored(cfg, path, wf, FRAME_KH)
         check_windows(wf.grid)
-        jobs.append((f"wigner_{stem}", wf, LOOSE_MASS_TOL))
+        # the mass tolerance that the run which stored the snapshot held its maps to
+        bound = _stored_run(path)[1].get("bound") is True
+        jobs.append((f"wigner_{stem}", wf, 1e-3 if bound else LOOSE_MASS_TOL))
     with Pipeline(cfg, args.out).finalizing() as pipe:
         for job in jobs:
             pipe._export_wigner(*job)
     return 0
 
 
-def _cmd_observables(args) -> int:
-    # no snapshot but the one a restart starts from, and no other output
-    cfg = _verb_config(args)
-    snapshots = () if cfg["restart.at"] is None else (cfg["restart.at"],)
-    execute({**cfg, **_NO_OUTPUT, "run.snapshots": snapshots, "restart.snapshots": ()},
-            args.out)
-    return 0
-
-
-def _cmd_portrait(args) -> int:
-    cfg = _verb_config(args)
-    energies = "auto" if cfg["portrait.energies"] == "none" else cfg["portrait.energies"]
-    execute({**cfg, **_NO_OUTPUT, **_NO_RUN, "portrait.energies": energies}, args.out)
-    return 0
-
-
-# verb: (handler, help, positional argument and its nargs)
+# verb: (handler, help, positional argument and its nargs).  A run's config
+# is its positional argument; wigner takes --config for the grid and pulse
+# that move a lab snapshot
 VERBS = {
-    "eigen": (_emit_only("emit.eigen"), "solve and emit the bound states", ()),
-    "potential": (_emit_only("emit.potential"), "emit bare and averaged potentials", ()),
-    "field": (_emit_only("emit.field"), "emit the pulse field table", ()),
-    "propagate": (_cmd_plain, "propagate and store snapshots", ()),
-    "observables": (_cmd_observables, "propagate, observables only", ()),
+    "run": (_cmd_run, "run a packaged recipe, a config file, or the defaults", ("recipe", "?")),
     "wigner": (_cmd_wigner, "Wigner map of stored snapshots, in the kh frame", ("snapshot", "+")),
-    "portrait": (_cmd_portrait, "emit equienergy curves", ()),
-    "run": (_cmd_run, "execute a figure recipe", ("recipe", None)),
 }
 
 
@@ -878,12 +836,11 @@ def _build_parser() -> argparse.ArgumentParser:
         description="1D strong-field dynamics in and out of the oscillating frame",
     )
     sub = parser.add_subparsers(dest="verb", required=True)
-    for verb, (_, help_text, positional) in VERBS.items():
+    for verb, (_, help_text, (name, nargs)) in VERBS.items():
         sp = sub.add_parser(verb, help=help_text)
-        if positional:
-            name, nargs = positional
-            sp.add_argument(name, nargs=nargs)
-        sp.add_argument("--config", default=None, help="key = value config file")
+        sp.add_argument(name, nargs=nargs)
+        if verb == "wigner":
+            sp.add_argument("--config", default=None, help="key = value config file")
         sp.add_argument("--out", default="khatom_out", help="output directory")
         sp.add_argument(
             "--override", action="append", default=[], metavar="KEY=VALUE",

@@ -94,9 +94,50 @@ def test_config_rejects_unknown_key(tmp_path):
 
 def test_config_path_must_be_a_readable_file(tmp_path, capsys):
     for path in (tmp_path, tmp_path / "missing.cfg"):
-        assert cli.main(["eigen", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+        out = str(tmp_path / "out")
+        assert cli.main(["wigner", "any.snap", "--config", str(path), "--out", out]) == 1
         assert capsys.readouterr().err.startswith(f"khatom: [cli] cannot read config {path}")
+        assert cli.main(["run", str(path), "--out", out]) == 1
+        assert capsys.readouterr().err == (
+            f"khatom: [cli] unknown recipe {str(path)!r} (not a file, not a packaged recipe)\n")
     assert not (tmp_path / "out").exists()
+
+
+def _run_with(out, *overrides, recipe=()):
+    """Runs the recipe, if one is given, or the defaults, with the overrides."""
+    argv = ["run", *recipe, "--out", str(out)]
+    for item in overrides:
+        argv += ["--override", item]
+    return cli.main(argv)
+
+
+def test_run_takes_its_config_as_its_argument(tmp_path):
+    # run and wigner are the verbs; a run's config is its recipe or file,
+    # not a --config flag that it would ignore
+    assert set(cli.VERBS) == {"run", "wigner"}
+    (tmp_path / "x.cfg").write_text("run.enabled = false\n")
+    for argv in (["run", "fig1", "--config", str(tmp_path / "x.cfg")], ["eigen"]):
+        with pytest.raises(SystemExit) as stop:
+            cli.main(argv + ["--out", str(tmp_path / "out")])
+        assert stop.value.code == 2
+    assert not (tmp_path / "out").exists()
+    # the same keys in a file or as overrides of the defaults write the same
+    # files; the manifest names the file as the recipe
+    keys = ("grid.n_points=1024", "run.mode=kh_averaged", "run.initial=kh_coherent",
+            "run.t_final=5", "run.snapshots=5", "wigner.times=snapshots", "emit.potential=true")
+    path = tmp_path / "keys.cfg"
+    path.write_text("".join(item.replace("=", " = ") + "\n" for item in keys))
+    assert _run_with(tmp_path / "file", recipe=[str(path)]) == 0
+    assert _run_with(tmp_path / "overrides", *keys) == 0
+    names = _written(tmp_path / "file")
+    assert names == _written(tmp_path / "overrides") and "wigner_t5.wig" in names
+    match, mismatch, errors = filecmp.cmpfiles(tmp_path / "file", tmp_path / "overrides", names,
+                                               shallow=False)
+    assert mismatch == [] and errors == []
+    manifests = [json.loads((tmp_path / d / "manifest.json").read_text())
+                 for d in ("file", "overrides")]
+    assert [m.pop("recipe") for m in manifests] == ["keys", None]
+    assert manifests[0] == manifests[1]
 
 
 def test_recipe_name_beside_a_directory(tmp_path, monkeypatch):
@@ -115,7 +156,7 @@ def test_recipe_name_beside_a_directory(tmp_path, monkeypatch):
 def test_non_finite_numbers_fail_at_load(tmp_path, capsys):
     # each used to end in a ValueError traceback, during the plan or after
     # the output directory was made, or (grid.x_max) to pass load_config
-    base = ["propagate", "--override", "run.mode=kh_averaged", "--override",
+    base = ["run", "--override", "run.mode=kh_averaged", "--override",
             "run.initial=kh_ground", "--override", "grid.n_points=4096"]
     for override in ("run.t_final=nan", "run.snapshots=nan,5", "kh.alpha0=nan", "grid.x_max=inf"):
         out = tmp_path / "out"
@@ -148,6 +189,19 @@ def test_config_rejects_bad_values():
     for override, message in rules:
         with pytest.raises(CliError, match=re.escape(message)):
             load_config(overrides=["run.mode=kh_averaged", override])
+
+
+def test_repeated_wigner_state_is_refused(tmp_path, capsys):
+    # each name was mapped again and written over its own file, so the
+    # manifest listed one map of two
+    message = "bad value for wigner.states: kh_ground listed more than once"
+    with pytest.raises(CliError, match=message):
+        load_config(overrides=["wigner.states=kh_ground, kh_excited, kh_ground"])
+    out = tmp_path / "out"
+    overrides = ("run.enabled=false", "grid.n_points=1024", "wigner.states=kh_ground,kh_ground")
+    assert _run_with(out, *overrides) == 1
+    assert capsys.readouterr().err == f"khatom: [cli] {message}\n"
+    assert not out.exists()
 
 
 def test_config_defaults_parse_back():
@@ -186,7 +240,7 @@ def test_wigner_times_must_name_a_snapshot(tmp_path, capsys):
         validate_config(load_config(overrides=[f"wigner.times={keyword}"]))
     # the verb fails before any solve, and before its output directory exists
     out = tmp_path / "out"
-    argv = ["propagate", "--override", "run.snapshots=5", "--override", "wigner.times=7"]
+    argv = ["run", "--override", "run.snapshots=5", "--override", "wigner.times=7"]
     assert cli.main(argv + ["--out", str(out)]) == 1
     assert "khatom: [cli] wigner.times entry 7" in capsys.readouterr().err
     assert not out.exists()
@@ -217,7 +271,7 @@ def test_snapshot_times_must_lie_in_the_run_span(tmp_path, capsys):
     # the verb fails before any solve, and before its output directory exists
     for extra in (["run.snapshots=1300"], restart + ["restart.snapshots=50"]):
         out = tmp_path / "out"
-        argv = ["propagate", "--out", str(out)]
+        argv = ["run", "--out", str(out)]
         for item in extra:
             argv += ["--override", item]
         assert cli.main(argv) == 1
@@ -280,7 +334,7 @@ def test_off_step_times_fail_before_any_solve(tmp_path, capsys):
     ]
     for extra, module, message in cases:
         out = tmp_path / "out"
-        argv = ["propagate", "--out", str(out)]
+        argv = ["run", "--out", str(out)]
         for item in base + extra:
             argv += ["--override", item]
         assert cli.main(argv) == 1
@@ -291,7 +345,7 @@ def test_off_step_times_fail_before_any_solve(tmp_path, capsys):
     g = SpatialGrid(n_points=1024)
     snap = tmp_path / "lab.snap"
     write_snapshot(snap, WaveFunction(g, np.exp(-g.x**2 / 50.0), 10.0, "lab"))
-    moving = [["propagate", "--override", "run.mode=kh_averaged", "--override",
+    moving = [["run", "--override", "run.mode=kh_averaged", "--override",
                f"run.initial={snap}", "--override", "run.t_final=10.7"], ["wigner", str(snap)]]
     for argv in moving:
         argv += ["--out", str(tmp_path / "out")]
@@ -316,7 +370,7 @@ def test_restart_keys_need_restart_at(tmp_path, capsys):
     base = ["run.mode=kh_averaged", "run.initial=kh_ground", "run.t_final=10"]
     for extra in ("restart.t_final=20", "restart.snapshots=15"):
         out = tmp_path / "out"
-        argv = ["propagate", "--out", str(out)]
+        argv = ["run", "--out", str(out)]
         for item in base + [extra]:
             argv += ["--override", item]
         assert cli.main(argv) == 1
@@ -358,15 +412,15 @@ def test_restart_continues_in_the_averaged_potential():
 def test_alpha0_beyond_the_box_fails_before_any_directory(tmp_path, capsys):
     # kh.alpha0 used to be refused only where the averaged well was built,
     # after potential_bare.dat and an incomplete manifest were written
-    overrides = ["--override", "kh.alpha0=2000", "--override", "grid.n_points=1024"]
-    for verb in ("potential", "eigen", "portrait"):
-        out = tmp_path / verb
-        assert cli.main([verb, "--out", str(out)] + overrides) == 1
+    overrides = ("run.enabled=false", "kh.alpha0=2000", "grid.n_points=1024")
+    for stage in ("emit.potential=true", "emit.eigen=true", "portrait.energies=auto"):
+        out = tmp_path / "out"
+        assert _run_with(out, *overrides, stage) == 1
         assert capsys.readouterr().err == ("khatom: [potential] alpha0 = 2000.0 must lie in "
                                            "(0, 1500], half the grid's width\n")
         assert not out.exists()
     # stages that build no averaged well leave kh.alpha0 unchecked
-    assert cli.main(["field", "--out", str(tmp_path / "field")] + overrides) == 0
+    assert _run_with(tmp_path / "field", *overrides, "emit.field=true") == 0
     off = ["run.enabled=false", "kh.alpha0=2000", "grid.n_points=1024"]
     validate_config(load_config(overrides=off + ["wigner.states=atomic_ground"]))
     with pytest.raises(PotentialError, match="alpha0 = 2000.0 must lie in"):
@@ -503,13 +557,9 @@ def _written(out) -> set:
     return files
 
 
-def _verb(verb, recipe, out):
-    """Runs a single-output verb on a recipe's config, which sets other outputs too."""
-    return cli.main([verb, "--config", cli._recipe_path(recipe), "--out", str(out)])
-
-
 def test_potential_verb(tmp_path):
-    assert _verb("potential", "fig3", tmp_path) == 0
+    # the defaults hold every output off: no run and emit.potential write the two tables alone
+    assert _run_with(tmp_path, "run.enabled=false", "emit.potential=true") == 0
     assert _written(tmp_path) == {"potential_bare.dat", "potential_averaged.dat"}
     bare = np.loadtxt(tmp_path / "potential_bare.dat")
     avg = np.loadtxt(tmp_path / "potential_averaged.dat")
@@ -521,7 +571,7 @@ def test_potential_verb(tmp_path):
 
 
 def test_field_verb(tmp_path):
-    assert _verb("field", "fig3", tmp_path) == 0
+    assert _run_with(tmp_path, "run.enabled=false", "emit.field=true") == 0
     assert _written(tmp_path) == {"field.dat"}
     table = np.loadtxt(tmp_path / "field.dat")
     assert table.shape[1] == 4
@@ -532,8 +582,7 @@ def test_field_verb(tmp_path):
 
 
 def test_eigen_verb(tmp_path):
-    # fig3 also asks for three maps and a portrait
-    assert _verb("eigen", "fig3", tmp_path) == 0
+    assert _run_with(tmp_path, "run.enabled=false", "emit.eigen=true") == 0
     assert _written(tmp_path) == {
         "atomic_ground.dat", "kh_state_0.dat", "kh_state_1.dat", "eigen_energies.txt",
     }
@@ -547,12 +596,11 @@ def test_eigen_verb(tmp_path):
 
 
 def test_portrait_verb(tmp_path):
-    # fig1 also asks for the potentials and the bound states
-    assert _verb("portrait", "fig1", tmp_path) == 0
+    assert _run_with(tmp_path, "run.enabled=false", "portrait.energies=auto") == 0
     assert _written(tmp_path) == {"portrait.dat"}
     lines = (tmp_path / "portrait.dat").read_text().splitlines()
-    kinds = {ln.split("kind=")[1] for ln in lines if "kind=" in ln}
-    assert kinds == {"separatrix", "regular"}
+    kinds = [ln.split("kind=")[1] for ln in lines if "kind=" in ln]
+    assert set(kinds) == {"separatrix", "regular"} and kinds[0] == "separatrix"
     rows = np.array(
         [[float(v) for v in ln.split()] for ln in lines if ln and not ln.startswith("#")]
     )
@@ -560,19 +608,10 @@ def test_portrait_verb(tmp_path):
     assert np.max(np.abs(rows[:, 1])) < 0.3
 
 
-@pytest.mark.parametrize("recipe", ["fig7", "fig8"])
-@pytest.mark.parametrize("verb", ["eigen", "potential", "field", "portrait"])
-def test_no_run_verbs_take_restart_recipes(tmp_path, verb, recipe):
-    # the verb turns off the recipe's restart along with its run
-    argv = ["--config", cli._recipe_path(recipe), "--override", "grid.n_points=4096"]
-    assert cli.main([verb, *argv, "--out", str(tmp_path)]) == 0
-    assert json.loads((tmp_path / "manifest.json").read_text())["status"] == "complete"
-
-
 def _fails_on_one_bound_state(out, capsys, alpha0: str) -> None:
-    argv = ["eigen", "--out", str(out), "--override", f"kh.alpha0={alpha0}",
-            "--override", "grid.n_points=4096"]
-    assert cli.main(argv) == 1
+    overrides = ("run.enabled=false", "emit.eigen=true", f"kh.alpha0={alpha0}",
+                 "grid.n_points=4096")
+    assert _run_with(out, *overrides) == 1
     message = f"the averaged potential at kh.alpha0 = {alpha0} binds 1 state(s)"
     assert capsys.readouterr().err.startswith(f"khatom: [cli] {message}")
     manifest = json.loads((out / "manifest.json").read_text())
@@ -594,9 +633,8 @@ def test_single_well_fails_on_the_state_count(tmp_path, capsys):
 
 def test_single_well_potential_needs_no_separatrix(tmp_path):
     # kh.alpha0 = 2 gives a single well: no saddle, and no portrait asks for one
-    argv = ["potential", "--out", str(tmp_path), "--override", "kh.alpha0=2",
-            "--override", "grid.n_points=4096"]
-    assert cli.main(argv) == 0
+    overrides = ("run.enabled=false", "emit.potential=true", "kh.alpha0=2", "grid.n_points=4096")
+    assert _run_with(tmp_path, *overrides) == 0
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     assert manifest["status"] == "complete"
     assert "e_separatrix" not in manifest["derived"]
@@ -604,18 +642,14 @@ def test_single_well_potential_needs_no_separatrix(tmp_path):
 
 
 def test_single_well_portrait_of_listed_energies(tmp_path, capsys):
-    # listed energies need no saddle: every curve is regular; auto still needs one
-    argv = ["portrait", "--override", "kh.alpha0=2", "--override", "grid.n_points=4096"]
-    listed = ["--override", "portrait.energies=-0.01,0.001", "--out", str(tmp_path / "listed")]
-    assert cli.main(argv + listed) == 0
-    manifest = json.loads((tmp_path / "listed" / "manifest.json").read_text())
-    assert manifest["status"] == "complete"
-    assert "e_separatrix" not in manifest["derived"]
-    lines = (tmp_path / "listed" / "portrait.dat").read_text().splitlines()
-    tags = [ln for ln in lines if "kind=" in ln]
-    assert tags and all(ln.endswith("kind=regular") for ln in tags)
-    assert cli.main(argv + ["--out", str(tmp_path / "auto")]) == 1
+    # the portrait draws the separatrix, which a single well does not have;
+    # it takes no list of energies
+    overrides = ("run.enabled=false", "portrait.energies=auto", "kh.alpha0=2",
+                 "grid.n_points=4096")
+    assert _run_with(tmp_path / "auto", *overrides) == 1
     assert "[phasespace] averaged potential has a single well, no saddle" in capsys.readouterr().err
+    with pytest.raises(CliError, match="bad value for portrait.energies: expected one of"):
+        load_config(overrides=["portrait.energies=-0.01,0.001"])
 
 
 def test_detected_times_of_a_beat():
@@ -725,7 +759,7 @@ def test_atomic_ground_maps_of_a_kh_run_take_the_loose_mass_tolerance(tmp_path):
     # the atomic ground state carries continuum into the averaged well, as a
     # lab_full run does; held to the 1e-3 of a KH eigenstate start, this run
     # failed on "Wigner mass 0.877367 disagrees with window norm 0.874906"
-    argv = ["propagate", "--out", str(tmp_path)]
+    argv = ["run", "--out", str(tmp_path)]
     for item in ("run.mode=kh_averaged", "run.initial=atomic_ground", "grid.n_points=4096",
                  "run.t_final=300", "run.snapshots=300", "wigner.times=snapshots"):
         argv += ["--override", item]
@@ -740,7 +774,7 @@ def test_kh_run_from_the_atomic_state_absorbs(tmp_path):
     # |x| = 1400 at t = 1000, against 1.2e-26 with it on.  A segment that
     # absorbs records no energy drift, whose loss of norm it would measure
     # (13.6 at t = 2000)
-    argv = ["propagate", "--out", str(tmp_path)]
+    argv = ["run", "--out", str(tmp_path)]
     for item in ("run.mode=kh_averaged", "run.initial=atomic_ground", "grid.n_points=4096",
                  "run.t_final=1000", "run.snapshots=1000"):
         argv += ["--override", item]
@@ -762,7 +796,7 @@ def test_norms_share_one_unit(tmp_path):
     packet = WaveFunction(g, np.exp(-((g.x - 650.0) ** 2) / 800.0 + 0.8j * g.x), 0.0, "lab")
     write_snapshot(tmp_path / "start.snap", packet.normalized())
     out = tmp_path / "out"
-    argv = ["propagate", "--out", str(out)]
+    argv = ["run", "--out", str(out)]
     for item in ("grid.n_points=1024", "run.mode=lab_full", f"run.initial={tmp_path / 'start.snap'}",
                  "run.t_final=60", "run.snapshots=30", "restart.at=30", "restart.t_final=60"):
         argv += ["--override", item]
@@ -956,7 +990,7 @@ def test_failing_wigner_verb_writes_incomplete_manifest(mini_run, tmp_path, monk
 
 def _restart(snap, out, t_final, *extra):
     """Continues the stored snapshot in the averaged potential to t_final."""
-    argv = ["propagate", "--out", str(out)]
+    argv = ["run", "--out", str(out)]
     for item in (f"run.initial={snap}", "run.mode=kh_averaged", f"run.t_final={t_final}", *extra):
         argv += ["--override", item]
     return cli.main(argv)
@@ -967,7 +1001,7 @@ def test_restart_rejects_frame_mismatch(tmp_path, kh_pairs, capsys):
     snap = tmp_path / "kh.snap"
     write_snapshot(snap, WaveFunction(kh_pairs[0].state.grid, kh_pairs[0].state.psi, 625.0, "kh"))
     out = tmp_path / "out"
-    argv = ["propagate", "--out", str(out), "--override", f"run.initial={snap}",
+    argv = ["run", "--out", str(out), "--override", f"run.initial={snap}",
             "--override", "run.mode=lab_full", "--override", "run.t_final=630"]
     assert cli.main(argv) == 1
     assert capsys.readouterr().err == (
@@ -1063,6 +1097,31 @@ def test_wigner_verb_maps_a_lab_snapshot_as_the_run_does(cut_fig7, tmp_path):
                            shallow=False)
 
 
+def test_wigner_verb_takes_the_tolerance_of_the_stored_run(mini_run, cut_fig7, tmp_path,
+                                                         monkeypatch):
+    # a bound run held its maps to 1e-3, and the verb holds its snapshots'
+    # maps to the same; a lab snapshot, or one with no run manifest beside
+    # it, takes LOOSE_MASS_TOL
+    tols, real = [], cli.wigner
+
+    def recording(wf, **kwargs):
+        tols.append(kwargs["mass_tol"])
+        return real(wf, **kwargs)
+
+    monkeypatch.setattr(cli, "wigner", recording)
+    plain = tmp_path / "plain" / "snapshot_t15.snap"
+    plain.parent.mkdir()
+    plain.write_bytes((mini_run / "snapshot_t15.snap").read_bytes())
+    cases = [(mini_run / "snapshot_t15.snap", ()), (cut_fig7 / "snapshot_t200.snap", CUT_PULSE),
+             (plain, ())]
+    for k, (snap, overrides) in enumerate(cases):
+        argv = ["wigner", str(snap), "--out", str(tmp_path / f"w{k}")]
+        for item in overrides:
+            argv += ["--override", item]
+        assert cli.main(argv) == 0
+    assert tols == [1e-3, cli.LOOSE_MASS_TOL, cli.LOOSE_MASS_TOL]
+
+
 def test_failing_transform_makes_no_directory(cut_fig7, tmp_path, capsys):
     # a lab snapshot moved with another pulse than its run's is silently
     # wrong (its KH view was off by 0.14 against a peak of 0.16), and one
@@ -1070,7 +1129,7 @@ def test_failing_transform_makes_no_directory(cut_fig7, tmp_path, capsys):
     # the first differing key, before any directory exists
     snap = cut_fig7 / "snapshot_t200.snap"
     consumers = [["wigner", str(snap)],
-                 ["propagate", "--override", "run.mode=kh_averaged", "--override",
+                 ["run", "--override", "run.mode=kh_averaged", "--override",
                   f"run.initial={snap}", "--override", "run.t_final=400"]]
     cases = [(["grid.n_points=4096"],
               f"snapshot {snap} was stored with pulse.ramp_cycles = 1, not 2"),
@@ -1087,11 +1146,13 @@ def test_failing_transform_makes_no_directory(cut_fig7, tmp_path, capsys):
 
 
 def test_observables_verb_runs_a_restart(mini_cfg_path, mini_run, tmp_path):
-    # the verb keeps the one snapshot the restart starts from, and writes the
-    # series of both segments as the full run does; the recipe's maps,
-    # portrait, potentials and bound states are left out
+    # with its maps, portrait, potentials and bound states off, and no
+    # snapshot but the one the restart starts from, the mini recipe writes
+    # the series of both segments as the full run does
     out = tmp_path / "obs"
-    assert cli.main(["observables", "--config", mini_cfg_path, "--out", str(out)]) == 0
+    off = ("run.snapshots=15", "restart.snapshots=none", "wigner.times=none",
+           "portrait.energies=none", "emit.potential=false", "emit.eigen=false")
+    assert _run_with(out, *off, recipe=[mini_cfg_path]) == 0
     assert _written(out) == {"observables.csv", "restart_observables.csv", "snapshot_t15.snap"}
     for name in ("observables.csv", "restart_observables.csv"):
         assert filecmp.cmp(out / name, mini_run / name, shallow=False)
@@ -1099,7 +1160,7 @@ def test_observables_verb_runs_a_restart(mini_cfg_path, mini_run, tmp_path):
 
 def _lab_snapshot(run_dir, kh_pairs):
     """Writes a lab-frame snapshot at t = 625 into the directory of a field run."""
-    assert cli.main(["field", "--out", str(run_dir)]) == 0
+    assert _run_with(run_dir, "run.enabled=false", "emit.field=true") == 0
     snap = run_dir / "lab.snap"
     write_snapshot(snap, WaveFunction(kh_pairs[0].state.grid, kh_pairs[0].state.psi, 625.0, "lab"))
     return snap
@@ -1200,7 +1261,7 @@ def test_start_snapshot_is_checked_before_any_solve(tmp_path, kh_pairs, capsys):
     with pytest.raises(CliError, match="kh frame; a lab_full run needs a lab one"):
         validate_config(load_config(overrides=start + ["run.mode=lab_full"]))
     out = tmp_path / "out"
-    argv = ["propagate", "--out", str(out)]
+    argv = ["run", "--out", str(out)]
     for item in start + ["run.snapshots=5"]:
         argv += ["--override", item]
     assert cli.main(argv) == 1
@@ -1215,7 +1276,7 @@ def test_failing_module_is_named(tmp_path, kh_pairs, capsys):
     state = kh_pairs[0].state
     write_snapshot(snap, WaveFunction(state.grid, 1e300 * state.psi, 15.0, "kh"))
     code = cli.main([
-        "propagate", "--out", str(tmp_path),
+        "run", "--out", str(tmp_path),
         "--override", "run.mode=kh_averaged",
         "--override", f"run.initial={snap}",
         "--override", "run.t_final=20",
