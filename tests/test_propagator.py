@@ -1,4 +1,5 @@
 import os
+import signal
 import subprocess
 import sys
 import time
@@ -266,6 +267,35 @@ def test_partner_exits_with_its_parent():
         proc.kill()
         proc.wait(timeout=10)
         proc.stdout.close()
+
+
+@pytest.mark.skipif(not _use_partner(16384), reason="no propagation partner on this host")
+def test_killed_partner_ends_the_run(monkeypatch):
+    # a partner that dies mid-run leaves no outcome in its pipe: the
+    # propagating process stops waiting at the next barrier, reaps it and
+    # raises, with no child left behind
+    partners, real_fork = [], os.fork
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            partners.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+
+    class Killer:
+        def record(self, t, wf):
+            if t == 1.0:
+                os.kill(partners[0], signal.SIGKILL)
+
+    g = SpatialGrid()
+    op = SplitOperator(g, np.zeros(g.n_points), TimeGrid(0.0, 0.05, 200), MODE_KH)
+    with pytest.raises(PropagatorError, match="ended with wait status 9 and no result"):
+        propagate(op, kh_wf(g, np.exp(-g.x**2 / 8.0) + 0j), observer=Killer())
+    assert len(partners) == 1
+    with pytest.raises(ChildProcessError):  # no child left, running or unreaped
+        os.waitpid(-1, os.WNOHANG)
 
 
 class _Copies:
