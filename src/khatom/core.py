@@ -23,6 +23,7 @@ import math
 import os
 import pickle
 import signal
+import sys
 import traceback
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -306,13 +307,18 @@ def read_container(path, magic: str, n_counts: int, n_reals: int, item_bytes: in
 def forked(fn, error: type[KhatomError]):
     """Yields join(), which returns fn() or raises the exception fn raised.
 
-    fn runs at once in a forked child, which pickles its outcome into a
-    pipe, and the caller goes on with other work until join(); join.pid is
-    the child's process id.  The child is reaped on every way out of the
-    block; left before join(), it is killed first.  A child that ends
-    without an outcome makes join() raise error.  Needs os.fork: the
-    caller decides where forking is safe.
+    On Linux fn runs at once in a forked child, which pickles its outcome
+    into a pipe, and the caller goes on with other work until join();
+    join.pid is the child's process id.  The child is reaped on every way
+    out of the block; left before join(), it is killed first.  A child that
+    ends without an outcome makes join() raise error.  Elsewhere join()
+    calls fn inline: Windows has no fork, and macOS system libraries are
+    not fork-safe.  The inline path computes the same bytes, in the order
+    the sequential code did.
     """
+    if sys.platform != "linux":
+        yield fn
+        return
     rfd, wfd = os.pipe()
     pid = os.fork()
     if pid == 0:  # the child: send fn's outcome, and never return into the caller

@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -838,6 +839,11 @@ def test_run_determinism(mini_cfg_path, mini_run, tmp_path):
     assert set(match) == set(names)
 
 
+@contextmanager
+def _inline(fn):
+    yield fn
+
+
 def _counting(monkeypatch, name, module=cli):
     """Wraps module.<name>; the list counts the calls made in this process."""
     calls, real = [], getattr(module, name)
@@ -850,21 +856,25 @@ def _counting(monkeypatch, name, module=cli):
     return calls
 
 
-def test_mini_recipe_solves_in_one_process(mini_cfg_path, mini_run, tmp_path, monkeypatch):
-    # the mini recipe solves the atomic state for emit.eigen and writes its
-    # four snapshot maps in the calling process; with the propagation
-    # partner off, nothing forks
+def test_forked_stages_write_inline_bytes(mini_cfg_path, mini_run, tmp_path, monkeypatch):
+    # the mini recipe solves the atomic state for emit.eigen in a child and
+    # writes its four snapshot maps in the parent; with the fork helper
+    # inline, one process runs every stage
     ground = _counting(monkeypatch, "imaginary_time_ground_state")
     maps = _counting(monkeypatch, "wigner")
-    forks = _counting(monkeypatch, "fork", os)
-    monkeypatch.setattr(propagator, "PARTNER_MIN_POINTS", sys.maxsize)
-    out = tmp_path / "out"
-    assert cli.main(["run", mini_cfg_path, "--out", str(out)]) == 0
-    assert (len(ground), len(maps), len(forks)) == (1, 4, 0)
+    forked = tmp_path / "forked"
+    assert cli.main(["run", mini_cfg_path, "--out", str(forked)]) == 0
+    linux = sys.platform == "linux"  # the child's calls are not counted here
+    assert (len(ground), len(maps)) == (0 if linux else 1, 4)
+    monkeypatch.setattr(cli, "_forked", _inline)
+    inline = tmp_path / "inline"
+    assert cli.main(["run", mini_cfg_path, "--out", str(inline)]) == 0
+    assert (len(ground), len(maps)) == (1 if linux else 2, 8)
     names = sorted(os.listdir(mini_run))
-    assert sorted(os.listdir(out)) == names
-    match, mismatch, errors = filecmp.cmpfiles(mini_run, out, names, shallow=False)
-    assert mismatch == [] and errors == [] and set(match) == set(names)
+    for out in (forked, inline):
+        assert sorted(os.listdir(out)) == names
+        match, mismatch, errors = filecmp.cmpfiles(mini_run, out, names, shallow=False)
+        assert mismatch == [] and errors == [] and set(match) == set(names)
 
 
 def test_wigner_verb_maps_as_the_run_does(mini_run, tmp_path):
@@ -927,8 +937,8 @@ def test_non_finite_partner_half(mini_cfg_path, tmp_path, monkeypatch, capsys, e
 
 @pytest.mark.parametrize("fail_at", ["ground", 15.0, 45.0])
 def test_failing_forked_stage(mini_cfg_path, tmp_path, monkeypatch, capsys, fail_at):
-    # the atomic state is solved where the bound-state tables, written last,
-    # first use it; the maps run in turn before them
+    # the atomic state is solved in a child and first used by the bound-state
+    # tables, written last; the maps run in turn in the parent
     if fail_at == "ground":
         def solve(*args, **kwargs):
             raise EigenError("no ground state today")
@@ -953,9 +963,9 @@ def test_failing_forked_stage(mini_cfg_path, tmp_path, monkeypatch, capsys, fail
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["status"] == "incomplete"
     assert manifest["error"].startswith(f"{module}:")
-    # the error surfaces at the bound-state tables, after every other
-    # stage, or at the failing map; the manifest lists every file written
-    # before it
+    # the error surfaces where the sequential code raises it: at the
+    # bound-state tables, after every other stage, or at the failing map;
+    # the manifest lists every file written before it
     written = _written(out)
     if fail_at == "ground":
         assert {"portrait.dat", "restart_wigner_t45.txt"} <= written
