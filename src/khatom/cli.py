@@ -19,14 +19,14 @@ import json
 import math
 import os
 import sys
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property
 
 import numpy as np
 
 from . import __version__
-from .core import FRAME_KH, FRAME_LAB, KhatomError, SpatialGrid, TimeGrid, WaveFunction, forked
+from .core import FRAME_KH, FRAME_LAB, KhatomError, SpatialGrid, TimeGrid, WaveFunction
 from .eigen import (
     coherent_superposition,
     imaginary_time_ground_state,
@@ -461,20 +461,6 @@ def _detect_landmarks(times: np.ndarray, abs2: np.ndarray, period: float) -> dic
             "midpoint": (t0 + r0 / (r0 - r1) * (t1 - t0)).tolist()}
 
 
-# execute hands the atomic ground state to a child; a child that dies
-# without an outcome is reported as a cli error
-_forked = partial(forked, error=CliError)
-
-
-def _uses_ground(cfg: dict, plan) -> bool:
-    """Whether a stage of execute will need the atomic ground state."""
-    return (
-        cfg["emit.eigen"]
-        or "atomic_ground" in cfg["wigner.states"]
-        or any(seg.mode == MODE_LAB or seg.initial == "atomic_ground" for seg in plan)
-    )
-
-
 class Pipeline:
     """One CLI invocation: lazy physics objects, staged emission, manifest."""
 
@@ -497,8 +483,6 @@ class Pipeline:
             "error": None,
             "bound": plan[0].bound if plan else None,  # read back by a run from a snapshot
         }
-        # where `ground` gets the atomic state; execute may hand it to a forked child
-        self.join_ground = self.solve_ground
 
     # ---- lazy physics objects -------------------------------------------
 
@@ -547,12 +531,9 @@ class Pipeline:
         der["t_10"] = float(2.0 * np.pi / (e1 - e0))
         return pairs
 
-    def solve_ground(self):
-        return imaginary_time_ground_state(atomic_potential(self.grid.x), self.grid)
-
     @cached_property
     def ground(self):
-        ground = self.join_ground()
+        ground = imaginary_time_ground_state(atomic_potential(self.grid.x), self.grid)
         self.manifest["derived"]["e_atomic"] = float(ground.energy)
         self.manifest["residuals"]["eigen_residual_atomic"] = ground.residual
         return ground
@@ -747,20 +728,14 @@ class Pipeline:
 
 
 def execute(cfg: dict, out_dir: str, recipe: str | None = None) -> Pipeline:
-    """The full pipeline: solves -> propagation -> transforms -> exports.
-
-    A forked child solves the atomic ground state while the parent runs the
-    stages; the bound-state tables are written last, so that on a run whose
-    only use of the state is emit.eigen the child overlaps every other stage.
-    """
+    """The full pipeline: solves -> propagation -> transforms -> exports;
+    the bound-state tables are written last."""
     plan = validate_config(cfg)
     pipe = Pipeline(cfg, out_dir, recipe, plan)
-    uses_ground = _uses_ground(cfg, plan)
-    with pipe.finalizing(), (_forked if uses_ground else nullcontext)(pipe.solve_ground) as join:
-        pipe.join_ground = join
-        if uses_ground and (cfg["emit.eigen"] or plan):
-            # both need the KH pairs too: solve them while the child
-            # solves the atomic state
+    with pipe.finalizing():
+        if cfg["emit.eigen"] or plan:
+            # the KH pairs first: a potential that binds fewer than two
+            # states fails before any file is written
             pipe.pairs
         if cfg["emit.potential"]:
             pipe.emit_potential()

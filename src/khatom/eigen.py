@@ -5,7 +5,8 @@ count of the three-point finite-difference Hamiltonian gives the number of
 bound states, and the locally optimal preconditioned block iteration (LOPCG;
 Knyazev, SIAM J. Sci. Comput. 23, 517 (2001)) refines Hermite-Gaussian seeds
 into them.  Its grid sums keep core's fixed order: the same bits at any BLAS
-thread count.  The atomic ground state comes from split-operator imaginary time.
+thread count.  The atomic ground state comes from split-operator imaginary time
+on the centred box of the grid that it fills.
 
 Both iterations act on real states with a real Hamiltonian, so they run
 in real arithmetic: real-input transforms on the half spectrum
@@ -18,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from numpy.fft import fft, ifft, irfft, rfft
+from numpy.fft import fft, ifft, irfft, rfft, rfftfreq
 from numpy.polynomial.hermite_e import hermevander
 
 from .core import FRAME_KH, SpatialGrid, WaveFunction, KhatomError, inner_product
@@ -43,6 +44,10 @@ LOBPCG_TOL = 1e-9  # on ||H psi - E psi|| of each normalized state
 LOBPCG_MAXITER = 200
 RANK_CUT = 1e-12  # Ritz directions kept: Gram eigenvalues above this times the largest
 _PIVMIN = 1e-300  # a zero pivot of the Sturm count counts as -_PIVMIN
+# the atomic ground state decays as exp(-0.235|x|): 2.6e-10 of its peak at
+# |x| = 94, where the 1024-point box of the default grid ends; e_atomic there
+# is the full grid's to 1.4e-17, and on the 512-point box (|x| <= 47) moves by 6.4e-10
+GROUND_REACH = 90.0
 
 
 class EigenError(KhatomError):
@@ -56,9 +61,9 @@ class EigenPair:
     residual: float  # ||H psi - E psi|| of the normalized state
 
 
-def _half_p2(grid: SpatialGrid) -> np.ndarray:
-    """p^2 on the rfft half spectrum; the sign of the Nyquist p drops out."""
-    return grid.p[: grid.n_points // 2 + 1] ** 2
+def _half_p2(n: int, dx: float) -> np.ndarray:
+    """p^2 on the rfft half spectrum of n samples dx apart; the Nyquist sign drops out."""
+    return (2.0 * np.pi * rfftfreq(n, dx)) ** 2
 
 
 def _real_multiply_p(mult: np.ndarray, block: np.ndarray) -> np.ndarray:
@@ -111,8 +116,10 @@ def imaginary_time_ground_state(
 
     Strang-split steps on a real state, renormalized after each step;
     converged when the per-step change of the decay-rate energy estimate
-    drops below tol.  The reported energy is the Rayleigh quotient of the
-    converged state.
+    drops below tol.  They run on the grid's centred power-of-two box that
+    holds |x| <= GROUND_REACH, the state zero outside it, and again on the
+    whole grid if a box-edge sample exceeds EDGE_AMP_TOL; a grid-edge one
+    raises EigenError.  The energy is the Rayleigh quotient on the grid.
     """
     if dt_imag <= 0 or tol <= 0:
         raise EigenError("dt_imag and tol must be positive")
@@ -121,42 +128,49 @@ def imaginary_time_ground_state(
         raise EigenError("potential samples do not match the grid")
 
     n = grid.n_points
-    expv_half = np.exp(-0.5 * dt_imag * v)
-    expt = np.exp(-0.5 * dt_imag * _half_p2(grid))
-
-    psi = np.exp(-grid.x**2 / 50.0)
-    psi /= np.sqrt(grid.dx * np.sum(psi * psi))
-
-    spec = np.empty(n // 2 + 1, dtype=np.complex128)
-    e_prev = np.inf
-    trace = []
-    for step in range(max_steps):
-        psi *= expv_half
-        rfft(psi, out=spec)
-        spec *= expt
-        irfft(spec, n, out=psi)
-        psi *= expv_half
-        nrm = np.sqrt(grid.dx * np.sum(psi * psi))
-        psi /= nrm
-        e_est = -np.log(nrm) / dt_imag
-        if abs(e_est - e_prev) < tol:
+    lo, hi = np.searchsorted(grid.x, -GROUND_REACH), np.searchsorted(grid.x, GROUND_REACH, "right")
+    for m in sorted({min(n, 1 << int(max(n - 2 * lo, 2 * hi - n, 1) - 1).bit_length()), n}):
+        box = slice((n - m) // 2, (n + m) // 2)
+        expv_half = np.exp(-0.5 * dt_imag * v[box])
+        expt = np.exp(-0.5 * dt_imag * _half_p2(m, grid.dx))
+        psi = np.exp(-grid.x[box] ** 2 / 50.0)
+        psi /= np.sqrt(grid.dx * np.sum(psi * psi))
+        spec = np.empty(m // 2 + 1, dtype=np.complex128)
+        e_prev = np.inf
+        trace = []
+        for step in range(max_steps):
+            psi *= expv_half
+            rfft(psi, out=spec)
+            spec *= expt
+            irfft(spec, m, out=psi)
+            psi *= expv_half
+            nrm = np.sqrt(grid.dx * np.sum(psi * psi))
+            psi /= nrm
+            e_est = -np.log(nrm) / dt_imag
+            if abs(e_est - e_prev) < tol:
+                break
+            e_prev = e_est
+            if step % 1000 == 0:
+                trace.append(e_est)
+        else:
+            raise EigenError(
+                f"imaginary time did not converge in {max_steps} steps; "
+                f"energy trace tail: {trace[-5:]}"
+            )
+        wf = fix_global_phase(WaveFunction(grid, np.pad(psi, (box.start, n - box.stop))))
+        edge_amp = max(abs(wf.psi[box.start]), abs(wf.psi[box.stop - 1]))
+        if edge_amp <= EDGE_AMP_TOL:
             break
-        e_prev = e_est
-        if step % 1000 == 0:
-            trace.append(e_est)
-    else:
-        raise EigenError(
-            f"imaginary time did not converge in {max_steps} steps; "
-            f"energy trace tail: {trace[-5:]}"
-        )
 
-    wf = fix_global_phase(WaveFunction(grid, psi))
     energy, residual = _energy_residual(v, wf)
     if energy >= min(v[0], v[-1]):
         raise EigenError(
             f"converged energy {energy:.6g} is not below the edge potential; "
             "no bound state found"
         )
+    if edge_amp > EDGE_AMP_TOL:
+        raise EigenError(f"the ground state has edge amplitude {edge_amp:.2e} > {EDGE_AMP_TOL}; "
+                         "use a wider grid")
     return EigenPair(energy, wf, residual)
 
 
@@ -201,7 +215,7 @@ def bound_states(v: np.ndarray, grid: SpatialGrid) -> list[EigenPair]:
     if count == 0:
         return []
     k = count + 1
-    kin = 0.5 * _half_p2(grid)
+    kin = 0.5 * _half_p2(grid.n_points, grid.dx)
     # W = (p^2/2 + sigma)^-1 R and its kinetic energy, from one transform of R
     precond = np.stack((np.ones_like(kin), kin))[:, None, :] / (kin + PRECOND_SHIFT)
     # X starts as Hermite-Gaussians at the mean and spread of x weighted by

@@ -7,7 +7,6 @@ import os
 import re
 import subprocess
 import sys
-from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -608,9 +607,9 @@ def test_portrait_verb(tmp_path):
     assert np.max(np.abs(rows[:, 1])) < 0.3
 
 
-def _fails_on_one_bound_state(out, capsys, alpha0: str) -> None:
-    overrides = ("run.enabled=false", "emit.eigen=true", f"kh.alpha0={alpha0}",
-                 "grid.n_points=4096")
+def _fails_on_one_bound_state(out, capsys, alpha0: str,
+                              stages=("run.enabled=false", "emit.eigen=true")) -> None:
+    overrides = (*stages, f"kh.alpha0={alpha0}", "grid.n_points=4096")
     assert _run_with(out, *overrides) == 1
     message = f"the averaged potential at kh.alpha0 = {alpha0} binds 1 state(s)"
     assert capsys.readouterr().err.startswith(f"khatom: [cli] {message}")
@@ -629,6 +628,14 @@ def test_single_well_fails_on_the_state_count(tmp_path, capsys):
     # at kh.alpha0 = 2 the single well binds one state; the run fails on the
     # count, not on a separatrix that only the portrait reads
     _fails_on_one_bound_state(tmp_path, capsys, "2")
+
+
+def test_kh_run_fails_before_the_potential_tables(tmp_path, capsys):
+    # a run solves the KH pair before any stage writes: a kh_averaged run
+    # from a KH state at kh.alpha0 = 4.5 writes no potential tables either
+    stages = ("run.mode=kh_averaged", "run.initial=kh_ground", "run.t_final=10",
+              "emit.potential=true")
+    _fails_on_one_bound_state(tmp_path, capsys, "4.5", stages)
 
 
 def test_single_well_potential_needs_no_separatrix(tmp_path):
@@ -839,11 +846,6 @@ def test_run_determinism(mini_cfg_path, mini_run, tmp_path):
     assert set(match) == set(names)
 
 
-@contextmanager
-def _inline(fn):
-    yield fn
-
-
 def _counting(monkeypatch, name, module=cli):
     """Wraps module.<name>; the list counts the calls made in this process."""
     calls, real = [], getattr(module, name)
@@ -856,25 +858,21 @@ def _counting(monkeypatch, name, module=cli):
     return calls
 
 
-def test_forked_stages_write_inline_bytes(mini_cfg_path, mini_run, tmp_path, monkeypatch):
-    # the mini recipe solves the atomic state for emit.eigen in a child and
-    # writes its four snapshot maps in the parent; with the fork helper
-    # inline, one process runs every stage
+def test_mini_recipe_solves_in_one_process(mini_cfg_path, mini_run, tmp_path, monkeypatch):
+    # the mini recipe solves the atomic state for emit.eigen and writes its
+    # four snapshot maps in the calling process; with the propagation
+    # partner off, nothing forks
     ground = _counting(monkeypatch, "imaginary_time_ground_state")
     maps = _counting(monkeypatch, "wigner")
-    forked = tmp_path / "forked"
-    assert cli.main(["run", mini_cfg_path, "--out", str(forked)]) == 0
-    linux = sys.platform == "linux"  # the child's calls are not counted here
-    assert (len(ground), len(maps)) == (0 if linux else 1, 4)
-    monkeypatch.setattr(cli, "_forked", _inline)
-    inline = tmp_path / "inline"
-    assert cli.main(["run", mini_cfg_path, "--out", str(inline)]) == 0
-    assert (len(ground), len(maps)) == (1 if linux else 2, 8)
+    forks = _counting(monkeypatch, "fork", os)
+    monkeypatch.setattr(propagator, "PARTNER_MIN_POINTS", sys.maxsize)
+    out = tmp_path / "out"
+    assert cli.main(["run", mini_cfg_path, "--out", str(out)]) == 0
+    assert (len(ground), len(maps), len(forks)) == (1, 4, 0)
     names = sorted(os.listdir(mini_run))
-    for out in (forked, inline):
-        assert sorted(os.listdir(out)) == names
-        match, mismatch, errors = filecmp.cmpfiles(mini_run, out, names, shallow=False)
-        assert mismatch == [] and errors == [] and set(match) == set(names)
+    assert sorted(os.listdir(out)) == names
+    match, mismatch, errors = filecmp.cmpfiles(mini_run, out, names, shallow=False)
+    assert mismatch == [] and errors == [] and set(match) == set(names)
 
 
 def test_wigner_verb_maps_as_the_run_does(mini_run, tmp_path):
@@ -937,8 +935,8 @@ def test_non_finite_partner_half(mini_cfg_path, tmp_path, monkeypatch, capsys, e
 
 @pytest.mark.parametrize("fail_at", ["ground", 15.0, 45.0])
 def test_failing_forked_stage(mini_cfg_path, tmp_path, monkeypatch, capsys, fail_at):
-    # the atomic state is solved in a child and first used by the bound-state
-    # tables, written last; the maps run in turn in the parent
+    # the atomic state is solved where the bound-state tables, written last,
+    # first use it; the maps run in turn before them
     if fail_at == "ground":
         def solve(*args, **kwargs):
             raise EigenError("no ground state today")
@@ -963,9 +961,9 @@ def test_failing_forked_stage(mini_cfg_path, tmp_path, monkeypatch, capsys, fail
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["status"] == "incomplete"
     assert manifest["error"].startswith(f"{module}:")
-    # the error surfaces where the sequential code raises it: at the
-    # bound-state tables, after every other stage, or at the failing map;
-    # the manifest lists every file written before it
+    # the error surfaces at the bound-state tables, after every other
+    # stage, or at the failing map; the manifest lists every file written
+    # before it
     written = _written(out)
     if fail_at == "ground":
         assert {"portrait.dat", "restart_wigner_t45.txt"} <= written

@@ -81,6 +81,32 @@ def test_imaginary_time_real_matches_complex(n_points, monkeypatch):
     assert len(calls) == steps  # one real transform per step
 
 
+def test_atomic_ground_state_fills_its_box(grid, ground_pair):
+    # imaginary time runs on the 1024 centred points of the default grid,
+    # |x| <= 93.75, and the state is exactly zero outside them
+    psi = ground_pair.state.psi
+    assert np.count_nonzero(psi) == 1024
+    assert np.all(psi[np.abs(grid.x) > 93.75] == 0)
+    assert max(abs(psi[7680]), abs(psi[8703])) <= eigen.EDGE_AMP_TOL
+
+
+def test_ground_state_past_its_box():
+    # a Poeschl-Teller well about 50 a.u. wide: E0 = -1/200, psi0 ~ sech^2(x/20),
+    # 3.5e-5 at |x| = 100.  It reaches the edge of the 512-point box (|x| <= 100)
+    # and is solved again on the whole grid; on a grid no wider than the box,
+    # where the box is the whole grid, it is refused
+    def well(g):
+        return -0.0075 * sech(g.x / 20.0) ** 2
+
+    g = SpatialGrid(-400.0, 400.0, 2048)
+    pair = imaginary_time_ground_state(well(g), g)
+    assert np.abs(pair.state.psi[np.abs(g.x) > 101.0]).max() > 1e-5
+    assert pair.energy == pytest.approx(-0.005, abs=1e-7)
+    g = SpatialGrid(-60.0, 60.0, 512)
+    with pytest.raises(EigenError, match="edge amplitude .* > 1e-06; use a wider grid"):
+        imaginary_time_ground_state(well(g), g)
+
+
 def test_imaginary_time_validation():
     g = SpatialGrid(-20.0, 20.0, 256)
     with pytest.raises(EigenError):
