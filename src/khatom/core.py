@@ -21,10 +21,6 @@ from __future__ import annotations
 
 import math
 import os
-import pickle
-import signal
-import traceback
-from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -301,57 +297,3 @@ def read_container(path, magic: str, n_counts: int, n_reals: int, item_bytes: in
         raise error(f"non-finite values in the {magic} payload: {path}")
     return counts, reals, frame, payload
 
-
-@contextmanager
-def forked(fn, error: type[KhatomError]):
-    """Yields join(), which returns fn() or raises the exception fn raised.
-
-    fn runs at once in a forked child, which pickles its outcome into a
-    pipe, and the caller goes on with other work until join(); join.pid is
-    the child's process id.  The child is reaped on every way out of the
-    block; left before join(), it is killed first.  A child that ends
-    without an outcome makes join() raise error.  Needs os.fork: the
-    caller decides where forking is safe.
-    """
-    rfd, wfd = os.pipe()
-    pid = os.fork()
-    if pid == 0:  # the child: send fn's outcome, and never return into the caller
-        code = 1
-        try:
-            os.close(rfd)
-            try:
-                outcome = (True, fn())
-            except Exception as err:
-                if not isinstance(err, KhatomError):  # a fault: show where it happened
-                    traceback.print_exc()
-                outcome = (False, err)
-            data = pickle.dumps(outcome, protocol=pickle.HIGHEST_PROTOCOL)
-            with os.fdopen(wfd, "wb") as fh:
-                fh.write(data)
-            code = 0
-        finally:
-            os._exit(code)
-    os.close(wfd)
-    reader = os.fdopen(rfd, "rb")
-    done = []  # [(pickled outcome, wait status)] once the child is reaped
-
-    def join():
-        if not done:
-            data = reader.read()
-            done.append((data, os.waitpid(pid, 0)[1]))
-        data, status = done[0]
-        if not data:
-            raise error(f"a forked process ended with wait status {status} and no result")
-        ok, value = pickle.loads(data)
-        if ok:
-            return value
-        raise value
-
-    join.pid = pid
-    try:
-        yield join
-    finally:
-        if not done:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-        reader.close()

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import mmap
 import os
+import signal
 import sys
 from dataclasses import dataclass
 from functools import partial
@@ -48,7 +49,6 @@ from .core import (
     SpatialGrid,
     TimeGrid,
     WaveFunction,
-    forked,
     phase_ramp,
     read_container,
     write_container,
@@ -249,6 +249,7 @@ _SPINS = 2000  # polls of a step counter before each further poll yields the CPU
 # step counters in the shared page, one 64-byte cache line apart
 _PARENT, _PARTNER, _PARTNER_DONE = 0, 8, 16
 _HEADER_BYTES = 192
+_NON_FINITE_EXIT = 3  # the partner's exit code when its half turns non-finite
 
 
 def _use_partner(n_points: int) -> bool:
@@ -308,9 +309,13 @@ def _with_partner(op, psi, wanted, emit) -> np.ndarray:
     only where it emits.  The state halves need one buffer: the partner
     overwrites its half of step k only after the barrier of step k + 1,
     which this process reaches after it has emitted step k.  Either side
-    stops waiting when the other is gone.
+    stops waiting when the other is gone.  The partner's exit status is
+    its outcome: 0 when it stepped its half to the end, _NON_FINITE_EXIT
+    when its half turned non-finite.  Left early, this process kills the
+    partner unless it has posted its last step, and reaps it either way.
     """
     h = len(psi) // 2
+    n_steps = op.time.n_steps
     page = mmap.mmap(-1, _HEADER_BYTES + 6 * h * 16)  # shared with the fork; freed with its views
     counters = memoryview(page)[:_HEADER_BYTES].cast("q")
     shared = np.frombuffer(page, np.complex128, offset=_HEADER_BYTES).reshape(3, 2, h)
@@ -318,34 +323,59 @@ def _with_partner(op, psi, wanted, emit) -> np.ndarray:
     state[:] = psi.reshape(-1, 2).T
     parent = os.getpid()
 
-    def parent_alive():
-        if os.getppid() != parent:
-            raise PropagatorError("the propagating process is gone")
+    pid = os.fork()
+    if pid == 0:  # the partner: it never returns into the caller
 
-    def partner():
+        def parent_alive():
+            if os.getppid() != parent:
+                os._exit(1)
+
         def done(k, state):
             counters[_PARTNER_DONE] = k
 
-        _steps(op, (1,), spectra, state,
-               partial(_exchange, counters, _PARTNER, _PARENT, parent_alive), done)
+        code = 1
+        try:
+            _steps(op, (1,), spectra, state,
+                   partial(_exchange, counters, _PARTNER, _PARENT, parent_alive), done)
+            code = 0
+        except PropagatorError:  # the one error _steps raises: a non-finite half
+            code = _NON_FINITE_EXIT
+        except Exception:  # a fault: show where it happened
+            sys.excepthook(*sys.exc_info())
+        finally:
+            os._exit(code)
 
-    with forked(partner, PropagatorError) as join:
+    reaped = []  # the partner's wait status, once reaped
 
-        def partner_alive():
-            if os.waitid(os.P_PID, join.pid, os.WEXITED | os.WNOHANG | os.WNOWAIT) is not None:
-                # raises the partner's error; a partner that finished every
-                # step has posted every counter, so the wait ends at its next poll
-                join()
+    def partner_alive():
+        if not reaped:
+            ended, status = os.waitpid(pid, os.WNOHANG)
+            if not ended:
+                return
+            reaped.append(status)
+        # a partner that finished every step has posted every counter, so
+        # the wait ends at its next poll
+        if reaped[0] == 0:
+            return
+        if os.waitstatus_to_exitcode(reaped[0]) == _NON_FINITE_EXIT:
+            raise PropagatorError(f"non-finite amplitudes at step {counters[_PARTNER_DONE] + 1}")
+        raise PropagatorError(f"a forked process ended with wait status {reaped[0]} and no result")
 
-        def emit_full(k, state):
-            if wanted(k):
-                _wait(counters, _PARTNER_DONE, k, partner_alive)
-                emit(k, state.ravel(order="F"))
+    def emit_full(k, state):
+        if wanted(k):
+            _wait(counters, _PARTNER_DONE, k, partner_alive)
+            emit(k, state.ravel(order="F"))
 
+    try:
         _steps(op, (0,), spectra, state,
                partial(_exchange, counters, _PARENT, _PARTNER, partner_alive), emit_full)
-        _wait(counters, _PARTNER_DONE, op.time.n_steps, partner_alive)
-        join()
+        _wait(counters, _PARTNER_DONE, n_steps, partner_alive)
+    finally:
+        if not reaped:
+            if counters[_PARTNER_DONE] < n_steps:
+                os.kill(pid, signal.SIGKILL)
+            reaped.append(os.waitpid(pid, 0)[1])
+    partner_alive()
     return state.ravel(order="F")
 
 

@@ -890,7 +890,7 @@ def test_wigner_verb_maps_as_the_run_does(mini_run, tmp_path):
 def test_partner_writes_inline_bytes(mini_cfg_path, mini_run, tmp_path, monkeypatch):
     # each of the mini recipe's two segments forks a propagation partner where
     # the host has one; forced inline, one process steps both halves
-    forks = _counting(monkeypatch, "forked", propagator)
+    forks = _counting(monkeypatch, "fork", os)
     partner, inline = tmp_path / "partner", tmp_path / "inline"
     assert cli.main(["run", mini_cfg_path, "--out", str(partner)]) == 0
     expected = 2 if propagator._use_partner(16384) else 0

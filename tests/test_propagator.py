@@ -298,6 +298,36 @@ def test_killed_partner_ends_the_run(monkeypatch):
         os.waitpid(-1, os.WNOHANG)
 
 
+def test_non_finite_half_in_the_partner_alone(monkeypatch):
+    # the odd half turns NaN in step 3 while the even half stays finite:
+    # stepped by the partner, only its exit status tells this process, which
+    # names the step as one process does and leaves no child behind
+    real = SplitOperator.backward
+    g = SpatialGrid()
+    op = SplitOperator(g, np.zeros(g.n_points), TimeGrid(0.0, 0.05, 20), MODE_KH)
+
+    def run():
+        calls = []
+
+        def backward(self, half, spectra, expv, x):
+            if half == 1:
+                calls.append(None)
+                if len(calls) == 3:
+                    expv = np.full_like(expv, np.nan)
+            return real(self, half, spectra, expv, x)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(SplitOperator, "backward", backward)
+            with pytest.raises(PropagatorError) as err:
+                propagate(op, kh_wf(g, np.exp(-g.x**2 / 8.0) + 0j))
+        with pytest.raises(ChildProcessError):  # no child left, running or unreaped
+            os.waitpid(-1, os.WNOHANG)
+        return str(err.value)
+
+    messages = by_executor(monkeypatch, g.n_points, run)
+    assert set(messages.values()) == {"non-finite amplitudes at step 3"}
+
+
 class _Copies:
     def __init__(self):
         self.states = []
@@ -380,7 +410,8 @@ def test_propagate_snapshots_and_observer(grid, averaged, psi_coh):
 
 def test_propagate_aborts_on_overflow(grid, psi_coh):
     tg = TimeGrid(0.0, 0.05, 10)
-    op = SplitOperator(grid, np.full(grid.n_points, np.inf), tg, MODE_KH)
+    with pytest.warns(RuntimeWarning):  # exp(-0.5j * dt * inf)
+        op = SplitOperator(grid, np.full(grid.n_points, np.inf), tg, MODE_KH)
     with pytest.raises(PropagatorError, match="step 1"):
         propagate(op, psi_coh)
 
