@@ -115,13 +115,11 @@ def _parse_choice(options):
     return parse
 
 
-def _parse_list(item, keywords=()):
-    """One of the keywords, or a comma list of items: () when empty or none."""
+def _parse_list(item):
+    """A comma list of items: () when empty or none."""
 
     def parse(raw: str):
         val = raw.strip()
-        if val.lower() in keywords:
-            return val.lower()
         if not val or val.lower() == "none":
             return ()
         return tuple(item(tok.strip()) for tok in val.split(","))
@@ -146,8 +144,7 @@ CONFIG_SPEC = {
     "pulse.flat_end_cycles": (_count, 10),
     "pulse.total_cycles": (_count, 12),
     "kh.alpha0": (_positive, 10.23),
-    # run.*, restart.* and wigner.times spans and times are resolved to steps
-    # by the plan (validate_config)
+    # run.* and restart.* spans and times are resolved to steps by the plan (validate_config)
     "run.enabled": (_parse_bool, True),
     "run.mode": (_parse_choice(tuple(MODE_FRAMES)), MODE_LAB),
     "run.initial": (str, "atomic_ground"),
@@ -157,7 +154,7 @@ CONFIG_SPEC = {
     "restart.at": (_number_or_none, None),
     "restart.t_final": (_number_or_none, None),
     "restart.snapshots": (_times, ()),
-    "wigner.times": (_parse_list(_number, ("none", "snapshots")), "none"),
+    "wigner.times": (_parse_choice(("none", "snapshots")), "none"),
     "wigner.states": (_parse_list(_parse_choice(NAMED_STATES)), ()),
     "portrait.energies": (_parse_choice(("none", "auto")), "none"),
     "emit.potential": (_parse_bool, False),
@@ -251,23 +248,22 @@ def load_config(path=None, overrides=()) -> dict:
     return cfg
 
 
-def _step(t: float, time: TimeGrid) -> int | None:
-    """The step of the time grid that t lies on, within 1e-6; None between steps."""
-    k = round((t - time.t0) / time.dt)
-    return k if abs(time.time_at(k) - t) <= 1e-6 else None
-
-
 def _steps(key: str, times, time: TimeGrid) -> tuple:
-    """The step of each of the key's times, which must lie on the time grid."""
-    steps = tuple(_step(t, time) for t in times)
+    """The step of each of the key's times, which must lie on the time grid, within 1e-6."""
+    steps = tuple(round((t - time.t0) / time.dt) for t in times)
     for t, k in zip(times, steps):
-        if k is None:
+        if abs(time.time_at(k) - t) > 1e-6:
             raise CliError(f"{key} time {t:g} is not a whole number of run.dt = "
                            f"{time.dt:g} steps from {time.t0:g}")
         if not 0 <= k <= time.n_steps:
             span = f"[{time.t0:g}, {time.t_end:g}]"
             raise CliError(f"{key} time {t:g} lies outside the run span {span}")
     return steps
+
+
+def _stamp(t: float) -> str:
+    """t as file names write it: 15 significant digits, past the last-ulp noise of t0 + k*dt."""
+    return f"{t:.15g}"
 
 
 def _time_grid(key: str, t0: float, t1: float, dt: float) -> TimeGrid:
@@ -289,7 +285,6 @@ class RunSegment:
     initial: str | None  # a named state, a snapshot path, or None: the primary's at start_step
     time: TimeGrid
     snapshot_steps: tuple  # sorted, distinct
-    wigner_steps: tuple  # the snapshot steps that get a Wigner map
     bound: bool  # stays in the averaged well: no absorber, 1e-3 Wigner mass tolerance, energy_drift
     start_step: int | None = None  # the restart's start, a step of the primary
     result: object = None
@@ -304,8 +299,7 @@ def _segment(cfg: dict, section: str, initial, time: TimeGrid, bound, start=None
     steps = tuple(sorted(set(_steps(f"{section}.snapshots", cfg[f"{section}.snapshots"], time))))
     return RunSegment(
         "" if section == "run" else f"{section}_",
-        cfg["run.mode"] if section == "run" else MODE_KH, initial, time, steps,
-        steps if cfg["wigner.times"] == "snapshots" else (), bound, start,
+        cfg["run.mode"] if section == "run" else MODE_KH, initial, time, steps, bound, start,
     )
 
 
@@ -323,7 +317,8 @@ def validate_config(cfg: dict) -> list[RunSegment]:
         check_field_step(_config_pulse(cfg), _field_step(cfg))
     if not all(seg.bound for seg in plan):
         check_absorber(grid)
-    if cfg["wigner.states"] or any(seg.wigner_steps for seg in plan):
+    if cfg["wigner.states"] or (cfg["wigner.times"] == "snapshots"
+                                and any(seg.snapshot_steps for seg in plan)):
         check_windows(grid)
     if (plan or cfg["emit.potential"] or cfg["emit.eigen"] or cfg["portrait.energies"] != "none"
             or set(cfg["wigner.states"]) - {"atomic_ground"}):
@@ -367,18 +362,6 @@ def _plan(cfg: dict) -> list[RunSegment]:
     plan.insert(0, _segment(cfg, "run", initial, time, bound))
     if at is not None and start not in plan[0].snapshot_steps:
         raise CliError("restart.at must match one of run.snapshots")
-    wanted = cfg["wigner.times"]
-    for t in wanted if isinstance(wanted, tuple) else ():
-        # an explicit time must name a stored snapshot, or no map is written
-        matched = False
-        for seg in plan:
-            k = _step(t, seg.time)
-            if k in seg.snapshot_steps:
-                seg.wigner_steps += (k,)
-                matched = True
-        if not matched:
-            raise CliError(f"wigner.times entry {t:g} matches no run.snapshots or "
-                           "restart.snapshots time")
     return plan
 
 
@@ -407,6 +390,15 @@ def _stored_run(path: str) -> tuple[str, dict]:
         return manifest, {}
     except (OSError, ValueError) as err:
         raise CliError(f"cannot read run manifest {manifest}: {err}")
+
+
+def _check_out(out_dir: str, snapshots) -> None:
+    """Refuses an output directory that holds a snapshot the command reads:
+    the new manifest and files would be written over the run that stored it."""
+    for path in snapshots:
+        if os.path.realpath(os.path.dirname(os.path.abspath(path))) == os.path.realpath(out_dir):
+            raise CliError(f"--out {out_dir} holds the snapshot {path} that this command "
+                           "reads; its run's files would be written over")
 
 
 def _check_stored(cfg: dict, path: str, wf: WaveFunction, frame: str) -> None:
@@ -541,6 +533,8 @@ class Pipeline:
     # ---- file plumbing ---------------------------------------------------
 
     def _path(self, name: str) -> str:
+        if name in self.files:  # a second write would leave one file, listed once
+            raise CliError(f"{name} is already written in this run")
         path = os.path.join(self.out_dir, name)
         self.files[name] = path
         return path
@@ -602,7 +596,7 @@ class Pipeline:
         if seg.initial is None:
             primary = self.plan[0]
             wf = primary.result.snapshots[primary.snapshot_steps.index(seg.start_step)]
-            stem = f"snapshot_t{seg.time.t0:g}"
+            stem = f"snapshot_t{_stamp(seg.time.t0)}"
         else:
             wf = read_snapshot(seg.initial)
             self.manifest["parent"] = _parent(seg.initial, wf)
@@ -630,7 +624,7 @@ class Pipeline:
             self.manifest["residuals"][f"{label}energy_drift"] = abs((e1 - e0) / e0)
         write_series(self._path(f"{label}observables.csv"), recorder)
         for snap in result.snapshots:
-            write_snapshot(self._path(f"{label}snapshot_t{snap.t:g}.snap"), snap)
+            write_snapshot(self._path(f"{label}snapshot_t{_stamp(snap.t)}.snap"), snap)
         if self.cfg["emit.densities"]:
             self._emit_segment_densities(seg)
         residuals = self.manifest["residuals"]  # |psi|^2 in the box, beyond |x| = 600, absorbed
@@ -644,7 +638,7 @@ class Pipeline:
 
     def _emit_segment_densities(self, segment: RunSegment) -> None:
         for snap in segment.result.snapshots:
-            stem = f"{segment.label}density_t{snap.t:g}"
+            stem = f"{segment.label}density_t{_stamp(snap.t)}"
             self._emit_window(f"{stem}_{snap.frame}.dat", snap.density(), "density")
             if snap.frame == FRAME_LAB:
                 kh_view = self.ctx.lab_to_kh(snap)
@@ -679,11 +673,12 @@ class Pipeline:
             self._export_wigner(f"wigner_{name}", self._named_state(name, FRAME_KH), 1e-3)
 
     def export_run_wigners(self) -> None:
+        if self.cfg["wigner.times"] == "none":
+            return
         for segment in self.plan:
             mass_tol = 1e-3 if segment.bound else LOOSE_MASS_TOL
-            for k, snap in zip(segment.snapshot_steps, segment.result.snapshots):
-                if k in segment.wigner_steps:
-                    self._export_wigner(f"{segment.label}wigner_t{snap.t:g}", snap, mass_tol)
+            for snap in segment.result.snapshots:
+                self._export_wigner(f"{segment.label}wigner_t{_stamp(snap.t)}", snap, mass_tol)
 
     def export_portrait(self) -> None:
         if self.cfg["portrait.energies"] == "none":
@@ -731,6 +726,7 @@ def execute(cfg: dict, out_dir: str, recipe: str | None = None) -> Pipeline:
     """The full pipeline: solves -> propagation -> transforms -> exports;
     the bound-state tables are written last."""
     plan = validate_config(cfg)
+    _check_out(out_dir, [seg.initial for seg in plan if seg.initial not in (None, *NAMED_STATES)])
     pipe = Pipeline(cfg, out_dir, recipe, plan)
     with pipe.finalizing():
         if cfg["emit.eigen"] or plan:
@@ -777,6 +773,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_wigner(args) -> int:
     cfg = load_config(args.config, list(args.override))
+    _check_out(args.out, args.snapshot)
     jobs, sources = [], {}
     for path in args.snapshot:
         stem = os.path.splitext(os.path.basename(path))[0]

@@ -227,21 +227,25 @@ def test_validate_rejects_bad_combinations():
 
 
 def test_wigner_times_must_name_a_snapshot(tmp_path, capsys):
-    with pytest.raises(CliError, match="wigner.times entry 7 matches no"):
-        validate_config(load_config(overrides=["run.snapshots=5", "wigner.times=5, 7"]))
+    # a run maps all of its snapshots or none, and the wigner verb maps a
+    # chosen few with the same bytes: a list of times is refused at load,
+    # as are another case of a keyword and an empty value
+    for value in ("5", "5, 7", "Snapshots", "NONE", ""):
+        message = f"wigner.times: expected one of ('none', 'snapshots'), got {value!r}"
+        with pytest.raises(CliError, match=re.escape(f"bad value for {message}")):
+            load_config(overrides=[f"wigner.times={value}"])
     # restart snapshots need a restart
-    restart = ["run.snapshots=5", "restart.snapshots=7", "wigner.times=7"]
+    restart = ["run.snapshots=5", "restart.snapshots=7", "wigner.times=snapshots"]
     with pytest.raises(CliError, match="restart.snapshots needs restart.at"):
         validate_config(load_config(overrides=restart))
     validate_config(load_config(overrides=restart + ["restart.at=5", "restart.t_final=9"]))
-    validate_config(load_config(overrides=["run.snapshots=5", "wigner.times=5.0000001"]))
     for keyword in ("none", "snapshots"):
         validate_config(load_config(overrides=[f"wigner.times={keyword}"]))
     # the verb fails before any solve, and before its output directory exists
     out = tmp_path / "out"
-    argv = ["run", "--override", "run.snapshots=5", "--override", "wigner.times=7"]
+    argv = ["run", "--override", "run.snapshots=5", "--override", "wigner.times=5"]
     assert cli.main(argv + ["--out", str(out)]) == 1
-    assert "khatom: [cli] wigner.times entry 7" in capsys.readouterr().err
+    assert capsys.readouterr().err.startswith("khatom: [cli] bad value for wigner.times: ")
     assert not out.exists()
 
 
@@ -279,15 +283,15 @@ def test_snapshot_times_must_lie_in_the_run_span(tmp_path, capsys):
 
 
 def test_off_step_times_fail_before_any_solve(tmp_path, capsys):
-    # a time between two steps would be stored at the nearest step: a map
-    # asked for at 12.34 found no snapshot (stored at 12.35), and a restart
-    # from it failed only after the whole primary run
+    # a time between two steps would be stored at the nearest step: a
+    # snapshot asked for at 12.34 was stored at 12.35, and a restart from it
+    # failed only after the whole primary run
     base = ["grid.n_points=1024", "run.mode=kh_averaged", "run.initial=kh_coherent",
             "run.t_final=30"]
     restart = ["run.snapshots=15", "restart.at=15", "restart.t_final=30"]
     small = ["grid.x_min=-150", "grid.x_max=150"]
     cases = [
-        (["run.snapshots=12.34", "wigner.times=12.34"],
+        (["run.snapshots=12.34"],
          "cli", "run.snapshots time 12.34 is not a whole number of run.dt = 0.05 steps from 0"),
         (["run.snapshots=12.34", "restart.at=12.34", "restart.t_final=20"],
          "cli", "restart.at time 12.34 is not a whole number of run.dt = 0.05 steps from 0"),
@@ -384,12 +388,12 @@ def test_plan_resolves_times_to_steps():
     run, restart = validate_config(load_config(overrides=[
         "run.mode=kh_averaged", "run.initial=kh_coherent", "run.t_final=30",
         "run.snapshots=30, 15, 15.0000004", "restart.at=15", "restart.t_final=45",
-        "restart.snapshots=45, 30", "wigner.times=15, 45",
+        "restart.snapshots=45, 30",
     ]))
     assert run.time == TimeGrid(0.0, 0.05, 600) and run.start_step is None
-    assert run.snapshot_steps == (300, 600) and run.wigner_steps == (300,)
+    assert run.snapshot_steps == (300, 600)
     assert restart.time == TimeGrid(15.0, 0.05, 600) and restart.start_step == 300
-    assert restart.snapshot_steps == (300, 600) and restart.wigner_steps == (600,)
+    assert restart.snapshot_steps == (300, 600)
 
 
 def test_restart_continues_in_the_averaged_potential():
@@ -1233,6 +1237,46 @@ def test_wigner_verb_refuses_repeated_stems(mini_run, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_out_must_not_hold_a_snapshot_it_reads(tmp_path, capsys):
+    # a run from a snapshot, or a map of it, written into the directory that
+    # holds it replaced the manifest of the run that stored it: a later run
+    # from the snapshot lost its bound flag, or named itself as its parent
+    src = tmp_path / "src"
+    assert _run_with(src, "grid.n_points=1024", "run.mode=kh_averaged", "run.initial=kh_coherent",
+                     "run.t_final=10", "run.snapshots=10") == 0
+    before = {name: (src / name).read_bytes() for name in os.listdir(src)}
+    snap = src / "snapshot_t10.snap"
+    commands = [["run", "--override", "run.mode=kh_averaged", "--override", f"run.initial={snap}",
+                 "--override", "run.t_final=15"], ["wigner", str(snap)]]
+    for argv in commands:
+        for out in (str(src), f"{src}/."):
+            assert cli.main(argv + ["--out", out, "--override", "grid.n_points=1024"]) == 1
+            assert capsys.readouterr().err == (f"khatom: [cli] --out {out} holds the snapshot "
+                                               f"{snap} that this command reads; its run's files "
+                                               "would be written over\n")
+    assert {name: (src / name).read_bytes() for name in os.listdir(src)} == before
+
+
+def test_late_snapshot_times_keep_their_digits(tmp_path, kh_pairs):
+    # names kept 6 significant digits: the three snapshots of a run from
+    # t = 100000 were written to one snapshot_t100000.snap and one map
+    snap = tmp_path / "late.snap"
+    write_snapshot(snap, WaveFunction(kh_pairs[0].state.grid, kh_pairs[0].state.psi, 1e5, "kh"))
+    out = tmp_path / "out"
+    times = ("100000.1", "100000.2", "100000.3")
+    extra = (f"run.snapshots={','.join(times)}", "wigner.times=snapshots")
+    assert _restart(snap, out, times[-1], *extra) == 0
+    maps = {f"wigner_t{t}.wig" for t in times}
+    assert _written(out) == ({"observables.csv"} | {f"snapshot_t{t}.snap" for t in times} | maps
+                             | {f"wigner_t{t}.txt" for t in times})
+    assert set(json.loads((out / "manifest.json").read_text())["wigner"]) == maps
+    # a name asked for twice in one run is refused, not written over
+    pipe = cli.Pipeline(load_config(), str(tmp_path / "twice"))
+    pipe._path("a.dat")
+    with pytest.raises(CliError, match="a.dat is already written in this run"):
+        pipe._path("a.dat")
+
+
 def test_wigner_verb_checks_the_grid_before_any_map(tmp_path, capsys):
     # +-150 a.u. cannot hold the +-60 window plus half the 240 a.u. lag
     g = SpatialGrid(-150.0, 150.0, 1024)
@@ -1274,7 +1318,7 @@ def test_failing_module_is_named(tmp_path, kh_pairs, capsys):
     state = kh_pairs[0].state
     write_snapshot(snap, WaveFunction(state.grid, 1e300 * state.psi, 15.0, "kh"))
     code = cli.main([
-        "run", "--out", str(tmp_path),
+        "run", "--out", str(tmp_path / "out"),
         "--override", "run.mode=kh_averaged",
         "--override", f"run.initial={snap}",
         "--override", "run.t_final=20",
@@ -1282,7 +1326,7 @@ def test_failing_module_is_named(tmp_path, kh_pairs, capsys):
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("khatom: [propagator]")
-    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
     assert manifest["status"] == "incomplete"
     assert manifest["error"].startswith("propagator:")
 
