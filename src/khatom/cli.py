@@ -349,7 +349,7 @@ def _plan(cfg: dict) -> list[RunSegment]:
         _check_stored(cfg, initial, wf, MODE_FRAMES[mode])
         stored = _stored_run(initial)[1]
         t0, bound = wf.t, mode == MODE_KH and stored.get("bound") is True and (
-            stored["config"]["kh.alpha0"] == cfg["kh.alpha0"])
+            stored["config"].get("kh.alpha0") == cfg["kh.alpha0"])
     t_final = cfg["run.t_final"]
     if t_final is None:
         t_final = _config_pulse(cfg).t_final
@@ -385,20 +385,15 @@ def _stored_run(path: str) -> tuple[str, dict]:
     manifest = os.path.join(os.path.dirname(os.path.abspath(path)), "manifest.json")
     try:
         with open(manifest) as fh:
-            return manifest, json.load(fh)
+            stored = json.load(fh)
     except FileNotFoundError:
         return manifest, {}
     except (OSError, ValueError) as err:
         raise CliError(f"cannot read run manifest {manifest}: {err}")
-
-
-def _check_out(out_dir: str, snapshots) -> None:
-    """Refuses an output directory that holds a snapshot the command reads:
-    the new manifest and files would be written over the run that stored it."""
-    for path in snapshots:
-        if os.path.realpath(os.path.dirname(os.path.abspath(path))) == os.path.realpath(out_dir):
-            raise CliError(f"--out {out_dir} holds the snapshot {path} that this command "
-                           "reads; its run's files would be written over")
+    if not isinstance(stored, dict) or not isinstance(stored.get("config"), dict):
+        raise CliError(f"cannot read run manifest {manifest}: "
+                       "not a JSON object, or its config is not one")
+    return manifest, stored
 
 
 def _check_stored(cfg: dict, path: str, wf: WaveFunction, frame: str) -> None:
@@ -460,7 +455,13 @@ class Pipeline:
         self.cfg = cfg
         self.plan = plan  # validate_config's segments, which run_segment runs in turn
         self.out_dir = out_dir
-        os.makedirs(out_dir, exist_ok=True)
+        try:  # a directory of its own, so that it holds its manifest's files alone
+            os.makedirs(out_dir, exist_ok=True)
+            used = os.listdir(out_dir)
+        except OSError as err:
+            raise CliError(f"cannot make the output directory {out_dir}: {err.strerror}")
+        if used:
+            raise CliError(f"--out {out_dir} is not empty; each command writes a new directory")
         self.files: dict[str, str] = {}
         self.manifest: dict = {
             "version": __version__,
@@ -726,7 +727,6 @@ def execute(cfg: dict, out_dir: str, recipe: str | None = None) -> Pipeline:
     """The full pipeline: solves -> propagation -> transforms -> exports;
     the bound-state tables are written last."""
     plan = validate_config(cfg)
-    _check_out(out_dir, [seg.initial for seg in plan if seg.initial not in (None, *NAMED_STATES)])
     pipe = Pipeline(cfg, out_dir, recipe, plan)
     with pipe.finalizing():
         if cfg["emit.eigen"] or plan:
@@ -773,7 +773,6 @@ def _cmd_run(args) -> int:
 
 def _cmd_wigner(args) -> int:
     cfg = load_config(args.config, list(args.override))
-    _check_out(args.out, args.snapshot)
     jobs, sources = [], {}
     for path in args.snapshot:
         stem = os.path.splitext(os.path.basename(path))[0]

@@ -193,14 +193,27 @@ def momentum_ramp(grid: SpatialGrid, c1: float) -> np.ndarray:
     return out
 
 
-def shift_samples(grid: SpatialGrid, arr: np.ndarray, s: float) -> np.ndarray:
+def shift_samples(grid: SpatialGrid, arr: np.ndarray, s: float,
+                  n_out: int | None = None) -> np.ndarray:
     """Translate samples by s: result_j ~ f(x_j - s) for band-limited f.
 
     Momentum-space phase multiplication; exact for band-limited signals,
-    periodic wrap at the grid edges is documented behavior.
+    periodic wrap at the grid edges is documented behavior.  With n_out >= n
+    the shifted spectrum is zero-padded to n_out points first, so the result
+    is the samples at spacing (x_max - x_min)/n_out on the same interval;
+    the Nyquist coefficient is split symmetrically so real input stays real.
     """
-    spec = np.fft.fft(np.asarray(arr, dtype=np.complex128))
-    return np.fft.ifft(spec * momentum_ramp(grid, -s))
+    spec = np.fft.fft(np.asarray(arr, dtype=np.complex128)) * momentum_ramp(grid, -s)
+    if n_out is None:
+        return np.fft.ifft(spec)
+    n, h = grid.n_points, grid.n_points // 2
+    spec = (n_out / n) * spec
+    out = np.zeros(n_out, dtype=np.complex128)
+    out[:h] = spec[:h]
+    out[n_out - h + 1:] = spec[h + 1:]
+    out[h] = 0.5 * spec[h]
+    out[n_out - h] += 0.5 * spec[h]
+    return np.fft.ifft(out, out=out)
 
 
 def periodic_sinc_shift(grid: SpatialGrid, arr: np.ndarray, s: float) -> np.ndarray:
@@ -225,23 +238,6 @@ def periodic_sinc_shift(grid: SpatialGrid, arr: np.ndarray, s: float) -> np.ndar
     kernel[tiny] = 1.0
     full = np.convolve(arr, kernel)
     return full[n - 1:2 * n - 1]
-
-
-def padded_spectrum(grid: SpatialGrid, spec: np.ndarray, n_out: int) -> np.ndarray:
-    """The grid's spectrum spec zero-padded to n_out >= n points.
-
-    Its ifft gives the band-limited samples at spacing (x_max - x_min)/n_out
-    on the same interval, exact for band-limited signals; the Nyquist
-    coefficient is split symmetrically so real input stays real.
-    """
-    n, h = grid.n_points, grid.n_points // 2
-    spec = (n_out / n) * np.asarray(spec)
-    out = np.zeros(n_out, dtype=np.complex128)
-    out[:h] = spec[:h]
-    out[n_out - h + 1:] = spec[h + 1:]
-    out[h] = 0.5 * spec[h]
-    out[n_out - h] += 0.5 * spec[h]
-    return out
 
 
 def write_container(path, magic: str, counts, reals, frame: str, payload: np.ndarray) -> None:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .core import KhatomError, SpatialGrid, WaveFunction, momentum_ramp, padded_spectrum
+from .core import KhatomError, SpatialGrid, WaveFunction, shift_samples
 from .core import read_container, write_container
 from .potential import AveragedPotential, local_minima_positions
 
@@ -108,8 +108,7 @@ def _sample_rows(wf: WaveFunction) -> tuple[np.ndarray, float]:
     m_max = round(0.5 * XI_MAX / h)
     u = (X_AXIS[0] - m_max * h - g.x_min) / h
     i0 = int(np.rint(u))
-    spec = padded_spectrum(g, np.fft.fft(wf.psi) * momentum_ramp(g, (u - i0) * h), n_fine)
-    samples = np.fft.ifft(spec, out=spec)
+    samples = shift_samples(g, wf.psi, -(u - i0) * h, n_fine)
     return sliding_window_view(samples[i0:], 2 * m_max + 1)[::k][: len(X_AXIS)], 2.0 * h
 
 

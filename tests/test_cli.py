@@ -1,5 +1,6 @@
 """Config parsing, the command verbs, manifests, and run determinism."""
 
+import errno
 import filecmp
 import hashlib
 import json
@@ -14,10 +15,12 @@ import pytest
 from khatom import cli, propagator
 from khatom.cli import CliError, load_config, validate_config
 from khatom.core import SpatialGrid, TimeGrid, WaveFunction
-from khatom.eigen import EigenError
+from khatom.eigen import EigenError, coherent_superposition, kh_bound_states
+from khatom.frame import FrameTransformContext
+from khatom.laser import build_field_cache
 from khatom.observables import read_series
-from khatom.phasespace import REALITY_TOL, PhaseSpaceError, read_wigner
-from khatom.potential import PotentialError
+from khatom.phasespace import REALITY_TOL, PhaseSpaceError, read_wigner, wigner, write_wigner
+from khatom.potential import PotentialError, kh_averaged_potential
 from khatom.propagator import read_snapshot, write_snapshot
 
 RECIPES = ("fig1", "fig2ab", "fig2b", "fig3", "fig4a", "fig4b", "fig5", "fig6", "fig7", "fig8")
@@ -1251,10 +1254,106 @@ def test_out_must_not_hold_a_snapshot_it_reads(tmp_path, capsys):
     for argv in commands:
         for out in (str(src), f"{src}/."):
             assert cli.main(argv + ["--out", out, "--override", "grid.n_points=1024"]) == 1
-            assert capsys.readouterr().err == (f"khatom: [cli] --out {out} holds the snapshot "
-                                               f"{snap} that this command reads; its run's files "
-                                               "would be written over\n")
+            assert capsys.readouterr().err == (f"khatom: [cli] --out {out} is not empty; "
+                                               "each command writes a new directory\n")
     assert {name: (src / name).read_bytes() for name in os.listdir(src)} == before
+
+
+def test_out_is_new_or_empty(tmp_path, capsys):
+    # a second command into one directory left the first one's tables
+    # beside a manifest that did not list them; a file, or a path under
+    # one, ended in a traceback
+    out = tmp_path / "out"
+    base = ("grid.n_points=1024", "run.enabled=false")
+    assert _run_with(out, *base, "emit.potential=true") == 0
+    before = {name: (out / name).read_bytes() for name in os.listdir(out)}
+    assert _run_with(out, *base, "emit.field=true") == 1
+    assert capsys.readouterr().err == (f"khatom: [cli] --out {out} is not empty; "
+                                       "each command writes a new directory\n")
+    assert {name: (out / name).read_bytes() for name in os.listdir(out)} == before
+    afile = tmp_path / "afile"
+    afile.write_text("notes\n")
+    for path, code in ((afile, errno.EEXIST), (afile / "sub", errno.ENOTDIR)):
+        assert _run_with(path, *base, "emit.field=true") == 1
+        assert capsys.readouterr().err == (f"khatom: [cli] cannot make the output directory "
+                                           f"{path}: {os.strerror(code)}\n")
+    assert afile.read_text() == "notes\n"
+    # an existing empty directory is taken
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    assert _run_with(empty, *base, "emit.field=true") == 0
+    assert _written(empty) == {"field.dat"}
+
+
+def test_run_directories_hold_their_manifests_files(mini_run, cut_fig7):
+    # a run, its restart and their maps write the files their manifest
+    # lists and nothing else; the continuation and wigner verb tests
+    # check their directories with the same _written
+    assert "restart_wigner_t45.wig" in _written(mini_run)
+    assert "snapshot_t200_kh.snap" in _written(cut_fig7)
+
+
+def test_malformed_run_manifest_is_refused(tmp_path, capsys):
+    # a manifest beside the snapshot that is not a JSON object, or holds no
+    # config object, ended in a traceback; a config without kh.alpha0
+    # leaves the continuation not bound
+    g = SpatialGrid(-1500.0, 1500.0, 1024)
+    wf = WaveFunction(g, np.exp(-((g.x / 4.0) ** 2)) + 0j, 10.0, "kh").normalized()
+    out, small = tmp_path / "out", "grid.n_points=1024"
+    for k, content in enumerate(([], {"bound": True}, {"bound": True, "config": {}})):
+        snap = tmp_path / f"run{k}" / "snapshot_t10.snap"
+        snap.parent.mkdir()
+        write_snapshot(snap, wf)
+        manifest = snap.parent / "manifest.json"
+        manifest.write_text(json.dumps(content))
+        if "config" in content:
+            start = ["run.mode=kh_averaged", f"run.initial={snap}", "run.t_final=15", small]
+            (seg,) = validate_config(load_config(overrides=start))
+            assert seg.bound is False
+            continue
+        assert _restart(snap, out, 15, small) == 1
+        assert cli.main(["wigner", str(snap), "--out", str(out), "--override", small]) == 1
+        refused = (f"khatom: [cli] cannot read run manifest {manifest}: "
+                   "not a JSON object, or its config is not one\n")
+        assert capsys.readouterr().err == 2 * refused
+        assert not out.exists()
+
+
+def test_fig2b_writes_each_snapshot_density_in_both_frames(tmp_path):
+    # emit.densities writes |psi|^2 of each lab snapshot and of its KH view
+    # on |x| <= 150
+    out = tmp_path / "fig2b"
+    overrides = CUT_PULSE + ("run.snapshots=200,250",)
+    assert _run_with(out, *overrides, recipe=["fig2b"]) == 0
+    tables = {name for name in _written(out) if name.startswith("density_")}
+    assert tables == {f"density_t{t}_{frame}.dat" for t in (200, 250) for frame in ("lab", "kh")}
+    cfg = load_config(cli._recipe_path("fig2b"), list(overrides))
+    ctx = FrameTransformContext(build_field_cache(cli._config_pulse(cfg), cli._field_step(cfg)),
+                                cli._config_grid(cfg))
+    snap = read_snapshot(out / "snapshot_t200.snap")
+    sel = np.abs(snap.grid.x) <= cli.EMIT_HALF_WIDTH
+    for frame, wf in (("lab", snap), ("kh", ctx.lab_to_kh(snap))):
+        rows = np.loadtxt(out / f"density_t200_{frame}.dat")
+        assert np.array_equal(rows[:, 0], snap.grid.x[sel]), frame
+        assert np.array_equal(rows[:, 1], wf.density()[sel]), frame
+
+
+def test_fig3_maps_the_named_states(tmp_path):
+    # wigner.states maps the KH pair and their superposition, each held
+    # to the 1e-3 mass tolerance of a bound state
+    out = tmp_path / "fig3"
+    assert _run_with(out, "grid.n_points=4096", recipe=["fig3"]) == 0
+    g = SpatialGrid(-1500.0, 1500.0, 4096)
+    pairs = kh_bound_states(kh_averaged_potential(g, 10.23))
+    states = {"kh_ground": pairs[0].state, "kh_excited": pairs[1].state,
+              "kh_coherent": coherent_superposition(pairs[0], pairs[1])}
+    records = json.loads((out / "manifest.json").read_text())["wigner"]
+    assert set(records) == {f"wigner_{name}.wig" for name in states}
+    for name, wf in states.items():
+        want = tmp_path / f"{name}.wig"
+        write_wigner(want, wigner(wf.with_frame("kh")))
+        assert filecmp.cmp(out / f"wigner_{name}.wig", want, shallow=False), name
+        assert records[f"wigner_{name}.wig"]["mass_deficit"] <= 1e-3, name
 
 
 def test_late_snapshot_times_keep_their_digits(tmp_path, kh_pairs):
