@@ -282,11 +282,12 @@ class RunSegment:
 
     label: str  # "" for the primary run, "restart_" for the continuation
     mode: str
-    initial: str | None  # a named state, a snapshot path, or None: the primary's at start_step
+    initial: str | WaveFunction | None  # a named state, the stored state the plan checked, or None
     time: TimeGrid
     snapshot_steps: tuple  # sorted, distinct
     bound: bool  # stays in the averaged well: no absorber, 1e-3 Wigner mass tolerance, energy_drift
     start_step: int | None = None  # the restart's start, a step of the primary
+    parent: dict | None = None  # the manifest's record of the snapshot file initial came from
     result: object = None
 
 
@@ -343,12 +344,13 @@ def _plan(cfg: dict) -> list[RunSegment]:
             raise CliError(f"{key} needs restart.at")
     mode, dt = cfg["run.mode"], cfg["run.dt"]
     if initial in NAMED_STATES:  # defined at t = 0
-        t0, bound = 0.0, mode == MODE_KH and initial != "atomic_ground"
+        t0, bound, parent = 0.0, mode == MODE_KH and initial != "atomic_ground", None
     else:  # a snapshot brings its start time, and its run's manifest the bound flag
-        wf = read_snapshot(initial)
-        _check_stored(cfg, initial, wf, MODE_FRAMES[mode])
-        stored = _stored_run(initial)[1]
-        t0, bound = wf.t, mode == MODE_KH and stored.get("bound") is True and (
+        wf, manifest, stored = _read_stored(initial)
+        _check_stored(cfg, initial, wf, MODE_FRAMES[mode], stored)
+        parent = {"snapshot": os.path.abspath(initial), "sha256": _sha256(initial), "t": wf.t}
+        parent = {**parent, "manifest": manifest} if stored else parent
+        initial, t0, bound = wf, wf.t, mode == MODE_KH and stored.get("bound") is True and (
             stored["config"].get("kh.alpha0") == cfg["kh.alpha0"])
     t_final = cfg["run.t_final"]
     if t_final is None:
@@ -360,6 +362,7 @@ def _plan(cfg: dict) -> list[RunSegment]:
         restart = _time_grid("restart.t_final", at, cfg["restart.t_final"], dt)
         plan.append(_segment(cfg, "restart", None, restart, bound, start))
     plan.insert(0, _segment(cfg, "run", initial, time, bound))
+    plan[0].parent = parent
     if at is not None and start not in plan[0].snapshot_steps:
         raise CliError("restart.at must match one of run.snapshots")
     return plan
@@ -379,46 +382,39 @@ def _sha256(path) -> str:
     return digest.hexdigest()
 
 
-def _stored_run(path: str) -> tuple[str, dict]:
-    """The manifest.json beside the snapshot at path, which records the run
-    that stored it, and its content: {} when there is none."""
+def _read_stored(path: str) -> tuple[WaveFunction, str, dict]:
+    """The snapshot at path, the manifest.json beside it, which records the run
+    that stored it, and its content: {} when there is none; each read once."""
+    wf = read_snapshot(path)
     manifest = os.path.join(os.path.dirname(os.path.abspath(path)), "manifest.json")
     try:
         with open(manifest) as fh:
             stored = json.load(fh)
     except FileNotFoundError:
-        return manifest, {}
+        return wf, manifest, {}
     except (OSError, ValueError) as err:
         raise CliError(f"cannot read run manifest {manifest}: {err}")
     if not isinstance(stored, dict) or not isinstance(stored.get("config"), dict):
         raise CliError(f"cannot read run manifest {manifest}: "
                        "not a JSON object, or its config is not one")
-    return manifest, stored
+    return wf, manifest, stored
 
 
-def _check_stored(cfg: dict, path: str, wf: WaveFunction, frame: str) -> None:
+def _check_stored(cfg: dict, path: str, wf: WaveFunction, frame: str, stored: dict) -> None:
     """Checks that the config can take the snapshot wf, stored at path, into
     the frame: on its grid, and for a lab one moved to the KH frame, with the
-    pulse of the run that stored it, on a field step that divides the pulse."""
+    pulse that stored (its run's manifest) records, on a field step that divides it."""
     if wf.grid != _config_grid(cfg):
         raise CliError(f"snapshot {path} was stored on a different grid")
     if wf.frame == frame:
         return
     if frame == FRAME_LAB:  # nothing moves a state back to the lab frame
         raise CliError(f"snapshot {path} is in the kh frame; a lab_full run needs a lab one")
-    stored = _stored_run(path)[1].get("config", {})
+    stored = stored.get("config", {})
     for key in CONFIG_SPEC:
         if key.startswith("pulse.") and key in stored and stored[key] != cfg[key]:
             raise CliError(f"snapshot {path} was stored with {key} = {stored[key]}, not {cfg[key]}")
     check_field_step(_config_pulse(cfg), _field_step(cfg))
-
-
-def _parent(path: str, wf: WaveFunction) -> dict:
-    """The manifest's record of the snapshot a run starts from, with the
-    manifest.json beside it when there is one."""
-    manifest, stored = _stored_run(path)
-    parent = {"snapshot": os.path.abspath(path), "sha256": _sha256(path), "t": wf.t}
-    return {**parent, "manifest": manifest} if stored else parent
 
 
 def _detect_landmarks(times: np.ndarray, abs2: np.ndarray, period: float) -> dict:
@@ -588,20 +584,20 @@ class Pipeline:
 
     def _initial_state(self, seg: RunSegment) -> WaveFunction:
         """The segment's start: a named state, or a stored one: the primary's
-        snapshot at the restart's start step, or a snapshot file (recorded as
-        the run's parent).  A stored lab state that starts a kh_averaged
-        segment is moved to the KH frame and written as <stem>_kh.snap."""
+        snapshot at the restart's start step, or the state the plan read from a
+        snapshot file (recorded as the run's parent).  A stored lab state that
+        starts a kh_averaged segment is moved to the KH frame as <stem>_kh.snap."""
         frame = MODE_FRAMES[seg.mode]
-        if seg.initial in NAMED_STATES:
+        if isinstance(seg.initial, str):
             return self._named_state(seg.initial, frame)
         if seg.initial is None:
             primary = self.plan[0]
             wf = primary.result.snapshots[primary.snapshot_steps.index(seg.start_step)]
             stem = f"snapshot_t{_stamp(seg.time.t0)}"
         else:
-            wf = read_snapshot(seg.initial)
-            self.manifest["parent"] = _parent(seg.initial, wf)
-            stem = os.path.splitext(os.path.basename(seg.initial))[0]
+            wf = seg.initial
+            self.manifest["parent"] = seg.parent
+            stem = os.path.splitext(os.path.basename(seg.parent["snapshot"]))[0]
         if wf.frame != frame:
             wf = self.ctx.lab_to_kh(wf)
             write_snapshot(self._path(f"{stem}_kh.snap"), wf)
@@ -779,12 +775,12 @@ def _cmd_wigner(args) -> int:
         if stem in sources:  # both maps would be written to one file
             raise CliError(f"snapshots {sources[stem]} and {path} both map to wigner_{stem}.wig")
         sources[stem] = path
-        wf = read_snapshot(path)
+        wf, _, stored = _read_stored(path)
         if wf.frame == FRAME_LAB:  # mapped in the KH frame, as a run maps its lab snapshots
-            _check_stored(cfg, path, wf, FRAME_KH)
+            _check_stored(cfg, path, wf, FRAME_KH, stored)
         check_windows(wf.grid)
         # the mass tolerance that the run which stored the snapshot held its maps to
-        bound = _stored_run(path)[1].get("bound") is True
+        bound = stored.get("bound") is True
         jobs.append((f"wigner_{stem}", wf, 1e-3 if bound else LOOSE_MASS_TOL))
     with Pipeline(cfg, args.out).finalizing() as pipe:
         for job in jobs:

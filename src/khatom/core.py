@@ -55,8 +55,9 @@ class SpatialGrid:
     n_points: int = 16384
 
     def __post_init__(self):
-        if not self.x_max > self.x_min:
-            raise GridError(f"x_max must exceed x_min, got [{self.x_min}, {self.x_max}]")
+        if not 0 < self.x_max - self.x_min < math.inf:  # an overflowed width makes every x nan
+            raise GridError("x_max must exceed x_min by a finite width, "
+                            f"got [{self.x_min}, {self.x_max}]")
         n = int(self.n_points)
         if n < 2 or n & (n - 1):
             raise GridError(f"n_points must be a power of two >= 2, got {self.n_points}")

@@ -178,10 +178,9 @@ def _sturm_count(v: np.ndarray, dx: float, shift: float) -> int:
     """Eigenvalues below shift of the three-point FD Hamiltonian, Dirichlet
     edges: the negative pivots of LDL^T of H_fd - shift (Sylvester's inertia)."""
     off2 = 0.25 / dx**4  # the squared off-diagonal entry
-    diag = (1.0 / dx**2 + v[1:-1] - shift).tolist()
-    q = diag[0] or -_PIVMIN
-    count = int(q < 0.0)
-    for d in diag[1:]:
+    diag = (1.0 / dx**2 + v[1:-1] - shift).tolist()  # empty when there is no interior point
+    q, count = np.inf, 0  # so that the first pivot is diag[0] itself
+    for d in diag:
         q = (d - off2 / q) or -_PIVMIN
         count += q < 0.0
     return count
@@ -219,11 +218,14 @@ def bound_states(v: np.ndarray, grid: SpatialGrid) -> list[EigenPair]:
     # W = (p^2/2 + sigma)^-1 R and its kinetic energy, from one transform of R
     precond = np.stack((np.ones_like(kin), kin))[:, None, :] / (kin + PRECOND_SHIFT)
     # X starts as Hermite-Gaussians at the mean and spread of x weighted by
-    # max(-v, 0); only the wanted states not yet converged get W and P
+    # max(-v, 0); only the wanted states not yet converged get W and P.  A grid too
+    # coarse for the well leaves a seed zero (underflowed, or odd at u = 0 on a 1-point well)
     depth = np.maximum(-v, 0.0)
     c = np.sum(depth * grid.x) / np.sum(depth)
-    u = (grid.x - c) / np.sqrt(np.sum(depth * (grid.x - c) ** 2) / np.sum(depth))
+    u = (grid.x - c) / (np.sqrt(np.sum(depth * (grid.x - c) ** 2) / np.sum(depth)) or np.inf)
     x = (hermevander(u, k - 1) * np.exp(-0.5 * u * u)[:, None]).T
+    if not np.all(np.einsum("in,in->i", x, x) > 0.0):
+        raise EigenError(f"dx = {grid.dx:.3g} is too coarse for the well: a seed state vanishes")
     hx = _real_multiply_p(kin, x) + v * x
     w = hw = p = hp = x[:0]
     for _ in range(LOBPCG_MAXITER):

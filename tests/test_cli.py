@@ -1,5 +1,6 @@
 """Config parsing, the command verbs, manifests, and run determinism."""
 
+import builtins
 import errno
 import filecmp
 import hashlib
@@ -191,6 +192,19 @@ def test_config_rejects_bad_values():
     for override, message in rules:
         with pytest.raises(CliError, match=re.escape(message)):
             load_config(overrides=["run.mode=kh_averaged", override])
+
+
+def test_grid_width_must_be_finite(tmp_path, capsys):
+    # each bound is finite, but their difference overflowed to inf: every x
+    # was nan, with a RuntimeWarning, and fig1 failed on the state count
+    overrides = ["grid.x_min=-1e308", "grid.x_max=1e308"]
+    message = "bad grid.* values: x_max must exceed x_min by a finite width"
+    with pytest.raises(CliError, match=re.escape(message)):
+        load_config(overrides=overrides)
+    out = tmp_path / "out"
+    assert _run_with(out, *overrides, recipe=("fig1",)) == 1
+    assert capsys.readouterr().err.startswith("khatom: [cli] bad grid.* values: ")
+    assert not out.exists()
 
 
 def test_repeated_wigner_state_is_refused(tmp_path, capsys):
@@ -643,6 +657,20 @@ def test_kh_run_fails_before_the_potential_tables(tmp_path, capsys):
     stages = ("run.mode=kh_averaged", "run.initial=kh_ground", "run.t_final=10",
               "emit.potential=true")
     _fails_on_one_bound_state(tmp_path, capsys, "4.5", stages)
+
+
+@pytest.mark.parametrize("n_points, module", [(2, "cli"), (4, "eigen"), (64, "eigen")])
+def test_coarse_grid_fails_with_a_manifest(tmp_path, capsys, n_points, module):
+    # on the default box a grid too coarse for the KH well left a
+    # Hermite-Gaussian seed of the solve zero (64 points), or odd with the
+    # well on one point (4), and 2 points leave the Sturm count no interior
+    # point: each ended in an IndexError traceback, with no manifest
+    out = tmp_path / "out"
+    assert _run_with(out, f"grid.n_points={n_points}", recipe=("fig1",)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"khatom: [{module}] ") and err.count("\n") == 1
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == "incomplete" and manifest["error"].startswith(f"{module}: ")
 
 
 def test_single_well_potential_needs_no_separatrix(tmp_path):
@@ -1125,6 +1153,30 @@ def test_wigner_verb_takes_the_tolerance_of_the_stored_run(mini_run, cut_fig7, t
             argv += ["--override", item]
         assert cli.main(argv) == 0
     assert tols == [1e-3, cli.LOOSE_MASS_TOL, cli.LOOSE_MASS_TOL]
+
+
+def test_stored_snapshot_and_its_manifest_are_read_once(cut_fig7, tmp_path, monkeypatch):
+    # the plan reads the snapshot and the manifest beside it, checks them and
+    # keeps the state that the run propagates, and hashes the snapshot for
+    # the parent record; each file used to be opened three times.  The verb
+    # reads each once and records no parent
+    snap, manifest = cut_fig7 / "snapshot_t200.snap", cut_fig7 / "manifest.json"
+    opened, real = [], builtins.open
+
+    def counting(file, *args, **kwargs):
+        if isinstance(file, (str, os.PathLike)):
+            opened.append(os.path.abspath(file))
+        return real(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", counting)
+    assert _restart(snap, tmp_path / "run", 210, *CUT_PULSE) == 0
+    assert opened.count(str(snap)) <= 2 and opened.count(str(manifest)) == 1
+    opened.clear()
+    argv = ["wigner", str(snap), "--out", str(tmp_path / "w")]
+    for item in CUT_PULSE:
+        argv += ["--override", item]
+    assert cli.main(argv) == 0
+    assert (opened.count(str(snap)), opened.count(str(manifest))) == (1, 1)
 
 
 def test_failing_transform_makes_no_directory(cut_fig7, tmp_path, capsys):
