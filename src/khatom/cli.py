@@ -20,13 +20,14 @@ import math
 import os
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
 
 from . import __version__
-from .core import FRAME_KH, FRAME_LAB, KhatomError, SpatialGrid, TimeGrid, WaveFunction
+from .core import (FRAME_KH, FRAME_LAB, KhatomError, SpatialGrid, TimeGrid, WaveFunction,
+                   centred_box)
 from .eigen import (
     coherent_superposition,
     imaginary_time_ground_state,
@@ -73,6 +74,10 @@ EMIT_HALF_WIDTH = 150.0
 LOOSE_MASS_TOL = 0.05
 
 _OVERLAY_ENERGY = 0.0125  # outermost equienergy curve drawn on the maps
+
+# the probability outside its box that a bound segment may cut from its start;
+# a start with more steps the whole grid
+BOX_CUT_TOL = 1e-15
 
 
 def _parse_bool(raw: str) -> bool:
@@ -417,6 +422,38 @@ def _check_stored(cfg: dict, path: str, wf: WaveFunction, frame: str, stored: di
     check_field_step(_config_pulse(cfg), _field_step(cfg))
 
 
+def _segment_box(grid: SpatialGrid, initial: WaveFunction, bound: bool):
+    """The slice of grid that a segment steps, and the grid of its samples.
+
+    A bound segment steps the centred power-of-two box that holds
+    |x| <= ABSORBER_HALF_WIDTH, where edge_fraction is read, on a grid
+    whose x is grid.x[box] bit for bit; its state decays away from the
+    wells.  It steps the whole grid when its start has more than
+    BOX_CUT_TOL of probability outside the box, or when no grid of the
+    box's points has those x.  Every other segment steps the whole grid.
+    """
+    whole, box = slice(0, grid.n_points), centred_box(grid, ABSORBER_HALF_WIDTH)
+    if not bound or box == whole:
+        return whole, grid
+    psi, x = initial.psi, grid.x
+    cut = grid.dx * float(np.sum(np.abs(np.concatenate((psi[:box.start], psi[box.stop:]))) ** 2))
+    sub = SpatialGrid(float(x[box.start]), float(x[box.stop]), box.stop - box.start)
+    if cut > BOX_CUT_TOL or sub.dx != grid.dx or not np.array_equal(sub.x, x[box]):
+        return whole, grid
+    return box, sub
+
+
+def _cut(wf: WaveFunction, grid: SpatialGrid, box: slice) -> WaveFunction:
+    """wf's samples in box, on grid, the box's grid; wf itself when grid is its own."""
+    return wf if wf.grid == grid else WaveFunction(grid, wf.psi[box], wf.t, wf.frame)
+
+
+def _widen(wf: WaveFunction, grid: SpatialGrid, box: slice) -> WaveFunction:
+    """wf, stepped on box, on the whole grid, zero outside the box; wf itself when it is on it."""
+    pad = (box.start, grid.n_points - box.stop)
+    return wf if wf.grid == grid else WaveFunction(grid, np.pad(wf.psi, pad), wf.t, wf.frame)
+
+
 def _detect_landmarks(times: np.ndarray, abs2: np.ndarray, period: float) -> dict:
     """Locate beat landmarks on an autocorrelation magnitude series.
 
@@ -606,16 +643,21 @@ class Pipeline:
     def run_segment(self, seg: RunSegment) -> None:
         label, mode = seg.label, seg.mode
         initial = self._initial_state(seg)
-        if mode == MODE_LAB:
-            v = atomic_potential(self.grid.x)
-            op = SplitOperator(self.grid, v, seg.time, mode, self.cache, not seg.bound)
+        # the segment runs on its box, and its states leave it on the whole grid
+        box, grid = _segment_box(self.grid, initial, seg.bound)
+        if mode == MODE_LAB:  # never bound: the box is the whole grid
+            v = atomic_potential(grid.x)
+            op = SplitOperator(grid, v, seg.time, mode, self.cache, not seg.bound)
             recorder = Recorder(self.ground, self.pairs, self.ctx)
         else:
-            op = SplitOperator(self.grid, self.avg.samples, seg.time, mode, absorber=not seg.bound)
-            recorder = Recorder(kh_pairs=self.pairs)
+            op = SplitOperator(grid, self.avg.samples[box], seg.time, mode, absorber=not seg.bound)
+            recorder = Recorder(kh_pairs=[replace(p, state=_cut(p.state, grid, box))
+                                          for p in self.pairs])
         seg.result = result = propagate(
-            op, initial, seg.snapshot_steps, recorder, _record_stride(seg.time.dt)
+            op, _cut(initial, grid, box), seg.snapshot_steps, recorder, _record_stride(seg.time.dt)
         )
+        result.snapshots = [_widen(wf, self.grid, box) for wf in result.snapshots]
+        result.final = _widen(result.final, self.grid, box)
         if seg.bound:  # no field, no absorber: the Rayleigh energy keeps to the splitting error
             e0, e1 = (rayleigh_energy(self.avg.samples, wf) for wf in (initial, result.final))
             self.manifest["residuals"][f"{label}energy_drift"] = abs((e1 - e0) / e0)
@@ -625,6 +667,7 @@ class Pipeline:
         if self.cfg["emit.densities"]:
             self._emit_segment_densities(seg)
         residuals = self.manifest["residuals"]  # |psi|^2 in the box, beyond |x| = 600, absorbed
+        residuals[f"{label}box_points"] = grid.n_points
         density, edge = result.final.density(), np.abs(self.grid.x) > ABSORBER_HALF_WIDTH
         residuals[f"{label}final_norm"] = self.grid.dx * float(np.sum(density))
         residuals[f"{label}edge_fraction"] = self.grid.dx * float(np.sum(density[edge]))

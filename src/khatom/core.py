@@ -136,6 +136,15 @@ class WaveFunction:
         return np.abs(self.psi) ** 2
 
 
+def centred_box(grid: SpatialGrid, reach: float) -> slice:
+    """The smallest centred power-of-two slice of grid's samples that holds
+    every sample with |x| <= reach; the whole grid when no smaller one does."""
+    n = grid.n_points
+    lo, hi = np.searchsorted(grid.x, -reach), np.searchsorted(grid.x, reach, "right")
+    m = min(n, 1 << int(max(n - 2 * lo, 2 * hi - n, 1) - 1).bit_length())
+    return slice((n - m) // 2, (n + m) // 2)
+
+
 def require_same_grid(a: WaveFunction, b: WaveFunction) -> None:
     if a.grid != b.grid:
         raise GridError(

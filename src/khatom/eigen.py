@@ -22,7 +22,7 @@ import numpy as np
 from numpy.fft import fft, ifft, irfft, rfft, rfftfreq
 from numpy.polynomial.hermite_e import hermevander
 
-from .core import FRAME_KH, SpatialGrid, WaveFunction, KhatomError, inner_product
+from .core import FRAME_KH, SpatialGrid, WaveFunction, KhatomError, centred_box, inner_product
 from .potential import AveragedPotential
 
 __all__ = [
@@ -127,10 +127,9 @@ def imaginary_time_ground_state(
     if len(v) != grid.n_points:
         raise EigenError("potential samples do not match the grid")
 
-    n = grid.n_points
-    lo, hi = np.searchsorted(grid.x, -GROUND_REACH), np.searchsorted(grid.x, GROUND_REACH, "right")
-    for m in sorted({min(n, 1 << int(max(n - 2 * lo, 2 * hi - n, 1) - 1).bit_length()), n}):
-        box = slice((n - m) // 2, (n + m) // 2)
+    n, whole = grid.n_points, slice(0, grid.n_points)
+    for box in (centred_box(grid, GROUND_REACH), whole):
+        m = box.stop - box.start
         expv_half = np.exp(-0.5 * dt_imag * v[box])
         expt = np.exp(-0.5 * dt_imag * _half_p2(m, grid.dx))
         psi = np.exp(-grid.x[box] ** 2 / 50.0)
@@ -159,7 +158,7 @@ def imaginary_time_ground_state(
             )
         wf = fix_global_phase(WaveFunction(grid, np.pad(psi, (box.start, n - box.stop))))
         edge_amp = max(abs(wf.psi[box.start]), abs(wf.psi[box.stop - 1]))
-        if edge_amp <= EDGE_AMP_TOL:
+        if edge_amp <= EDGE_AMP_TOL or box == whole:
             break
 
     energy, residual = _energy_residual(v, wf)
@@ -169,8 +168,8 @@ def imaginary_time_ground_state(
             "no bound state found"
         )
     if edge_amp > EDGE_AMP_TOL:
-        raise EigenError(f"the ground state has edge amplitude {edge_amp:.2e} > {EDGE_AMP_TOL}; "
-                         "use a wider grid")
+        raise EigenError(f"the ground state has edge amplitude {edge_amp:.2e} > {EDGE_AMP_TOL} "
+                         f"at dx = {grid.dx:.3g}; use a finer or a wider grid")
     return EigenPair(energy, wf, residual)
 
 
@@ -253,8 +252,8 @@ def bound_states(v: np.ndarray, grid: SpatialGrid) -> list[EigenPair]:
             raise EigenError(f"LOPCG did not converge in {LOBPCG_MAXITER} iterations: state {j} "
                              f"has ||H psi - E psi|| = {residual:.2e} > {LOBPCG_TOL}")
         if edge_amp > EDGE_AMP_TOL:
-            raise EigenError(f"eigenstate {j} has edge amplitude {edge_amp:.2e} > "
-                             f"{EDGE_AMP_TOL}; use a wider grid")
+            raise EigenError(f"eigenstate {j} has edge amplitude {edge_amp:.2e} > {EDGE_AMP_TOL} "
+                             f"at dx = {grid.dx:.3g}; use a finer or a wider grid")
         pairs.append(EigenPair(energy, wf, residual))
     return pairs
 

@@ -5,6 +5,7 @@ import errno
 import filecmp
 import hashlib
 import json
+import math
 import os
 import re
 import subprocess
@@ -15,7 +16,7 @@ import pytest
 
 from khatom import cli, propagator
 from khatom.cli import CliError, load_config, validate_config
-from khatom.core import SpatialGrid, TimeGrid, WaveFunction
+from khatom.core import SpatialGrid, TimeGrid, WaveFunction, inner_product
 from khatom.eigen import EigenError, coherent_superposition, kh_bound_states
 from khatom.frame import FrameTransformContext
 from khatom.laser import build_field_cache
@@ -673,6 +674,19 @@ def test_coarse_grid_fails_with_a_manifest(tmp_path, capsys, n_points, module):
     assert manifest["status"] == "incomplete" and manifest["error"].startswith(f"{module}: ")
 
 
+def test_under_resolved_ground_state_names_dx(tmp_path, capsys):
+    # at 256 points (dx = 11.7) the ground state's tail is that of an
+    # under-resolved state, not one cut by the box: a wider box fails
+    # earlier, at the KH seeds, and a finer grid completes
+    out = tmp_path / "out"
+    assert _run_with(out, "grid.n_points=256", recipe=("fig1",)) == 1
+    message = ("the ground state has edge amplitude 2.40e-06 > 1e-06 at dx = 11.7; "
+               "use a finer or a wider grid")
+    assert capsys.readouterr().err == f"khatom: [eigen] {message}\n"
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == "incomplete" and manifest["error"] == f"eigen: {message}"
+
+
 def test_single_well_potential_needs_no_separatrix(tmp_path):
     # kh.alpha0 = 2 gives a single well: no saddle, and no portrait asks for one
     overrides = ("run.enabled=false", "emit.potential=true", "kh.alpha0=2", "grid.n_points=4096")
@@ -872,6 +886,69 @@ def test_edge_fraction_reports_the_box_edge(mini_run, tmp_path):
     assert residuals["edge_fraction"] < 1e-20 and residuals["restart_edge_fraction"] < 1e-20
 
 
+def test_bound_segments_step_their_box(mini_cfg_path, mini_run, grid, tmp_path, monkeypatch):
+    # the mini recipe's segments are bound: each steps the 8192 points
+    # |x| <= 750 of the default grid and writes its states on the whole
+    # grid.  Forced onto the whole grid, the same segments differ by at most
+    # 1.4e-13 in observables.csv, and their snapshots have overlap 1 to rounding
+    real = cli.centred_box
+    monkeypatch.setattr(cli, "centred_box", lambda g, reach: real(g, math.inf))
+    whole = tmp_path / "whole"
+    assert cli.main(["run", mini_cfg_path, "--out", str(whole)]) == 0
+    boxed, full = (json.loads((d / "manifest.json").read_text())["residuals"]
+                   for d in (mini_run, whole))
+    for label in ("", "restart_"):
+        assert (boxed[f"{label}box_points"], full[f"{label}box_points"]) == (8192, 16384)
+        series = [read_series(d / f"{label}observables.csv") for d in (mini_run, whole)]
+        for name, column in series[0].items():
+            np.testing.assert_allclose(column, series[1][name], rtol=0, atol=1e-11, err_msg=name)
+    snaps = sorted(name for name in _written(mini_run) if name.endswith(".snap"))
+    assert snaps == sorted(name for name in _written(whole) if name.endswith(".snap"))
+    for name in snaps:
+        a, b = read_snapshot(mini_run / name), read_snapshot(whole / name)
+        assert a.grid == b.grid == grid, name
+        assert abs(inner_product(a, b)) ** 2 / (a.norm() * b.norm()) ** 2 >= 1 - 1e-12, name
+
+
+def test_segment_box_keeps_the_grid_points():
+    # a bound segment's box is a grid of its own whose x are the whole
+    # grid's bit for bit; on [-1500.3, 1499.9] no grid of 2048 points has
+    # them (4.5e-13 off), so the segment steps the whole grid, as does
+    # every segment that is not bound
+    for g, box in ((SpatialGrid(n_points=4096), slice(1024, 3072)),
+                   (SpatialGrid(-1500.3, 1499.9, 4096), slice(0, 4096))):
+        wf = WaveFunction(g, np.exp(-g.x**2 / 100.0), 0.0, "kh")
+        assert cli._segment_box(g, wf, False) == (slice(0, 4096), g)
+        cut, sub = cli._segment_box(g, wf, True)
+        assert cut == box and sub.dx == g.dx and np.array_equal(sub.x, g.x[box])
+
+
+def test_bound_start_beyond_the_box_steps_the_whole_grid(tmp_path):
+    # a bound run's stored state that holds 1e-10 of probability beyond
+    # |x| = 750 would lose it to the 2048-point box of a 4096-point grid:
+    # its continuation steps the whole grid, and keeps that probability
+    # beyond the absorber's inner width; without it, the box
+    g = SpatialGrid(n_points=4096)
+    pairs = kh_bound_states(kh_averaged_potential(g, 10.23))
+    coherent = coherent_superposition(pairs[0], pairs[1]).psi
+    far = np.exp(-((g.x - 1000.0) ** 2) / 200.0)
+    far *= np.sqrt(1e-10 / (g.dx * np.sum(far * far)))
+    for psi, points in ((coherent, 2048), (np.sqrt(1.0 - 1e-10) * coherent + far, 4096)):
+        stored = tmp_path / f"stored{points}"
+        stored.mkdir()
+        write_snapshot(stored / "start.snap", WaveFunction(g, psi, 0.0, "kh"))
+        (stored / "manifest.json").write_text(json.dumps({"bound": True,
+                                                          "config": {"kh.alpha0": 10.23}}))
+        out = tmp_path / f"out{points}"
+        assert _restart(stored / "start.snap", out, 1.0, "grid.n_points=4096") == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["bound"] is True
+        residuals = manifest["residuals"]
+        assert residuals["box_points"] == points
+        edge = residuals["edge_fraction"]
+        assert edge == pytest.approx(1e-10, rel=1e-3) if points == 4096 else edge < 1e-20
+
+
 def test_run_determinism(mini_cfg_path, mini_run, tmp_path):
     assert cli.main(["run", mini_cfg_path, "--out", str(tmp_path)]) == 0
     names = sorted(os.listdir(mini_run))
@@ -1055,7 +1132,7 @@ def test_continuation_matches_the_in_run_restart(mini_run, tmp_path):
         assert filecmp.cmp(out / name, mini_run / f"restart_{name}", shallow=False), name
     run, continued = (json.loads((d / "manifest.json").read_text()) for d in (mini_run, out))
     assert run["bound"] is continued["bound"] is True
-    for key in ("energy_drift", "absorbed_norm", "edge_fraction", "final_norm"):
+    for key in ("energy_drift", "absorbed_norm", "edge_fraction", "final_norm", "box_points"):
         assert continued["residuals"][key] == run["residuals"][f"restart_{key}"], key
     assert continued["wigner"]["wigner_t45.wig"] == run["wigner"]["restart_wigner_t45.wig"]
 

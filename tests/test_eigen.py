@@ -103,7 +103,8 @@ def test_ground_state_past_its_box():
     assert np.abs(pair.state.psi[np.abs(g.x) > 101.0]).max() > 1e-5
     assert pair.energy == pytest.approx(-0.005, abs=1e-7)
     g = SpatialGrid(-60.0, 60.0, 512)
-    with pytest.raises(EigenError, match="edge amplitude .* > 1e-06; use a wider grid"):
+    message = "edge amplitude .* > 1e-06 at dx = 0.234; use a finer or a wider grid"
+    with pytest.raises(EigenError, match=message):
         imaginary_time_ground_state(well(g), g)
 
 
